@@ -5,13 +5,27 @@ Two implementations of the same integrated loop live here:
 * a scalar kernel (`_integrated_scalar`) that numba compiles, and
 * a vectorized pure-numpy twin (`_integrated_numpy`).
 
+The numpy twin's cost is numpy call overhead on small arrays, so it does one
+full m x n softmax per arrival, right after the dual step, at the new
+iterate and the current estimate. That one softmax gives log Z for the
+recorded dual value; its row for the next arrival's type, times the
+availability mask, is that arrival's selection weights (the same
+distribution as the masked, renormalized row the scalar kernel builds); and
+it is reused for the next arrival's gradient, where only the row of the
+estimate that the arrival moved is recomputed. p_hat / (p_bar mu) and the
+availability mask are cached and updated per arrival the same way, and the
+gradient is one matvec. The caches are rebuilt at call start from the state
+with the expressions the loop uses, so a run split into chained calls
+matches one call bit for bit.
+
 The default backend, `BACKEND`, is read at import from ALLOCSIM_BACKEND
 ("numba" or "numpy"; default numba when importable) but checked only when a
 loop runs: an unknown name raises ValueError, and numba where numba does not
 import raises BackendUnavailable, so a bad setting never breaks the import.
 All randomness is pre-drawn by the caller (`u_select`, `u_purchase`), so a
-run is reproducible bit-for-bit per backend, and the two backends agree to
-float rounding (their summation orders differ). Budgets are consumed by assignment: each non-null assignment
+run is reproducible bit-for-bit per backend: the two backends make the same
+discrete choices and agree to float rounding (their summation orders
+differ). Budgets are consumed by assignment: each non-null assignment
 of a capped item takes one unit of its remaining stock.
 """
 
@@ -301,6 +315,12 @@ _integrated_jit = njit(cache=True)(_integrated_scalar) if HAS_NUMBA else None
 # Integrated loop, vectorized numpy fallback
 # ============================================================
 
+# A masked selection row whose weights sum below this has lost its available
+# items to underflow against a sold-out item's larger exponent; it is then
+# recomputed with the shift taken over available items only.
+_SELECT_UNDERFLOW = 1e-200
+
+
 def _integrated_numpy(
     types, weights, phi, phi_constant, s_budget, p_true, rewards, budgets,
     infinite, mu, lam, remaining, counts, purchases, p_hat, type_rounds,
@@ -314,41 +334,88 @@ def _integrated_numpy(
     phase = np.zeros(T, dtype=np.uint8)
     f_vals = np.empty(T, dtype=np.float64)
 
-    ck_t, ck_err, ck_chg, ck_lam, ck_rem = [], [], [], [], []
-    w_col = weights[:, None]
-    fin = ~infinite
-    fin_budgets = np.where(fin, budgets, 0.0)
+    max_ck = T // k_interval + 2
+    ck_t = np.empty(max_ck, dtype=np.int64)
+    ck_err = np.empty(max_ck)
+    ck_chg = np.empty(max_ck)
+    ck_lam = np.empty((max_ck, n))
+    ck_rem = np.empty((max_ck, n))
+    n_ck = 0
 
+    fin_budgets = np.where(infinite, 0.0, budgets)
+    grad_floor = s_budget * fin_budgets
+    # Box upper bound per item; 0 on uncapped items pins their price at 0,
+    # so their gradient entries never reach the iterate.
+    lam_hi = np.where(infinite, 0.0, lam_max)
+    zeros = np.zeros(n)
+    sold_out = ~(infinite | (remaining >= 1.0))
+    mask = (~sold_out).astype(np.float64)
+    n_avail = n - int(np.count_nonzero(sold_out))
+
+    # Caches, rebuilt from the state with the expressions the loop refreshes
+    # them with, so a run split into chained calls matches one call bit for
+    # bit. A = p_hat / (p_bar mu) with p_bar := 1 on an all-zero row; W and Z
+    # are the shifted exponentials and their row sums at (lam, p_hat).
+    rl = rewards - lam
+    pbar = np.maximum.reduce(p_hat, axis=1)
+    A = p_hat / (np.where(pbar > 0.0, pbar, 1.0) * mu)[:, None]
+    E = np.empty((m, n))
+    W = np.empty((m, n))
+    PW = np.empty((m, n))
+    shift = np.empty(m)
+    shift_col = shift[:, None]
+    Z = np.empty(m)
+    log_z = np.empty(m)
+    wz = np.empty(m)
+    grad = np.empty(n)
+    wts = np.empty(n)
+    cum = np.empty(n)
+    scores = np.empty(n)
+    p_rows, A_rows, E_rows, W_rows = (list(a) for a in (p_hat, A, E, W))
+    phi_row = phi[0]
+
+    def softmax():
+        np.multiply(rl, A, out=E)
+        np.maximum.reduce(E, axis=1, out=shift)
+        np.subtract(E, shift_col, out=E)
+        np.exp(E, out=W)
+        np.add.reduce(W, axis=1, out=Z)
+
+    softmax()
     for t in range(T):
         g = t_offset + t + 1
         j = types[t]
         type_rounds[j] += 1
-        use_ucb = (last_change > eps_p) and (g <= r_max)
-        phase[t] = 0 if use_ucb else 1
+        use_ucb = last_change > eps_p and g <= r_max
+        if not use_ucb:
+            phase[t] = 1
 
-        avail = infinite | (remaining >= 1.0)
         sel = -1
-        if avail.any():
+        if n_avail:
             if use_ucb:
                 row_counts = counts[j]
-                seen = row_counts > 0
-                scores = np.full(n, np.inf)
-                scores[seen] = p_hat[j, seen] + np.sqrt(
-                    1.5 * np.log(np.float64(type_rounds[j])) / row_counts[seen]
-                )
-                scores[~avail] = -np.inf
-                sel = int(np.argmax(scores))
+                np.divide(1.5 * np.log(np.float64(type_rounds[j])),
+                          np.maximum(row_counts, 1), out=scores)
+                np.sqrt(scores, out=scores)
+                np.add(p_rows[j], scores, out=scores)
+                scores[row_counts == 0] = np.inf
+                scores[sold_out] = -np.inf
+                sel = int(scores.argmax())
             else:
-                pbar = p_hat[j].max()
-                if pbar <= 0.0:
-                    wts = avail.astype(np.float64)
-                else:
-                    e = np.where(avail, (rewards - lam) * p_hat[j] / (pbar * mu), -np.inf)
-                    wts = np.exp(e - e.max())
-                    wts[~avail] = 0.0
-                cum = np.cumsum(wts)
-                u = u_select[t] * cum[-1]
-                sel = int(np.searchsorted(cum, u, side="right"))
+                # Row j of the cached softmax at (lam, p_hat), masked, is a
+                # positive multiple of the masked row shifted by its own
+                # maximum, so it samples the same distribution. An all-zero
+                # estimate row is all ones: uniform over what is available.
+                np.multiply(W_rows[j], mask, out=wts)
+                np.add.accumulate(wts, out=cum)
+                total = cum[-1]
+                if total < _SELECT_UNDERFLOW:
+                    np.multiply(rl, A_rows[j], out=wts)
+                    wts[sold_out] = -np.inf
+                    np.exp(wts - np.maximum.reduce(wts), out=wts)
+                    np.add.accumulate(wts, out=cum)
+                    total = cum[-1]
+                sel = int(cum.searchsorted(u_select[t] * total, side="right"))
                 if sel >= n:
                     sel = int(np.flatnonzero(wts > 0.0)[-1])
 
@@ -359,49 +426,59 @@ def _integrated_numpy(
                 purchases[j, sel] += 1
             if not infinite[sel]:
                 remaining[sel] -= 1.0
+                if remaining[sel] < 1.0:
+                    sold_out[sel] = True
+                    mask[sel] = 0.0
+                    n_avail -= 1
             counts[j, sel] += 1
             p_hat[j, sel] = purchases[j, sel] / counts[j, sel]
 
-        pbar_all = p_hat.max(axis=1)
-        pb = np.where(pbar_all > 0.0, pbar_all, 1.0)
-        E = (rewards - lam)[None, :] * p_hat / (pb[:, None] * mu)
-        shift = E.max(axis=1, keepdims=True)
-        W = np.exp(E - shift)
-        Z = W.sum(axis=1)
-        X = W / Z[:, None]
-        grad = s_budget * fin_budgets - (w_col * p_hat * X).sum(axis=0)
-        grad[infinite] = 0.0
+            # only row j of the estimate moved: refresh its caches
+            p_row, e_row = p_rows[j], E_rows[j]
+            pbar_j = max(p_row.tolist())
+            pbar[j] = pbar_j
+            np.divide(p_row, (pbar_j if pbar_j > 0.0 else 1.0) * mu, out=A_rows[j])
+            np.multiply(rl, A_rows[j], out=e_row)
+            np.subtract(e_row, max(e_row.tolist()), out=e_row)
+            np.exp(e_row, out=W_rows[j])
+            Z[j] = np.add.reduce(W_rows[j])
 
-        lam -= etas[t] * grad
-        np.clip(lam, 0.0, lam_max, out=lam)
-        lam[infinite] = 0.0
+        # gradient of the weighted dual at the pre-step iterate, one matvec
+        np.divide(weights, Z, out=wz)
+        np.multiply(p_hat, W, out=PW)
+        np.matmul(wz, PW, out=grad)
+        np.subtract(grad_floor, grad, out=grad)
+        np.multiply(grad, etas[t], out=grad)
+        np.subtract(lam, grad, out=lam)
+        np.minimum(lam, lam_hi, out=lam)
+        np.maximum(lam, zeros, out=lam)
 
-        E = (rewards - lam)[None, :] * p_hat / (pb[:, None] * mu)
-        shift = E.max(axis=1)
-        log_z = shift + np.log(np.exp(E - shift[:, None]).sum(axis=1))
-        prow = phi[0] if phi_constant else phi[t]
-        f_vals[t] = mu * float(prow @ (pbar_all * log_z)) + s_budget * float(
-            lam[fin] @ budgets[fin]
-        )
+        # the one full softmax: log Z for the recorded dual value now, and
+        # the selection and gradient rows of the next arrival
+        np.subtract(rewards, lam, out=rl)
+        softmax()
+        np.log(Z, out=log_z)
+        np.add(log_z, shift, out=log_z)
+        np.multiply(pbar, log_z, out=log_z)
+        prow = phi_row if phi_constant else phi[t]
+        f_vals[t] = mu * float(prow @ log_z) + s_budget * float(lam @ fin_budgets)
 
         if g % k_interval == 0:
             err = float(np.linalg.norm(p_hat - p_true))
             chg = float(np.linalg.norm(p_hat - prev_ckpt))
             prev_ckpt[...] = p_hat
             last_change = chg
-            ck_t.append(g)
-            ck_err.append(err)
-            ck_chg.append(chg)
-            ck_lam.append(lam.copy())
-            ck_rem.append(remaining.copy())
-
-    def _stack(rows, width):
-        return np.array(rows) if rows else np.empty((0, width))
+            ck_t[n_ck] = g
+            ck_err[n_ck] = err
+            ck_chg[n_ck] = chg
+            ck_lam[n_ck] = lam
+            ck_rem[n_ck] = remaining
+            n_ck += 1
 
     return (
         assigned, bought, phase, f_vals, last_change,
-        np.array(ck_t, dtype=np.int64), np.array(ck_err), np.array(ck_chg),
-        _stack(ck_lam, n), _stack(ck_rem, n),
+        ck_t[:n_ck], ck_err[:n_ck], ck_chg[:n_ck],
+        ck_lam[:n_ck], ck_rem[:n_ck],
     )
 
 

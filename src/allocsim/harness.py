@@ -1,11 +1,15 @@
 """Baselines, metrics, experiment orchestration, and report files.
 
-Every randomized comparison here is paired: the greedy baseline consumes
-the same arrival stream and the same per-arrival purchase uniforms as the
-online run it is compared against, so revenue gaps reflect policy, not
-luck. Regret always benchmarks against the offline solve on ground-truth
-preferences with expected type weights; a realized-count benchmark column
-is emitted alongside for transparency.
+The greedy baseline always consumes the same arrival stream as the online
+run it is compared against. On a stationary run it also consumes the same
+per-arrival purchase uniforms, so that revenue gap reflects policy, not
+luck. A non-stationary run is not paired that way: its online loop draws
+selection and purchase uniforms segment by segment from one stream, while
+the greedy baseline draws one horizon-long selection block and then one
+purchase block, so the two face different purchase draws. Regret always
+benchmarks against the offline solve on ground-truth preferences with
+expected type weights; a realized-count benchmark column is emitted
+alongside for transparency.
 
 Report files are CSV (one directory per run). Wall-clock time goes to
 runtime.txt, not the CSVs, so re-running a configuration byte-identically
@@ -127,8 +131,11 @@ def greedy_baseline(
     """Assign every arrival the highest-reward item still in stock (ties to
     the lowest index); purchases simulated from ground truth.
 
-    Consumes the same uniform draws as the online loop on the same seed,
-    so the two policies face identical purchase randomness per arrival.
+    Draws its purchase uniforms as a single stationary `run_integrated`
+    call on the same seed does (a discarded selection block of len(arrivals)
+    draws, then the purchase block), so against that run the two policies
+    face identical purchase randomness per arrival. Against a non-stationary
+    run, which draws per segment, the purchase draws do not line up.
     """
     n = instance.rewards.size
     m = instance.preferences.shape[0]

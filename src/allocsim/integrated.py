@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 PHASE_NAMES = ("ucb", "ogd", "greedy")
+_CSV_BLOCK = 4096  # trace.csv rows formatted per write
 
 
 # ============================================================
@@ -370,15 +371,27 @@ def run_integrated(
 # ============================================================
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """Per-arrival CSV: t,time,type,item,purchased,phase (item blank when null)."""
+    """Per-arrival CSV: t,time,type,item,purchased,phase (item blank when null).
+
+    Rows are formatted from Python scalars a block at a time, which keeps
+    the memory for formatted text to one block.
+    """
     with open(path, "w", newline="") as fh:
         fh.write("t,time,type,item,purchased,phase\n")
-        base = trace.t_start_index
-        for k in range(len(trace)):
-            item = "" if trace.assigned[k] < 0 else str(int(trace.assigned[k]))
-            fh.write(
-                f"{base + k + 1},{trace.times[k]:.9g},{int(trace.types[k])},"
-                f"{item},{int(trace.purchased[k])},{PHASE_NAMES[trace.phase[k]]}\n"
+        first = trace.t_start_index + 1
+        for lo in range(0, len(trace), _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, len(trace))
+            fh.writelines(
+                f"{t},{time:.9g},{j},{'' if item < 0 else item},{bought:d},"
+                f"{PHASE_NAMES[phase]}\n"
+                for t, time, j, item, bought, phase in zip(
+                    range(first + lo, first + hi),
+                    trace.times[lo:hi].tolist(),
+                    trace.types[lo:hi].tolist(),
+                    trace.assigned[lo:hi].tolist(),
+                    trace.purchased[lo:hi].tolist(),
+                    trace.phase[lo:hi].tolist(),
+                )
             )
 
 

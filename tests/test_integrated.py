@@ -19,7 +19,9 @@ from allocsim import (
     ogd_step,
     project_box,
     run_integrated,
+    run_nonstationary,
     sample_stationary_stream,
+    scenario_nonstationary,
     scenario_stationary,
     select_by_dual,
     substream,
@@ -27,7 +29,7 @@ from allocsim import (
 )
 from allocsim import _kernels
 from allocsim.errors import LengthMismatch, NoAvailableItem
-from allocsim.integrated import PHASE_NAMES, write_lambda_csv, write_trace_csv
+from allocsim.integrated import PHASE_NAMES, Trace, write_lambda_csv, write_trace_csv
 
 
 def simple_config(n=1, m=1, T=50, budget=1e9, p=1.0, r_max=10, seed=0, **params):
@@ -223,31 +225,75 @@ class TestRunIntegrated:
             run_integrated(config, stream, np.array([0.7, 0.7]))
 
 
+def on_reference_backend(monkeypatch, run):
+    """`run(backend)` on the scalar kernel: compiled where numba imports,
+    else run as plain Python on run_integrated's own inputs (same state,
+    steps and uniforms)."""
+    if HAS_NUMBA:
+        return run("numba")
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            _kernels, "integrated_loop",
+            lambda *args, backend=None: _kernels._integrated_scalar(*args),
+        )
+        return run(None)
+
+
+def assert_backends_agree(fast, plain):
+    np.testing.assert_array_equal(fast.assigned, plain.assigned)
+    np.testing.assert_array_equal(fast.purchased, plain.purchased)
+    np.testing.assert_array_equal(fast.phase, plain.phase)
+    np.testing.assert_allclose(fast.f_vals, plain.f_vals, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(fast.lam_final, plain.lam_final,
+                               rtol=1e-10, atol=1e-12)
+    np.testing.assert_array_equal(fast.remaining_final, plain.remaining_final)
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("T,seed", [(2000, 1), (5000, 4)])
     def test_discrete_outputs_identical(self, T, seed, monkeypatch):
         config = scenario_stationary(T=T, seed=seed)
         stream = sample_stationary_stream(config.arrivals.rates, T, seed=seed)
         w = config.arrivals.rates / config.arrivals.rates.sum()
-        if HAS_NUMBA:
-            fast = run_integrated(config, stream, w, backend="numba")
-        else:
-            # The scalar kernel numba would compile, run as plain Python on
-            # run_integrated's own inputs (same state, steps and uniforms).
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    _kernels, "integrated_loop",
-                    lambda *args, backend=None: _kernels._integrated_scalar(*args),
-                )
-                fast = run_integrated(config, stream, w)
+        fast = on_reference_backend(
+            monkeypatch, lambda b: run_integrated(config, stream, w, backend=b))
         plain = run_integrated(config, stream, w, backend="numpy")
-        np.testing.assert_array_equal(fast.assigned, plain.assigned)
-        np.testing.assert_array_equal(fast.purchased, plain.purchased)
-        np.testing.assert_array_equal(fast.phase, plain.phase)
-        np.testing.assert_allclose(fast.f_vals, plain.f_vals, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(fast.lam_final, plain.lam_final,
-                                   rtol=1e-10, atol=1e-12)
-        np.testing.assert_array_equal(fast.remaining_final, plain.remaining_final)
+        assert_backends_agree(fast, plain)
+
+    def test_nonstationary_run_identical(self, monkeypatch):
+        # Per-arrival phi rows, an uncapped item, state carried across
+        # segments, and capped items selling out while arrivals remain.
+        config = scenario_nonstationary("extreme_budget", 2000, 24.0, seed=3)
+        fast, plan = on_reference_backend(
+            monkeypatch, lambda b: run_nonstationary(config, backend=b))
+        plain, _ = run_nonstationary(config, backend="numpy")
+        assert len(plan) > 1
+        assert np.unique(plain.segment).size > 1
+        assert config.instance.infinite_items.any()
+        capped = np.flatnonzero(~config.instance.infinite_items)
+        sold_out = capped[plain.remaining_final[capped] < 1.0]
+        assert sold_out.size > 0
+        last_unit = max(np.flatnonzero(plain.assigned == i)[-1] for i in sold_out)
+        assert last_unit < len(plain) - 100
+        assert_backends_agree(fast, plain)
+
+    def test_sold_out_item_dominating_the_row(self, monkeypatch):
+        # With mu this small a sold-out item's exponent exceeds the uncapped
+        # one's by thousands, so the unmasked row underflows on every
+        # available item; the selection must still draw from what is left.
+        inst = validate_instance(ProblemInstance(
+            rewards=np.array([10.0, 1.0]), budgets=np.array([1.0, np.inf]),
+            mu=1e-3, preferences=np.ones((1, 2)), horizon=20,
+        ))
+        config = SimConfig(instance=inst, arrivals=StationaryArrivals(np.ones(1)),
+                           seed=0, params=AlgoParams(r_max=0))
+        stream = sample_stationary_stream(np.array([1.0]), 20, seed=0)
+        w = np.array([1.0])
+        fast = on_reference_backend(
+            monkeypatch, lambda b: run_integrated(config, stream, w, backend=b))
+        plain = run_integrated(config, stream, w, backend="numpy")
+        np.testing.assert_array_equal(plain.assigned, [0] + [1] * 19)
+        assert_backends_agree(fast, plain)
 
     def test_unknown_backend_rejected(self):
         config = simple_config(T=10)
@@ -294,6 +340,57 @@ class TestCarryOver:
         np.testing.assert_array_equal(a1.assigned, b1.assigned)
         np.testing.assert_array_equal(a2.assigned, b2.assigned)
         np.testing.assert_array_equal(a2.purchased, b2.purchased)
+
+    def test_one_call_equals_chained_pieces(self):
+        # A run cut into chained calls (as run_nonstationary and the
+        # phase-splitting benchmark tracer do) must reproduce one call bit
+        # for bit when every piece gets its slice of the same uniforms and
+        # the whole batch's expected count.
+        T = 3000
+        config = scenario_stationary(T=T, seed=5)
+        stream = sample_stationary_stream(config.arrivals.rates, T, seed=5)
+        w = config.arrivals.rates / config.arrivals.rates.sum()
+        whole = run_integrated(config, stream, w)
+
+        learn_end = int(np.flatnonzero(whole.phase == 1)[0])
+        cuts = [0, learn_end // 2 + 7, learn_end + (T - learn_end) // 2 + 3, T]
+        assert whole.phase[cuts[1] - 1] == 0 and whole.phase[cuts[1]] == 0
+        assert np.all(whole.phase[learn_end:] == 1)
+
+        draws = SlicedDraws(np.random.default_rng(substream(config.seed, "loop")), T)
+        state, pieces = None, []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            piece = run_integrated(config, stream.slice(lo, hi), w,
+                                   loop_state=state, rng=draws, expected_count=T)
+            state = piece.carry
+            pieces.append(piece)
+        chained = Trace.concat(pieces)
+
+        for name in ("assigned", "purchased", "phase", "f_vals", "lam_final",
+                     "remaining_final"):
+            np.testing.assert_array_equal(getattr(chained, name), getattr(whole, name))
+        for name in ("t", "pref_error", "change", "lam", "remaining"):
+            np.testing.assert_array_equal(getattr(chained.checkpoints, name),
+                                          getattr(whole.checkpoints, name))
+        assert whole.checkpoints.t.size > 0
+
+
+class SlicedDraws:
+    """Stands in for the loop generator across chained calls: hands each
+    call its slice of the selection and purchase uniforms that one call
+    over the whole batch would draw."""
+
+    def __init__(self, rng, T):
+        self._draws = (rng.random(T), rng.random(T))
+        self._taken = [0, 0]
+        self._next = 0
+
+    def random(self, size):
+        k = self._next
+        lo = self._taken[k]
+        self._taken[k] += size
+        self._next = 1 - k
+        return self._draws[k][lo:lo + size]
 
 
 class TestTraceExport:
