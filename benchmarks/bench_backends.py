@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the compiled and pure-numpy loop backends on identical inputs.
+"""Time the compiled and pure-numpy integrated-loop backends on identical inputs.
 
 Both backends consume the same pre-drawn uniforms, so every discrete
 output (assignments, purchases, phase labels) must agree exactly and f_vals
@@ -21,7 +21,7 @@ import numpy as np
 
 from allocsim import _kernels
 from allocsim.arrivals import sample_stream
-from allocsim.harness import expected_type_weights, greedy_baseline
+from allocsim.harness import expected_type_weights
 from allocsim.integrated import run_integrated
 from allocsim.model import scenario_stationary
 
@@ -47,18 +47,10 @@ def bench_size(T, seed, repeats, backends):
     timings = {}
     traces = {}
     for backend in backends:
-        t_online, trace = best_of(
+        timings[backend], traces[backend] = best_of(
             lambda b=backend: run_integrated(config, stream, weights, backend=b),
             repeats,
         )
-        t_greedy, gtrace = best_of(
-            lambda b=backend: greedy_baseline(
-                config.instance, stream, seed, backend=b
-            ),
-            repeats,
-        )
-        timings[backend] = (t_online, t_greedy)
-        traces[backend] = (trace, gtrace)
     return timings, traces
 
 
@@ -86,10 +78,9 @@ def online_match(ta, tb):
 def outputs_match(traces, reference=None):
     """'yes'/'NO' for the check this size runs, '-' where it runs none."""
     if len(traces) == 2:
-        (ta, ga), (tb, gb) = (traces[b] for b in ("numba", "numpy"))
-        same = online_match(ta, tb) and np.array_equal(ga.assigned, gb.assigned)
+        same = online_match(traces["numba"], traces["numpy"])
     elif reference is not None:
-        same = online_match(reference, traces["numpy"][0])
+        same = online_match(reference, traces["numpy"])
     else:
         return "-"
     return "yes" if same else "NO"
@@ -111,7 +102,7 @@ def main():
               f"checking it against the plain-Python scalar kernel at "
               f"T={min(sizes)}\n")
 
-    header = f"{'T':>8}  {'loop':<8}" + "".join(
+    header = f"{'T':>8}" + "".join(
         f"  {b + ' (s)':>11}  {'us/arrival':>10}" for b in backends
     )
     if len(backends) == 2:
@@ -124,17 +115,12 @@ def main():
         reference = None
         if len(backends) == 1 and T == min(sizes):
             reference = scalar_reference(T, args.seed)
-        match = outputs_match(traces, reference)
-        for row, label in ((0, "online"), (1, "greedy")):
-            cells = f"{T:>8}  {label:<8}" + "".join(
-                f"  {timings[b][row]:>11.4f}  {timings[b][row] / T * 1e6:>10.2f}"
-                for b in backends
-            )
-            if len(backends) == 2:
-                ratio = timings["numpy"][row] / timings["numba"][row]
-                cells += f"  {ratio:>7.1f}x"
-            cells += f"  {match if row == 0 else '':>5}"
-            print(cells)
+        cells = f"{T:>8}" + "".join(
+            f"  {timings[b]:>11.4f}  {timings[b] / T * 1e6:>10.2f}" for b in backends
+        )
+        if len(backends) == 2:
+            cells += f"  {timings['numpy'] / timings['numba']:>7.1f}x"
+        print(cells + f"  {outputs_match(traces, reference):>5}")
 
 
 if __name__ == "__main__":

@@ -21,10 +21,6 @@ from .arrivals import (
 from .bandit import (
     UNVISITED_PRIOR,
     PreferenceEstimate,
-    estimate_change,
-    select_ucb,
-    ucb_scores,
-    update_estimate,
     write_checkpoint_csv,
 )
 from .dual import (
@@ -33,8 +29,6 @@ from .dual import (
     WeightedDualSpec,
     dual_gradient,
     dual_objective,
-    nonstationary_dual_objective,
-    per_customer_dual,
     recover_primal,
     solve_offline,
 )
@@ -52,10 +46,7 @@ from .integrated import (
     CheckpointLog,
     LoopState,
     Trace,
-    ogd_step,
-    project_box,
     run_integrated,
-    select_by_dual,
 )
 from .model import (
     AlgoParams,
@@ -81,7 +72,6 @@ from .segmentation import (
     SegmentPlan,
     bound_type_probability,
     certify_plan,
-    find_segment_end,
     run_nonstationary,
     segment_time_span,
     segment_weights,

@@ -1,4 +1,4 @@
-"""Hot per-arrival loops, compiled with numba when available.
+"""The per-arrival integrated loop, compiled with numba when available.
 
 Two implementations of the same integrated loop live here:
 
@@ -42,7 +42,6 @@ __all__ = [
     "HAS_NUMBA",
     "available_backends",
     "integrated_loop",
-    "greedy_loop",
 ]
 
 try:
@@ -483,34 +482,6 @@ def _integrated_numpy(
 
 
 # ============================================================
-# Greedy loop
-# ============================================================
-
-def _greedy_scalar(types, order, p_true, infinite, remaining, u_purchase):
-    T = types.shape[0]
-    n = remaining.shape[0]
-    assigned = np.empty(T, dtype=np.int64)
-    bought = np.zeros(T, dtype=np.uint8)
-    for t in range(T):
-        sel = -1
-        for k in range(n):
-            i = order[k]
-            if infinite[i] or remaining[i] >= 1.0:
-                sel = i
-                break
-        assigned[t] = sel
-        if sel >= 0:
-            if u_purchase[t] < p_true[types[t], sel]:
-                bought[t] = 1
-            if not infinite[sel]:
-                remaining[sel] -= 1.0
-    return assigned, bought
-
-
-_greedy_jit = njit(cache=True)(_greedy_scalar) if HAS_NUMBA else None
-
-
-# ============================================================
 # Dispatch
 # ============================================================
 
@@ -524,9 +495,3 @@ def integrated_loop(*args, backend: str | None = None):
         return _integrated_jit(*args)
     return _integrated_numpy(*args)
 
-
-def greedy_loop(types, order, p_true, infinite, remaining, u_purchase,
-                backend: str | None = None):
-    """Highest-reward-available assignment loop; mutates `remaining`."""
-    kernel = _greedy_jit if _resolve(backend) == "numba" else _greedy_scalar
-    return kernel(types, order, p_true, infinite, remaining, u_purchase)

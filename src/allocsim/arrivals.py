@@ -10,7 +10,6 @@ from .errors import ZeroTotalRate
 from .model import (
     GRID_DT_DEFAULT,
     ArrivalModel,
-    NonstationaryArrivals,
     RateFunction,
     StationaryArrivals,
     substream,
@@ -23,6 +22,7 @@ __all__ = [
     "sample_stream",
     "type_probability",
     "type_probability_matrix",
+    "scan_grid",
     "rate_extrema",
     "write_arrivals_csv",
 ]
@@ -166,24 +166,27 @@ def type_probability_matrix(model: ArrivalModel, times: np.ndarray) -> np.ndarra
     return lam / totals[:, None]
 
 
+def scan_grid(rate_fns, a: float, b: float, grid_dt: float) -> np.ndarray:
+    """The points rates are checked on over [a, b], sorted and distinct:
+    {a, a+grid_dt, ...} below b, every piece boundary inside (a, b), and b."""
+    pts = np.arange(a, b, grid_dt)
+    inner = [fn.boundaries[(fn.boundaries > a) & (fn.boundaries < b)]
+             for fn in rate_fns]
+    return np.unique(np.concatenate([pts[pts < b], *inner, [b]]))
+
+
 def rate_extrema(
     rate_fn: RateFunction, window: tuple[float, float], grid_dt: float
 ) -> tuple[float, float]:
-    """Grid-approximate (min, max) of the rate over [a, b].
+    """Grid-approximate (min, max) of the rate over [a, b], on `scan_grid`.
 
-    The grid is {a, a+grid_dt, ...} plus any piece boundaries inside the
-    window plus b itself. Extrema between grid points are not seen; callers
-    choose grid_dt accordingly.
+    Extrema between grid points are not seen; callers choose grid_dt
+    accordingly.
     """
     a, b = window
     if not a < b:
         raise ValueError(f"window [{a}, {b}] is empty")
-    pts = np.arange(a, b, grid_dt)
-    pts = pts[pts < b]
-    bounds = rate_fn.boundaries
-    inner = bounds[(bounds > a) & (bounds < b)]
-    pts = np.unique(np.concatenate([pts, inner, [b]]))
-    vals = rate_fn.value(pts)
+    vals = rate_fn.value(scan_grid((rate_fn,), a, b, grid_dt))
     return float(vals.min()), float(vals.max())
 
 

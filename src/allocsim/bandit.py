@@ -1,25 +1,23 @@
-"""Per-type UCB preference learner.
+"""State of the per-type UCB preference learner, and its learning-curve CSV.
 
 One bandit per customer type: counts N_ij and purchase totals R_ij feed
 estimates P̂_ij = R_ij/N_ij, with a flat prior on unvisited pairs. The UCB
-bonus uses a per-type clock t_j so rare types are not over-explored.
+bonus uses a per-type clock t_j so rare types are not over-explored. The
+selection and the update themselves run inside the integrated loop
+(`_kernels`), the one implementation of each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoAvailableItem
+from .errors import DimensionMismatch
 
 __all__ = [
     "UNVISITED_PRIOR",
     "PreferenceEstimate",
-    "ucb_scores",
-    "select_ucb",
-    "update_estimate",
-    "estimate_change",
     "write_checkpoint_csv",
 ]
 
@@ -34,89 +32,6 @@ class PreferenceEstimate:
     purchases: np.ndarray   # R, int64 (m, n)
     p_hat: np.ndarray       # float (m, n); prior where counts == 0
     type_rounds: np.ndarray  # t_j, int64 (m,)
-
-    @classmethod
-    def fresh(cls, m: int, n: int, prior: float = UNVISITED_PRIOR) -> "PreferenceEstimate":
-        return cls(
-            counts=np.zeros((m, n), dtype=np.int64),
-            purchases=np.zeros((m, n), dtype=np.int64),
-            p_hat=np.full((m, n), prior, dtype=float),
-            type_rounds=np.zeros(m, dtype=np.int64),
-        )
-
-    def copy(self) -> "PreferenceEstimate":
-        return PreferenceEstimate(
-            counts=self.counts.copy(),
-            purchases=self.purchases.copy(),
-            p_hat=self.p_hat.copy(),
-            type_rounds=self.type_rounds.copy(),
-        )
-
-
-def ucb_scores(
-    est: PreferenceEstimate,
-    j: int,
-    t_j: int | None = None,
-    rewards: np.ndarray | None = None,
-) -> np.ndarray:
-    """Upper confidence scores for type j: P̂_ij + √(3·ln t_j / (2·N_ij)).
-
-    Unvisited items score +∞. Pass `rewards` to weight scores by item reward
-    (off by default; the plain purchase-probability form is the one the
-    integrated loop uses).
-    """
-    if not 0 <= j < est.counts.shape[0]:
-        raise IndexError(f"type index {j} out of range")
-    t_j = int(est.type_rounds[j]) if t_j is None else int(t_j)
-    if t_j < 1:
-        raise ValueError("per-type round must be >= 1")
-    counts = est.counts[j]
-    scores = np.full(counts.size, np.inf)
-    seen = counts > 0
-    bonus = np.sqrt(3.0 * np.log(t_j) / (2.0 * counts[seen]))
-    base = est.p_hat[j, seen]
-    if rewards is not None:
-        base = np.asarray(rewards, dtype=float)[seen] * base
-    scores[seen] = base + bonus
-    return scores
-
-
-def select_ucb(
-    est: PreferenceEstimate,
-    j: int,
-    t_j: int | None = None,
-    available: np.ndarray | None = None,
-    rewards: np.ndarray | None = None,
-) -> int:
-    """Argmax of ucb_scores over the available set; ties go to the lowest index."""
-    scores = ucb_scores(est, j, t_j, rewards)
-    if available is not None:
-        mask = np.asarray(available, dtype=bool)
-        if not mask.any():
-            raise NoAvailableItem(f"no item available for type {j}")
-        scores = np.where(mask, scores, -np.inf)
-    # np.argmax returns the first maximizer, which is the tie rule we want
-    return int(np.argmax(scores))
-
-
-def update_estimate(est: PreferenceEstimate, j: int, i: int, purchased: bool) -> PreferenceEstimate:
-    """Record one assignment outcome in place and return the estimate."""
-    est.counts[j, i] += 1
-    if purchased:
-        est.purchases[j, i] += 1
-    est.p_hat[j, i] = est.purchases[j, i] / est.counts[j, i]
-    return est
-
-
-def estimate_change(prev_p_hat: np.ndarray, now_p_hat: np.ndarray) -> float:
-    """Frobenius norm of the estimate drift between two checkpoints."""
-    prev_p_hat = np.asarray(prev_p_hat, dtype=float)
-    now_p_hat = np.asarray(now_p_hat, dtype=float)
-    if prev_p_hat.shape != now_p_hat.shape:
-        raise DimensionMismatch(
-            f"checkpoint shapes differ: {prev_p_hat.shape} vs {now_p_hat.shape}"
-        )
-    return float(np.linalg.norm(now_p_hat - prev_p_hat))
 
 
 def write_checkpoint_csv(checkpoints: np.ndarray, errors: np.ndarray, path) -> None:

@@ -7,7 +7,9 @@ Modes: offline, stationary, nonstationary, greedy, segment-plan. A grid
 run rebuilds the config's scenario at each requested T and writes one
 subdirectory per value. Exit codes: 0 success, 2 configuration problem
 (including a backend, by flag or ALLOCSIM_BACKEND, that cannot run here),
-3 offline solve failed to converge, 4 I/O failure.
+3 offline solve failed to converge, 4 I/O failure. Only stationary and
+nonstationary run the integrated loop, so offline, greedy and segment-plan
+never check the backend.
 """
 
 from __future__ import annotations

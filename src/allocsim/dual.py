@@ -28,8 +28,6 @@ __all__ = [
     "dual_objective",
     "dual_gradient",
     "recover_primal",
-    "per_customer_dual",
-    "nonstationary_dual_objective",
     "solve_offline",
     "default_grad_bound",
 ]
@@ -52,7 +50,6 @@ class DualState:
     grad_bound: float
     horizon: int
     step_rule: str = "fixed"
-    t: int = 0
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
@@ -184,56 +181,6 @@ def recover_primal(P: np.ndarray, r: np.ndarray, mu: float, lam: np.ndarray) -> 
     P = np.asarray(P, dtype=float)
     _, x = _log_z_and_primal(P, np.asarray(r, dtype=float), mu, np.asarray(lam, dtype=float))
     return x
-
-
-def per_customer_dual(
-    lam: np.ndarray,
-    p_hat: np.ndarray,
-    arrival_type: int,
-    rewards: np.ndarray,
-    budgets: np.ndarray,
-    mu: float,
-    prior_assignments=(),
-) -> float:
-    """Single-arrival dual diagnostic.
-
-    μ·P̄_t·log Z_t + ⟨Λ,b⟩ − Σ_prior Λ_item·P̂[type, item], where the sum runs
-    over realized (type, item) assignments before this arrival; null
-    assignments (item < 0) are skipped.
-    """
-    lam = np.asarray(lam, dtype=float)
-    p_hat = np.asarray(p_hat, dtype=float)
-    budgets = np.asarray(budgets, dtype=float)
-    row = p_hat[arrival_type : arrival_type + 1, :]
-    log_z, _ = _log_z_and_primal(row, np.asarray(rewards, dtype=float), mu, lam)
-    value = mu * float(row.max()) * float(log_z[0])
-    value += _budget_dot(lam, budgets, np.isinf(budgets))
-    for j, item in prior_assignments:
-        if item is None or item < 0:
-            continue
-        value -= lam[item] * p_hat[j, item]
-    return value
-
-
-def nonstationary_dual_objective(
-    lam: np.ndarray,
-    p_hat: np.ndarray,
-    phi: np.ndarray,
-    rewards: np.ndarray,
-    budgets: np.ndarray,
-    mu: float,
-    horizon: int,
-) -> float:
-    """Dual value with the true time-varying type mix φ in place of fixed weights."""
-    spec = WeightedDualSpec(
-        weights=np.asarray(phi, dtype=float),
-        budget_scale=1.0 / horizon,
-        preferences=p_hat,
-        rewards=rewards,
-        budgets=budgets,
-        mu=mu,
-    )
-    return dual_objective(spec, lam)
 
 
 # ============================================================

@@ -14,7 +14,6 @@ __all__ = [
     "DegenerateRow",
     "DimensionMismatch",
     "LengthMismatch",
-    "NoAvailableItem",
     "NoPositiveRoot",
     "ZeroLowerSum",
     "DegenerateSegment",
@@ -81,10 +80,6 @@ class DimensionMismatch(AllocSimError, ValueError):
 
 class LengthMismatch(AllocSimError, ValueError):
     pass
-
-
-class NoAvailableItem(AllocSimError, RuntimeError):
-    """Selection was requested but no item has remaining budget."""
 
 
 class NoPositiveRoot(AllocSimError, ArithmeticError):

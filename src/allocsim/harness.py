@@ -19,14 +19,13 @@ reproduces every CSV.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
-from .arrivals import ArrivalSequence, sample_stream, type_probability_matrix
-from .bandit import PreferenceEstimate, write_checkpoint_csv
+from .arrivals import ArrivalSequence, sample_stream
+from .bandit import write_checkpoint_csv
 from .dual import (
     OfflineSolution,
     WeightedDualSpec,
@@ -44,7 +43,6 @@ from .integrated import (
     write_trace_csv,
 )
 from .model import (
-    NonstationaryArrivals,
     ProblemInstance,
     SimConfig,
     StationaryArrivals,
@@ -125,11 +123,15 @@ def greedy_baseline(
     instance: ProblemInstance,
     arrivals: ArrivalSequence,
     seed: int,
-    *,
-    backend: str | None = None,
 ) -> Trace:
     """Assign every arrival the highest-reward item still in stock (ties to
     the lowest index); purchases simulated from ground truth.
+
+    Stock is spent per offer and the policy ignores the customer type, so
+    the assignment has a closed form: in reward order, each capped item
+    takes the next floor(b_i) arrivals, the first uncapped item takes every
+    arrival after that, and items ranked below it are never offered. With
+    no uncapped item, arrivals past the total stock get the null (-1).
 
     Draws its purchase uniforms as a single stationary `run_integrated`
     call on the same seed does (a discarded selection block of len(arrivals)
@@ -140,22 +142,36 @@ def greedy_baseline(
     n = instance.rewards.size
     m = instance.preferences.shape[0]
     T = len(arrivals)
-    order = np.lexsort((np.arange(n), -instance.rewards)).astype(np.int64)
+    types = arrivals.types.astype(np.int64)
+    infinite = instance.infinite_items
+    order = np.lexsort((np.arange(n), -instance.rewards))
+    # rank of the first uncapped item, n when there is none
+    k = int(np.argmax(infinite[order])) if infinite.any() else n
+    capped = order[:k]
+    after_stock = order[k] if k < n else -1
+    stock_ends = np.cumsum(np.floor(instance.budgets[capped]))
+    slot = np.searchsorted(stock_ends, np.arange(T), side="right")
+    assigned = np.append(capped, after_stock)[slot]
+
     rng = np.random.default_rng(substream(seed, "loop"))
     rng.random(T)  # discarded: keeps purchase draws aligned with run_integrated
     u_purchase = rng.random(T)
-    remaining = instance.budgets.copy()
-    assigned, bought = _kernels.greedy_loop(
-        arrivals.types.astype(np.int64), order, instance.preferences,
-        instance.infinite_items, remaining, u_purchase, backend=backend,
+    offered = assigned >= 0
+    bought = np.zeros(T, dtype=bool)
+    bought[offered] = (
+        u_purchase[offered] < instance.preferences[types[offered], assigned[offered]]
     )
+
+    remaining = instance.budgets.copy()
+    spent = np.bincount(assigned[offered], minlength=n)
+    remaining[~infinite] -= spent[~infinite]
     st = LoopState.fresh(n, m, instance.budgets)
     st.remaining = remaining
     return Trace(
         times=arrivals.times.copy(),
-        types=arrivals.types.astype(np.int64),
+        types=types,
         assigned=assigned,
-        purchased=bought.astype(bool),
+        purchased=bought,
         phase=np.full(T, 2, dtype=np.uint8),
         f_vals=np.zeros(T),
         segment=np.zeros(T, dtype=np.int32),
@@ -248,10 +264,9 @@ def benchmark_spec(
 
 def _solve_benchmark(config: SimConfig, spec: WeightedDualSpec) -> OfflineSolution:
     params = config.params
-    lam_max = params.lambda_max if params.lambda_max is not None else config.instance.r_star
     sol = solve_offline(
         spec, tol=params.offline_tol, max_iter=params.offline_max_iter,
-        box_upper=lam_max,
+        box_upper=config.lambda_max(),
     )
     if not sol.converged:
         raise NonConvergence(
@@ -335,7 +350,7 @@ def run_experiment(
         )
     elif mode == "greedy":
         stream = _sample_for(config)
-        gtrace = greedy_baseline(inst, stream, config.seed, backend=backend)
+        gtrace = greedy_baseline(inst, stream, config.seed)
         report.arrivals = len(stream)
         report.greedy_trace = gtrace
         report.greedy_revenue = compute_revenue(gtrace, inst.rewards)
@@ -344,12 +359,12 @@ def run_experiment(
         stream = _sample_for(config)
         weights = expected_type_weights(config)
         trace = run_integrated(config, stream, weights, backend=backend)
-        gtrace = greedy_baseline(inst, stream, config.seed, backend=backend)
+        gtrace = greedy_baseline(inst, stream, config.seed)
         _fill_online_metrics(report, config, trace, gtrace, weights, len(stream))
     else:
         trace, plan = run_nonstationary(config, backend=backend)
         stream = ArrivalSequence(trace.times, trace.types, config.seed)
-        gtrace = greedy_baseline(inst, stream, config.seed, backend=backend)
+        gtrace = greedy_baseline(inst, stream, config.seed)
         report.plan = plan
         _fill_online_metrics(
             report, config, trace, gtrace, expected_type_weights(config),

@@ -14,7 +14,6 @@ does. Budgets are consumed by assignment, and uncapped items never deplete.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import _kernels
 from .arrivals import ArrivalSequence
 from .bandit import UNVISITED_PRIOR, PreferenceEstimate
 from .dual import DualState, default_grad_bound
-from .errors import LengthMismatch, NoAvailableItem
+from .errors import LengthMismatch
 from .model import SimConfig, substream
 
 __all__ = [
@@ -31,9 +30,6 @@ __all__ = [
     "LoopState",
     "CheckpointLog",
     "Trace",
-    "project_box",
-    "ogd_step",
-    "select_by_dual",
     "run_integrated",
     "write_trace_csv",
     "write_lambda_csv",
@@ -182,62 +178,6 @@ class Trace:
 
 
 # ============================================================
-# Single-step operations
-# ============================================================
-
-def project_box(y: np.ndarray, lam_max: float) -> np.ndarray:
-    """Clamp each coordinate to [0, lam_max]."""
-    if not lam_max > 0.0:
-        raise ValueError("lam_max must be positive")
-    return np.clip(np.asarray(y, dtype=float), 0.0, lam_max)
-
-
-def ogd_step(state: DualState, grad: np.ndarray, t: int) -> DualState:
-    """One projected gradient step; returns a new state that records t."""
-    grad = np.asarray(grad, dtype=float)
-    if grad.size != state.lam.size:
-        raise LengthMismatch("gradient length != lambda length")
-    moved = state.lam - state.step_size(t) * grad
-    return dataclasses.replace(state, lam=project_box(moved, state.box_upper), t=t)
-
-
-def select_by_dual(
-    lam: np.ndarray,
-    p_hat: np.ndarray,
-    j: int,
-    available: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    rewards: np.ndarray,
-    mu: float,
-) -> int:
-    """Sample an item from the dual-driven softmax row, restricted to
-    available items and renormalized.
-
-    The row scale uses the full estimated row's maximum, matching the
-    primal recovery map; when the whole row estimates to zero the draw is
-    uniform over what is available.
-    """
-    available = np.asarray(available, dtype=bool)
-    if not available.any():
-        raise NoAvailableItem(f"no item available for type {j}")
-    row = np.asarray(p_hat, dtype=float)[j]
-    p_bar = row.max()
-    if p_bar <= 0.0:
-        wts = available.astype(float)
-    else:
-        e = np.where(available, (np.asarray(rewards, dtype=float) - lam) * row / (p_bar * mu), -np.inf)
-        wts = np.exp(e - e.max())
-        wts[~available] = 0.0
-    cum = np.cumsum(wts)
-    u = rng.random() * cum[-1]
-    idx = int(np.searchsorted(cum, u, side="right"))
-    if idx >= wts.size:
-        idx = int(np.flatnonzero(wts > 0.0)[-1])
-    return idx
-
-
-# ============================================================
 # Full run
 # ============================================================
 
@@ -287,7 +227,7 @@ def run_integrated(
     expected = int(expected_count) if expected_count is not None else T
     expected = max(expected, 1)
     s_budget = 1.0 / expected
-    lam_max = params.lambda_max if params.lambda_max is not None else inst.r_star
+    lam_max = config.lambda_max()
     grad_bound = default_grad_bound(n, s_budget, inst.budgets)
     dual_state = DualState(
         lam=st.lam.copy(), box_upper=lam_max, grad_bound=grad_bound,

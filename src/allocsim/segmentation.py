@@ -21,15 +21,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrivals import sample_nonstationary_stream, type_probability_matrix
+from .arrivals import (
+    rate_extrema,
+    sample_nonstationary_stream,
+    scan_grid,
+    type_probability_matrix,
+)
 from .errors import DegenerateSegment, NoPositiveRoot, ZeroLowerSum
 from .integrated import Trace, run_integrated
-from .model import NonstationaryArrivals, RateFunction, SimConfig, substream
+from .model import NonstationaryArrivals, SimConfig, substream
 
 __all__ = [
     "Segment",
     "SegmentPlan",
-    "find_segment_end",
     "solve_v_threshold",
     "bound_type_probability",
     "segment_time_span",
@@ -107,16 +111,6 @@ class SegmentPlan:
 # Window scan
 # ============================================================
 
-def _scan_grid(rate_fns, t: float, grid_dt: float, t_end: float) -> np.ndarray:
-    pts = np.arange(t, t_end, grid_dt)
-    pts = pts[pts < t_end]
-    extra = [pts, [t_end]]
-    for fn in rate_fns:
-        bounds = fn.boundaries
-        extra.append(bounds[(bounds > t) & (bounds < t_end)])
-    pts = np.unique(np.concatenate(extra))
-    return pts[pts >= t]
-
 def _scan_window(
     rate_fns,
     t: float,
@@ -130,7 +124,7 @@ def _scan_window(
     implied probability band stays within it). Returns t* and the per-type
     (min, max) extrema over [t, t*]. Advances at least one grid point.
     """
-    pts = _scan_grid(rate_fns, t, grid_dt, t_end)
+    pts = scan_grid(rate_fns, t, t_end, grid_dt)
     if pts.size < 2:
         raise DegenerateSegment(
             f"no grid point inside ({t}, {t_end}]; grid_dt={grid_dt} too coarse"
@@ -151,23 +145,6 @@ def _scan_window(
     k = max(k, 1)
     extrema = [(float(cmin[j, k]), float(cmax[j, k])) for j in range(len(rate_fns))]
     return float(pts[k]), extrema
-
-
-def find_segment_end(
-    rate_fns,
-    t: float,
-    threshold: float,
-    grid_dt: float,
-    t_end: float,
-) -> float:
-    """Largest grid point t* <= t_end with all per-type variations over
-    [t, t*] at most threshold; always advances at least one grid step."""
-    if not t < t_end:
-        raise ValueError("cursor must sit before t_end")
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
-    t_star, _ = _scan_window(rate_fns, t, threshold, grid_dt, t_end)
-    return t_star
 
 
 # ============================================================
@@ -279,8 +256,6 @@ def certify_plan(plan: SegmentPlan, rate_fns, tol: float = 1e-9):
     per-type variations are within epsilon + tol, type B when the
     recomputed probability band is within delta + tol.
     """
-    from .arrivals import rate_extrema
-
     results = np.zeros(len(plan), dtype=bool)
     for k, seg in enumerate(plan.segments):
         ext = [

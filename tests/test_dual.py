@@ -2,7 +2,9 @@
 
 Oracles here are deliberately independent of the implementation: central
 finite differences for the gradient and a dense grid scan for the 2x2
-minimizer, both computed from scratch in this file.
+minimizer, both computed from scratch in this file. The value the online
+loop records per arrival is checked, through one-arrival runs, against
+`dual_objective` and against a hand evaluation.
 """
 
 import csv
@@ -15,13 +17,11 @@ from allocsim import (
     WeightedDualSpec,
     dual_gradient,
     dual_objective,
-    nonstationary_dual_objective,
-    per_customer_dual,
     recover_primal,
     solve_offline,
 )
 from allocsim.errors import DimensionMismatch
-from conftest import random_dual_spec
+from conftest import hand_state, loop_config, random_dual_spec, run_arrivals
 
 
 def one_cell_spec(mu=1.0, budget=1.0):
@@ -186,61 +186,53 @@ class TestRecoverPrimal:
 
 class TestPerCustomerDual:
     def test_empty_prefix(self):
-        value = per_customer_dual(
-            np.array([0.0]), np.array([[1.0]]), 0,
-            np.array([1.0]), np.array([1.0]), 1.0,
-        )
-        assert value == pytest.approx(1.0)
-
-    def test_prior_assignment_subtracts_expected_consumption(self):
-        base = per_customer_dual(
-            np.array([2.0]), np.array([[0.5]]), 0,
-            np.array([1.0]), np.array([1.0]), 1.0,
-        )
-        with_prior = per_customer_dual(
-            np.array([2.0]), np.array([[0.5]]), 0,
-            np.array([1.0]), np.array([1.0]), 1.0,
-            prior_assignments=[(0, 0)],
-        )
-        assert base - with_prior == pytest.approx(1.0)
-
-    def test_zero_price_ignores_prior(self):
-        a = per_customer_dual(
-            np.zeros(2), np.array([[0.5, 0.5]]), 0,
-            np.array([1.0, 0.5]), np.array([1.0, 1.0]), 0.5,
-        )
-        b = per_customer_dual(
-            np.zeros(2), np.array([[0.5, 0.5]]), 0,
-            np.array([1.0, 0.5]), np.array([1.0, 1.0]), 0.5,
-            prior_assignments=[(0, 1), (0, 0)],
-        )
-        assert a == pytest.approx(b)
+        # one arrival of the only type at unit budget scale records the
+        # per-customer dual mu P̄ log Z + <λ, b>; the sure sale leaves a
+        # zero gradient, so λ stays 0 and the value is log e = 1
+        config = loop_config(n=1, budgets=1.0, mu=1.0)
+        trace = run_arrivals(config, hand_state(config), [0], expected_count=1)
+        assert trace.lam_final[0] == 0.0
+        assert trace.f_vals[0] == pytest.approx(1.0, abs=1e-15)
 
 
 class TestNonstationaryObjective:
+    """The loop records, per arrival, the weighted dual at its post-step
+    iterate and estimate, with that arrival's type-probability row φ as the
+    weights and 1/T as the budget scale."""
+
     def test_reduces_to_weighted_dual(self):
         rng = np.random.default_rng(12)
-        spec = random_dual_spec(rng, n=4, m=3)
+        config = loop_config(n=4, m=3, budgets=[30.0, np.inf, 12.0, 45.0],
+                             rewards=rng.uniform(0.1, 1.0, size=4),
+                             p=rng.uniform(0.05, 1.0, size=(3, 4)), r_max=2)
+        inst = config.instance
         horizon = 50
-        phi = spec.weights
-        f1 = nonstationary_dual_objective(
-            np.zeros(4), spec.preferences, phi, spec.rewards, spec.budgets,
-            spec.mu, horizon,
-        )
-        ref = WeightedDualSpec(
-            weights=phi, budget_scale=1.0 / horizon,
-            preferences=spec.preferences, rewards=spec.rewards,
-            budgets=spec.budgets, mu=spec.mu,
-        )
-        assert f1 == pytest.approx(dual_objective(ref, np.zeros(4)))
+        state = hand_state(config)
+        for j in (0, 2, 1, 2):
+            phi = rng.dirichlet(np.ones(3))
+            trace = run_arrivals(config, state, [j], u_select=rng.random(),
+                                 u_purchase=rng.random(), phi=phi[None, :],
+                                 expected_count=horizon)
+            ref = WeightedDualSpec(
+                weights=phi, budget_scale=1.0 / horizon,
+                preferences=state.p_hat, rewards=inst.rewards,
+                budgets=inst.budgets, mu=inst.mu,
+            )
+            assert trace.f_vals[0] == pytest.approx(
+                dual_objective(ref, state.lam), rel=1e-12)
 
     def test_single_type_weight_is_trivial(self):
-        spec = one_cell_spec()
-        value = nonstationary_dual_objective(
-            np.array([0.0]), np.array([[1.0]]), np.array([1.0]),
-            np.array([1.0]), np.array([1.0]), 1.0, 1,
-        )
-        assert value == pytest.approx(dual_objective(spec, np.array([0.0])))
+        # φ on type 1 alone: the value is type 1's row, evaluated by hand
+        config = loop_config(n=2, m=2, rewards=[1.0, 0.6], budgets=[4.0, 2.0],
+                             mu=0.5, p=0.5)
+        state = hand_state(config, p_hat=[[0.5, 0.5], [0.8, 0.4]])
+        trace = run_arrivals(config, state, [0], phi=np.array([[0.0, 1.0]]),
+                             expected_count=10)
+        lam = state.lam
+        row = np.array([0.8, 0.4])
+        log_z = np.log(np.exp((np.array([1.0, 0.6]) - lam) * row / (0.8 * 0.5)).sum())
+        expected = 0.5 * 0.8 * log_z + 0.1 * (lam @ np.array([4.0, 2.0]))
+        assert trace.f_vals[0] == pytest.approx(expected, rel=1e-12)
 
     def test_mix_perturbation_bound(self):
         # |f(phi) - f(w)| <= m * (mu log n + r*) * max|phi - w|
@@ -251,13 +243,13 @@ class TestNonstationaryObjective:
             w = spec.weights
             phi = w + rng.uniform(-0.05, 0.05, size=spec.m)
             phi = np.clip(phi, 1e-3, None)
-            fw = nonstationary_dual_objective(
-                lam, spec.preferences, w, spec.rewards, spec.budgets,
-                spec.mu, 100,
-            )
-            fp = nonstationary_dual_objective(
-                lam, spec.preferences, phi, spec.rewards, spec.budgets,
-                spec.mu, 100,
+            fw, fp = (
+                dual_objective(WeightedDualSpec(
+                    weights=mix, budget_scale=1.0 / 100,
+                    preferences=spec.preferences, rewards=spec.rewards,
+                    budgets=spec.budgets, mu=spec.mu,
+                ), lam)
+                for mix in (w, phi)
             )
             bound = (
                 spec.m

@@ -91,6 +91,26 @@ class TestGreedyBaseline:
         trace = greedy_baseline(inst, three_arrivals(), seed=0)
         assert np.all(trace.assigned == 0)
 
+    def test_fractional_budgets_then_nulls(self):
+        # no uncapped item: in reward order each item serves floor(b_i)
+        # arrivals, so 0.4 units never serve one, and the rest get the null
+        inst = tiny_instance([1.0, 0.8, 0.5], [2.7, 0.4, 1.0])
+        stream = ArrivalSequence(times=np.arange(1.0, 6.0) / 10,
+                                 types=np.zeros(5, dtype=np.int64), seed=0)
+        trace = greedy_baseline(inst, stream, seed=0)
+        np.testing.assert_array_equal(trace.assigned, [0, 0, 2, -1, -1])
+        np.testing.assert_array_equal(trace.purchased, [True] * 3 + [False] * 2)
+        np.testing.assert_allclose(trace.remaining_final, [0.7, 0.4, 0.0],
+                                   rtol=0.0, atol=1e-12)
+
+    def test_items_behind_an_uncapped_item_never_offered(self):
+        # reward order is item 1, item 2 (uncapped), item 0: item 0 keeps
+        # its stock however long the stream runs
+        inst = tiny_instance([0.5, 1.0, 0.9], [5.0, 1.0, np.inf])
+        trace = greedy_baseline(inst, three_arrivals(), seed=0)
+        np.testing.assert_array_equal(trace.assigned, [1, 2, 2])
+        np.testing.assert_array_equal(trace.remaining_final, [5.0, 0.0, np.inf])
+
 
 class TestMetrics:
     def _benchmarked(self, T=400, seed=13):
@@ -359,7 +379,7 @@ class TestCli:
                                   env=env, capture_output=True, text=True)
         assert imported.returncode == 0, imported.stderr
         run = subprocess.run(
-            [sys.executable, "-m", "allocsim.cli", "greedy", "--config", cfg,
+            [sys.executable, "-m", "allocsim.cli", "stationary", "--config", cfg,
              "--out", str(tmp_path / "out")],
             env=env, capture_output=True, text=True,
         )

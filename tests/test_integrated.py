@@ -1,5 +1,8 @@
 """Online loop: projection, gradient steps, dual-driven selection, full runs.
 
+The single-step tests hand-set a LoopState and run one or a few arrivals
+through `run_integrated`, against oracles built from dual.py's gradient.
+
 The backend-equivalence tests are the load-bearing ones here: the scalar
 kernel (compiled where numba imports, else run as plain Python) and the
 numpy twin must produce identical discrete decisions, since both consume the
@@ -12,150 +15,186 @@ import pytest
 from allocsim import (
     HAS_NUMBA,
     AlgoParams,
+    ArrivalSequence,
     DualState,
     ProblemInstance,
     SimConfig,
     StationaryArrivals,
-    ogd_step,
-    project_box,
+    WeightedDualSpec,
+    dual_gradient,
     run_integrated,
     run_nonstationary,
     sample_stationary_stream,
     scenario_nonstationary,
     scenario_stationary,
-    select_by_dual,
+    solve_offline,
     substream,
     validate_instance,
 )
 from allocsim import _kernels
-from allocsim.errors import LengthMismatch, NoAvailableItem
+from allocsim.dual import default_grad_bound
+from allocsim.errors import LengthMismatch
 from allocsim.integrated import PHASE_NAMES, Trace, write_lambda_csv, write_trace_csv
+from conftest import hand_state, loop_config, run_arrivals
 
 
-def simple_config(n=1, m=1, T=50, budget=1e9, p=1.0, r_max=10, seed=0, **params):
-    inst = validate_instance(
-        ProblemInstance(
-            rewards=np.linspace(1.0, 0.5, n)[::-1].copy() if n > 1 else np.array([1.0]),
-            budgets=np.full(n, budget),
-            mu=0.1,
-            preferences=np.full((m, n), p),
-            horizon=T,
-        )
-    )
-    return SimConfig(
-        instance=inst,
-        arrivals=StationaryArrivals(np.ones(m)),
-        seed=seed,
-        params=AlgoParams(r_max=r_max, **params),
-    )
+def oracle_step(config, lam, p_hat, weights, expected_count):
+    """The dual step from `lam` before the box clamp, built from dual.py's
+    gradient at estimate `p_hat` and the fixed step size D/(G sqrt(T))."""
+    inst = config.instance
+    s = 1.0 / expected_count
+    spec = WeightedDualSpec(weights=weights, budget_scale=s, preferences=p_hat,
+                            rewards=inst.rewards, budgets=inst.budgets, mu=inst.mu)
+    n = inst.rewards.size
+    eta = (config.lambda_max() * np.sqrt(n)
+           / (default_grad_bound(n, s, inst.budgets) * np.sqrt(expected_count)))
+    return lam - eta * dual_gradient(spec, lam)
+
+
+def one_step(config, lam, **fields):
+    """λ after one learning-phase arrival at unit budget scale, and the
+    unclamped step the oracle predicts from the updated estimate."""
+    state = hand_state(config, lam=lam, **fields)
+    run_arrivals(config, state, [0], expected_count=1)
+    return state.lam, oracle_step(config, np.asarray(lam, dtype=float),
+                                  state.p_hat, np.array([1.0]), 1)
 
 
 class TestProjectBox:
+    """The loop's dual step clamps λ to [0, λ_max] after the gradient move.
+    At unit budget scale, with no budget above one unit, the step size is
+    λ_max / 2, large enough to leave the box."""
+
     def test_clamps_both_sides(self):
-        out = project_box(np.array([-0.5, 0.3, 2.0]), 1.0)
-        np.testing.assert_allclose(out, [0.0, 0.3, 1.0])
+        # a budget of a whole unit pushes item 0 below 0; none pushes the
+        # high-reward item 2 above λ_max = 1
+        config = loop_config(n=3, rewards=[0.3, 0.3, 1.0], budgets=[1.0, 0.5, 0.0],
+                             p=0.5)
+        lam, y = one_step(config, [0.2, 0.25, 0.99])
+        assert y[0] < 0.0 and 0.0 < y[1] < 1.0 and y[2] > 1.0
+        np.testing.assert_allclose(lam, [0.0, y[1], 1.0], rtol=1e-12, atol=0.0)
+        assert lam[0] == 0.0 and lam[2] == 1.0
 
     def test_identity_inside(self):
-        y = np.array([0.2, 0.8])
-        np.testing.assert_array_equal(project_box(y, 1.0), y)
+        config = loop_config(n=3, budgets=[0.4, 0.3, 0.2], p=0.5)
+        lam, y = one_step(config, [0.3, 0.4, 0.5])
+        assert np.all((y > 0.0) & (y < 1.0))
+        np.testing.assert_allclose(lam, y, rtol=1e-12, atol=0.0)
 
     def test_non_expansive(self):
         rng = np.random.default_rng(0)
-        for _ in range(1000):
-            a = rng.uniform(-3, 3, size=4)
-            b = rng.uniform(-3, 3, size=4)
-            pa, pb = project_box(a, 1.0), project_box(b, 1.0)
-            assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
+        for _ in range(100):
+            config = loop_config(n=4, budgets=rng.uniform(0.0, 1.0, size=4),
+                                 rewards=rng.uniform(0.2, 1.0, size=4), p=0.5)
+            top = config.lambda_max()
+            pa, ya = one_step(config, rng.uniform(0.0, top, size=4))
+            pb, yb = one_step(config, rng.uniform(0.0, top, size=4))
+            np.testing.assert_allclose(pa, np.clip(ya, 0.0, top), rtol=1e-12, atol=1e-15)
+            assert np.linalg.norm(pa - pb) <= np.linalg.norm(ya - yb) + 1e-12
 
     def test_rejects_bad_bound(self):
-        with pytest.raises(ValueError):
-            project_box(np.zeros(2), 0.0)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                AlgoParams(r_max=1, lambda_max=bad)
+            with pytest.raises(ValueError):
+                DualState(lam=np.zeros(2), box_upper=bad, grad_bound=1.0, horizon=10)
 
 
 class TestOgdStep:
     def test_zero_gradient_is_identity(self):
-        state = DualState(lam=np.array([0.3]), box_upper=1.0, grad_bound=1.0,
-                          horizon=100)
-        out = ogd_step(state, np.zeros(1), t=1)
-        np.testing.assert_array_equal(out.lam, state.lam)
+        # a sure sale leaves p̂ = x = 1, so s·b − p̂·x = 1·1 − 1 = 0 exactly
+        config = loop_config(n=1, budgets=1.0, r_max=0)
+        state = hand_state(config, lam=[0.3])
+        run_arrivals(config, state, [0], expected_count=1)
+        np.testing.assert_array_equal(state.lam, [0.3])
 
     def test_negative_gradient_raises_price(self):
-        state = DualState(lam=np.array([0.0]), box_upper=1.0, grad_bound=1.0,
-                          horizon=100)
-        # eta = D/(G sqrt(T)) = 1/10 here
-        out = ogd_step(state, np.array([-1.0]), t=1)
-        np.testing.assert_allclose(out.lam, [0.1])
+        # no stock: the step is 0 − p̂·x = −1 and eta = D/(G sqrt(T)) with
+        # D = 1, G = 2 and T = 100, so λ moves from 0 to 1/20
+        config = loop_config(n=1, budgets=0.0, r_max=0)
+        one = np.ones((1, 1), dtype=np.int64)
+        state = hand_state(config, counts=one, purchases=one, p_hat=[[1.0]])
+        trace = run_arrivals(config, state, [0], expected_count=100)
+        assert trace.assigned[0] == -1
+        np.testing.assert_allclose(state.lam, [0.05], rtol=1e-15)
 
-    def test_descends_a_quadratic(self):
-        # distance to the box-interior minimizer of 0.5|lam - z|^2 shrinks
-        z = np.array([0.4, 0.7, 0.2])
-        state = DualState(lam=np.zeros(3), box_upper=1.0, grad_bound=2.0,
-                          horizon=1000, step_rule="decay")
-        prev = np.linalg.norm(state.lam - z)
-        for t in range(1, 1001):
-            state = ogd_step(state, state.lam - z, t)
-            dist = np.linalg.norm(state.lam - z)
-            assert dist <= prev + 1e-12
-            prev = dist
-        assert prev < 1e-3
+    def test_descends_the_dual(self):
+        # With p̂ = P* = 1 the estimate cannot move, so pricing is projected
+        # gradient descent on one fixed dual: its recorded values never rise
+        # and the iterate reaches the offline minimizer.
+        T = 4000
+        config = loop_config(n=3, m=2, rewards=[1.0, 0.8, 0.5],
+                             budgets=[800.0, 1200.0, 800.0], r_max=0)
+        weights = np.array([0.3, 0.7])
+        state = hand_state(config, p_hat=np.ones((2, 3)))
+        stream = ArrivalSequence(times=np.arange(1.0, T + 1.0),
+                                 types=np.arange(T) % 2, seed=0)
+        trace = run_integrated(config, stream, weights, loop_state=state)
+        assert np.all(np.diff(trace.f_vals) <= 1e-12)
+        inst = config.instance
+        spec = WeightedDualSpec(weights=weights, budget_scale=1.0 / T,
+                                preferences=np.ones((2, 3)), rewards=inst.rewards,
+                                budgets=inst.budgets, mu=inst.mu)
+        star = solve_offline(spec, box_upper=config.lambda_max())
+        np.testing.assert_allclose(trace.lam_final, star.lam, atol=1e-6)
+        assert trace.f_vals[-1] == pytest.approx(star.value, abs=1e-9)
 
     def test_length_mismatch(self):
-        state = DualState(lam=np.zeros(2), box_upper=1.0, grad_bound=1.0,
-                          horizon=10)
+        config = loop_config(n=2, m=2)
         with pytest.raises(LengthMismatch):
-            ogd_step(state, np.zeros(3), t=1)
+            run_arrivals(config, hand_state(config), [0], weights=np.array([1.0]))
+        with pytest.raises(LengthMismatch):
+            run_arrivals(config, hand_state(config), [0], phi=np.full((2, 2), 0.5))
 
 
 class TestSelectByDual:
+    """The pricing draw: item i with probability proportional to
+    exp((r_i − λ_i) p̂_ji / (p̄_j μ)) over the items in stock, drawn by
+    inverse CDF from the arrival's selection uniform."""
+
     def test_single_available_is_forced(self):
-        rng = substream(0, "t")
-        pick = select_by_dual(
-            np.zeros(3), np.full((1, 3), 0.5), 0,
-            np.array([False, True, False]), rng,
-            rewards=np.array([1.0, 0.2, 0.5]), mu=0.1,
-        )
-        assert pick == 1
+        config = loop_config(n=3, rewards=[1.0, 0.2, 0.5], budgets=5.0, r_max=0)
+        state = hand_state(config, remaining=[0.0, 5.0, 0.5])
+        trace = run_arrivals(config, state, [0, 0, 0], u_select=[0.0, 0.5, 0.999999])
+        np.testing.assert_array_equal(trace.assigned, [1, 1, 1])
 
     def test_symmetric_items_draw_uniformly(self):
-        rng = substream(1, "t")
+        # sure sellers keep p̂ = 1 and uncapped stock keeps λ = 0, so the
+        # row stays symmetric for the whole run
         n_draws = 10_000
-        hits = np.zeros(2)
-        for _ in range(n_draws):
-            pick = select_by_dual(
-                np.zeros(2), np.full((1, 2), 0.6), 0, np.ones(2, dtype=bool),
-                rng, rewards=np.ones(2), mu=0.1,
-            )
-            hits[pick] += 1
+        config = loop_config(n=2, r_max=0, seed=1)
+        one = np.ones((1, 2), dtype=np.int64)
+        state = hand_state(config, counts=one, purchases=one, p_hat=np.ones((1, 2)))
+        stream = ArrivalSequence(times=np.arange(1.0, n_draws + 1.0),
+                                 types=np.zeros(n_draws, dtype=np.int64), seed=1)
+        trace = run_integrated(config, stream, np.array([1.0]), loop_state=state)
+        hits = np.bincount(trace.assigned, minlength=2)
         sigma = np.sqrt(0.25 * n_draws)
         assert abs(hits[0] - n_draws / 2) <= 4.0 * sigma
 
     def test_price_equal_reward_is_uniform(self):
-        rng = substream(2, "t")
+        # every exponent is 0, so the inverse CDF cuts [0, 1) into thirds
         r = np.array([1.0, 0.6, 0.3])
-        n_draws = 9_000
-        hits = np.zeros(3)
-        for _ in range(n_draws):
-            pick = select_by_dual(
-                r.copy(), np.full((1, 3), 0.5), 0, np.ones(3, dtype=bool),
-                rng, rewards=r, mu=0.1,
-            )
-            hits[pick] += 1
-        p = 1.0 / 3.0
-        sigma = np.sqrt(p * (1 - p) * n_draws)
-        assert np.all(np.abs(hits - n_draws * p) <= 4.0 * sigma)
+        cuts = {1e-9: 0, 1 / 3 - 1e-9: 0, 1 / 3 + 1e-9: 1, 2 / 3 - 1e-9: 1,
+                2 / 3 + 1e-9: 2, 1 - 1e-9: 2}
+        for u, item in cuts.items():
+            config = loop_config(n=3, rewards=r, budgets=5.0, p=0.5, r_max=0)
+            state = hand_state(config, lam=r)
+            assert run_arrivals(config, state, [0], u_select=u).assigned[0] == item
 
     def test_nothing_available(self):
-        with pytest.raises(NoAvailableItem):
-            select_by_dual(
-                np.zeros(2), np.full((1, 2), 0.5), 0, np.zeros(2, dtype=bool),
-                substream(3, "t"), rewards=np.ones(2), mu=0.1,
-            )
+        config = loop_config(n=2, budgets=5.0, r_max=0)
+        state = hand_state(config, remaining=[0.0, 0.5])
+        trace = run_arrivals(config, state, [0], u_purchase=0.0)
+        assert trace.assigned[0] == -1
+        assert not trace.purchased[0]
+        assert state.counts.sum() == 0
 
 
 class TestRunIntegrated:
     def test_sure_seller_takes_everything(self):
         T = 200
-        config = simple_config(T=T)
+        config = loop_config(budgets=1e9, r_max=10)
         stream = sample_stationary_stream(np.array([1.0]), T, seed=0)
         trace = run_integrated(config, stream, np.array([1.0]))
         assert np.all(trace.assigned == 0)
@@ -164,7 +203,7 @@ class TestRunIntegrated:
 
     def test_rmax_zero_skips_learning_phase(self):
         T = 100
-        config = simple_config(T=T, r_max=0)
+        config = loop_config(budgets=1e9, r_max=0)
         stream = sample_stationary_stream(np.array([1.0]), T, seed=1)
         trace = run_integrated(config, stream, np.array([1.0]))
         assert not np.any(trace.phase == PHASE_NAMES.index("ucb"))
@@ -204,7 +243,7 @@ class TestRunIntegrated:
         np.testing.assert_allclose(spent, trace.assignment_counts)
 
     def test_null_only_when_everything_is_gone(self):
-        config = simple_config(n=2, m=1, T=60, budget=10.0, p=1.0, r_max=0)
+        config = loop_config(n=2, rewards=[0.5, 1.0], budgets=10.0, r_max=0)
         stream = sample_stationary_stream(np.array([1.0]), 60, seed=2)
         trace = run_integrated(config, stream, np.array([1.0]))
         nulls = np.flatnonzero(trace.assigned < 0)
@@ -213,13 +252,13 @@ class TestRunIntegrated:
         assert nulls.min() == 20
 
     def test_empty_stream_rejected(self):
-        config = simple_config(T=10)
+        config = loop_config(budgets=1e9, r_max=10)
         stream = sample_stationary_stream(np.array([1.0]), 10, seed=0)
         with pytest.raises(ValueError):
             run_integrated(config, stream.slice(0, 0), np.array([1.0]))
 
     def test_weights_must_normalize(self):
-        config = simple_config(m=2, T=10)
+        config = loop_config(m=2, budgets=1e9, r_max=10)
         stream = sample_stationary_stream(np.ones(2), 10, seed=0)
         with pytest.raises(ValueError):
             run_integrated(config, stream, np.array([0.7, 0.7]))
@@ -296,7 +335,7 @@ class TestBackendEquivalence:
         assert_backends_agree(fast, plain)
 
     def test_unknown_backend_rejected(self):
-        config = simple_config(T=10)
+        config = loop_config(budgets=1e9, r_max=10)
         stream = sample_stationary_stream(np.array([1.0]), 10, seed=0)
         with pytest.raises((ValueError, KeyError)):
             run_integrated(config, stream, np.array([1.0]), backend="gpu")
@@ -395,7 +434,7 @@ class SlicedDraws:
 
 class TestTraceExport:
     def test_trace_csv_layout(self, tmp_path):
-        config = simple_config(T=30, r_max=5)
+        config = loop_config(budgets=1e9, r_max=5)
         stream = sample_stationary_stream(np.array([1.0]), 30, seed=0)
         trace = run_integrated(config, stream, np.array([1.0]))
         path = tmp_path / "trace.csv"

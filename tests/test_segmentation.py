@@ -9,7 +9,6 @@ from allocsim import (
     Segment,
     bound_type_probability,
     certify_plan,
-    find_segment_end,
     run_nonstationary,
     sample_stationary_stream,
     scenario_nonstationary,
@@ -27,7 +26,7 @@ from allocsim.model import (
     SimConfig,
     validate_instance,
 )
-from allocsim.segmentation import write_plan_csv
+from allocsim.segmentation import _scan_window, write_plan_csv
 
 
 def constant_fn(c, t0=0.0, t_end=10.0):
@@ -39,22 +38,25 @@ def linear_fn(slope, intercept, t0=0.0, t_end=10.0):
 
 
 class TestFindSegmentEnd:
+    """The window scan segment_time_span runs: the largest grid point t*
+    with every rate's variation over [t, t*] within the threshold."""
+
     def test_constant_rates_reach_the_end(self):
         fns = (constant_fn(2.0), constant_fn(5.0))
-        assert find_segment_end(fns, 0.0, 0.5, 0.001, 10.0) == 10.0
+        assert _scan_window(fns, 0.0, 0.5, 0.001, 10.0)[0] == 10.0
 
     def test_linear_growth_stops_at_threshold(self):
         fns = (linear_fn(2.0, 0.0, 0.0, 1.0),)
-        t_star = find_segment_end(fns, 0.0, 1.0, 0.0001, 1.0)
+        t_star = _scan_window(fns, 0.0, 1.0, 0.0001, 1.0)[0]
         assert t_star == pytest.approx(0.5, abs=0.0002)
 
     def test_generous_threshold_never_binds(self):
         fns = (linear_fn(2.0, 0.0, 0.0, 1.0), constant_fn(1.0, 0.0, 1.0))
-        assert find_segment_end(fns, 0.0, 100.0, 0.001, 1.0) == 1.0
+        assert _scan_window(fns, 0.0, 100.0, 0.001, 1.0)[0] == 1.0
 
     def test_always_advances(self):
         fns = (linear_fn(50.0, 1.0, 0.0, 1.0),)
-        t_star = find_segment_end(fns, 0.0, 1e-9, 0.01, 1.0)
+        t_star = _scan_window(fns, 0.0, 1e-9, 0.01, 1.0)[0]
         assert t_star > 0.0
 
 
