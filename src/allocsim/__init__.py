@@ -14,14 +14,7 @@ from .arrivals import (
     sample_nonstationary_stream,
     sample_stationary_stream,
     sample_stream,
-    type_probability,
     type_probability_matrix,
-    write_arrivals_csv,
-)
-from .bandit import (
-    UNVISITED_PRIOR,
-    PreferenceEstimate,
-    write_checkpoint_csv,
 )
 from .dual import (
     DualState,
@@ -39,14 +32,15 @@ from .harness import (
     compute_revenue,
     emit_report,
     greedy_baseline,
-    preference_error,
     run_experiment,
 )
 from .integrated import (
+    UNVISITED_PRIOR,
     CheckpointLog,
     LoopState,
     Trace,
     run_integrated,
+    write_checkpoint_csv,
 )
 from .model import (
     AlgoParams,
@@ -60,7 +54,6 @@ from .model import (
     config_from_document,
     config_hash,
     default_ucb_rounds,
-    load_config,
     save_config,
     scenario_nonstationary,
     scenario_stationary,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroTotalRate
+from .errors import DimensionMismatch, ZeroTotalRate
 from .model import (
     GRID_DT_DEFAULT,
     ArrivalModel,
@@ -20,11 +20,9 @@ __all__ = [
     "sample_stationary_stream",
     "sample_nonstationary_stream",
     "sample_stream",
-    "type_probability",
     "type_probability_matrix",
     "scan_grid",
     "rate_extrema",
-    "write_arrivals_csv",
 ]
 
 
@@ -46,6 +44,11 @@ class ArrivalSequence:
 
     def __len__(self) -> int:
         return self.times.size
+
+    def check_types(self, m: int) -> None:
+        """Raise DimensionMismatch unless every type is one of m types."""
+        if self.types.size and (self.types.min() < 0 or self.types.max() >= m):
+            raise DimensionMismatch(f"arrival types must lie in [0, {m})")
 
     def slice(self, lo: int, hi: int) -> "ArrivalSequence":
         """Contiguous sub-stream [lo, hi), keeping the originating seed."""
@@ -140,20 +143,8 @@ def sample_stream(model: ArrivalModel, count: int, seed: int,
     )
 
 
-def type_probability(model: ArrivalModel, t: float) -> np.ndarray:
-    """Ground-truth probability that the next arrival at time t is each type."""
-    if isinstance(model, StationaryArrivals):
-        lam = model.rates
-    else:
-        lam = np.array([fn.value(t) for fn in model.rate_fns])
-    total = lam.sum()
-    if total <= 0.0:
-        raise ZeroTotalRate(f"total rate is zero at t={t}")
-    return lam / total
-
-
 def type_probability_matrix(model: ArrivalModel, times: np.ndarray) -> np.ndarray:
-    """Vectorized type_probability: rows are φ(t) for each requested time."""
+    """Ground-truth type mix φ(t) = λ(t)/Σλ(t), one row per requested time."""
     times = np.asarray(times, dtype=float)
     if isinstance(model, StationaryArrivals):
         row = model.rates / model.rates.sum()
@@ -189,10 +180,3 @@ def rate_extrema(
     vals = rate_fn.value(scan_grid((rate_fn,), a, b, grid_dt))
     return float(vals.min()), float(vals.max())
 
-
-def write_arrivals_csv(seq: ArrivalSequence, path) -> None:
-    """Arrival-trace CSV: t,type (times at 9 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,type\n")
-        for t, j in zip(seq.times, seq.types):
-            fh.write(f"{t:.9g},{int(j)}\n")

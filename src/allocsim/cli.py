@@ -19,10 +19,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ._kernels import BACKENDS
 from .errors import AllocSimError, NonConvergence, ParseError
-from .harness import run_experiment
+from .harness import MODES, run_experiment
 from .model import (
+    NonstationaryArrivals,
     SimConfig,
     config_from_document,
     scenario_nonstationary,
@@ -31,7 +34,7 @@ from .model import (
 )
 from .segmentation import segment_time_span, segment_weights, write_plan_csv
 
-COMMANDS = ("offline", "stationary", "nonstationary", "greedy", "segment-plan")
+COMMANDS = MODES + ("segment-plan",)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,8 +84,6 @@ def _rebuild_scenario(config: SimConfig, horizon: int) -> SimConfig:
 
 
 def _emit_plan_only(config: SimConfig, out_dir: Path) -> None:
-    from .model import NonstationaryArrivals
-
     model = config.arrivals
     if not isinstance(model, NonstationaryArrivals):
         raise ParseError("segment-plan needs a non-stationary config")
@@ -90,8 +91,6 @@ def _emit_plan_only(config: SimConfig, out_dir: Path) -> None:
     plan = segment_time_span(
         model.rate_fns, model.t0, model.t_end, p.epsilon, p.delta, p.d, p.grid_dt
     )
-    import numpy as np
-
     rng = np.random.default_rng(substream(config.seed, "weights"))
     for seg in plan.segments:
         segment_weights(seg, model.rate_fns, rng)

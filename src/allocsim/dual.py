@@ -14,7 +14,6 @@ excluded from the ⟨Λ, b⟩ term and from the gradient.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,11 +203,9 @@ def _project(lam: np.ndarray, upper: float, infinite: np.ndarray) -> np.ndarray:
 
 def solve_offline(
     spec: WeightedDualSpec,
-    state0: DualState | None = None,
     tol: float = 1e-8,
     max_iter: int = 5000,
     box_upper: float | None = None,
-    log_path=None,
 ) -> OfflineSolution:
     """Minimize the weighted dual over κ = [0, Λ_max]^n.
 
@@ -218,16 +215,10 @@ def solve_offline(
     treat that as a flag, not an error).
     """
     if box_upper is None:
-        box_upper = float(spec.rewards.max()) if state0 is None else state0.box_upper
-    lam = (
-        np.zeros(spec.n)
-        if state0 is None
-        else np.asarray(state0.lam, dtype=float).copy()
-    )
-    lam = _project(lam, box_upper, spec.infinite)
+        box_upper = float(spec.rewards.max())
+    lam = np.zeros(spec.n)
     f = dual_objective(spec, lam)
     step = 1.0
-    log_rows = []
     it = 0
     pg_norm = np.inf
     converged = False
@@ -235,8 +226,6 @@ def solve_offline(
         grad = dual_gradient(spec, lam)
         pg = lam - _project(lam - grad, box_upper, spec.infinite)
         pg_norm = float(np.linalg.norm(pg))
-        if log_path is not None:
-            log_rows.append((it, f, pg_norm))
         if pg_norm <= tol:
             converged = True
             break
@@ -252,11 +241,4 @@ def solve_offline(
             # no measurable descent direction left; treat as converged-in-practice
             break
         lam, f = cand, f_cand
-
-    if log_path is not None:
-        with open(log_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "f", "grad_norm"])
-            for row in log_rows:
-                writer.writerow([row[0], f"{row[1]:.12g}", f"{row[2]:.12g}"])
     return OfflineSolution(lam=lam, value=f, iterations=it, converged=converged, pg_norm=pg_norm)

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .arrivals import ArrivalSequence, sample_stream
-from .bandit import write_checkpoint_csv
 from .dual import (
     OfflineSolution,
     WeightedDualSpec,
@@ -33,12 +32,13 @@ from .dual import (
     recover_primal,
     solve_offline,
 )
-from .errors import DimensionMismatch, LengthMismatch, NonConvergence
+from .errors import LengthMismatch, NonConvergence
 from .integrated import (
     CheckpointLog,
     LoopState,
     Trace,
     run_integrated,
+    write_checkpoint_csv,
     write_lambda_csv,
     write_trace_csv,
 )
@@ -56,7 +56,6 @@ __all__ = [
     "greedy_baseline",
     "compute_regret",
     "compute_revenue",
-    "preference_error",
     "offline_revenue_bound",
     "expected_type_weights",
     "benchmark_spec",
@@ -141,6 +140,7 @@ def greedy_baseline(
     """
     n = instance.rewards.size
     m = instance.preferences.shape[0]
+    arrivals.check_types(m)
     T = len(arrivals)
     types = arrivals.types.astype(np.int64)
     infinite = instance.infinite_items
@@ -178,7 +178,6 @@ def greedy_baseline(
         seed=seed,
         t_start_index=0,
         checkpoints=CheckpointLog.empty(n),
-        estimate=st.estimate(),
         lam_final=np.zeros(n),
         remaining_final=remaining.copy(),
         carry=st,
@@ -193,16 +192,12 @@ def compute_regret(
     trace: Trace,
     benchmark: WeightedDualSpec,
     lam_star: np.ndarray,
-    f_series: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Total and average regret of the recorded dual values against the
     fixed offline benchmark value."""
-    f_series = trace.f_vals if f_series is None else np.asarray(f_series, dtype=float)
-    if f_series.size != len(trace):
-        raise LengthMismatch("f_series length != trace length")
     f_star = dual_objective(benchmark, lam_star)
-    total = float(f_series.sum() - f_series.size * f_star)
-    return total, total / f_series.size
+    total = float(trace.f_vals.sum() - trace.f_vals.size * f_star)
+    return total, total / trace.f_vals.size
 
 
 def compute_revenue(trace: Trace, rewards: np.ndarray) -> float:
@@ -210,15 +205,6 @@ def compute_revenue(trace: Trace, rewards: np.ndarray) -> float:
     rewards = np.asarray(rewards, dtype=float)
     mask = trace.purchased & (trace.assigned >= 0)
     return float(rewards[trace.assigned[mask]].sum())
-
-
-def preference_error(p_hat: np.ndarray, p_star: np.ndarray) -> float:
-    """Frobenius distance between estimated and true preference matrices."""
-    p_hat = np.asarray(p_hat, dtype=float)
-    p_star = np.asarray(p_star, dtype=float)
-    if p_hat.shape != p_star.shape:
-        raise DimensionMismatch("preference matrices differ in shape")
-    return float(np.linalg.norm(p_hat - p_star))
 
 
 def offline_revenue_bound(
@@ -412,36 +398,25 @@ def _fill_online_metrics(
     report.pref_error = trace.checkpoints.pref_error.copy()
 
     counts_realized = np.bincount(trace.types, minlength=weights.size).astype(float)
+    spec_real = benchmark_spec(
+        config, counts_realized / counts_realized.sum(), n_arrivals
+    )
+    sol_real = _solve_benchmark(config, spec_real)
+    report.f_star_realized = sol_real.value
     if plan is None:
         spec = benchmark_spec(config, weights, n_arrivals)
         sol = _solve_benchmark(config, spec)
         report.f_star = sol.value
         report.lam_star = sol.lam
-        total, avg = compute_regret(trace, spec, sol.lam)
-        report.total_regret = total
-        report.average_regret = avg
-        spec_real = benchmark_spec(
-            config, counts_realized / counts_realized.sum(), n_arrivals
-        )
-        sol_real = _solve_benchmark(config, spec_real)
-        report.f_star_realized = sol_real.value
-        report.offline_revenue_bound = offline_revenue_bound(
-            inst, sol.lam, counts_realized
-        )
+        report.total_regret, report.average_regret = compute_regret(trace, spec, sol.lam)
     else:
-        total, avg, f_star_w = segment_regret(trace, plan, config)
-        report.total_regret = total
-        report.average_regret = avg
-        report.f_star = f_star_w
-        spec_real = benchmark_spec(
-            config, counts_realized / counts_realized.sum(), n_arrivals
-        )
-        sol_real = _solve_benchmark(config, spec_real)
-        report.f_star_realized = sol_real.value
+        report.total_regret, report.average_regret, report.f_star = segment_regret(
+            trace, plan, config)
+        # a segmented run has no single expected-mix price; use the realized one
         report.lam_star = sol_real.lam
-        report.offline_revenue_bound = offline_revenue_bound(
-            inst, sol_real.lam, counts_realized
-        )
+    report.offline_revenue_bound = offline_revenue_bound(
+        inst, report.lam_star, counts_realized
+    )
 
 
 # ============================================================
@@ -463,10 +438,12 @@ def emit_report(
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
+    def _path(name: str) -> Path:
+        written.append(out / name)
+        return written[-1]
+
     def _open(name: str):
-        path = out / name
-        written.append(path)
-        return open(path, "w", newline="")
+        return open(_path(name), "w", newline="")
 
     try:
         with _open("summary.csv") as fh:
@@ -480,12 +457,10 @@ def emit_report(
                 for i, c in enumerate(report.selection_counts):
                     fh.write(f"{i},{int(c)}\n")
 
-        path = out / "pref_error.csv"
-        written.append(path)
         write_checkpoint_csv(
             report.pref_error_t if report.pref_error_t is not None else np.empty(0),
             report.pref_error if report.pref_error is not None else np.empty(0),
-            path,
+            _path("pref_error.csv"),
         )
 
         with _open("arrivals_hist.csv") as fh:
@@ -500,17 +475,11 @@ def emit_report(
                     fh.write(f"{int(k // m)},{int(k % m)},{int(c)}\n")
 
         if report.plan is not None:
-            path = out / "plan.csv"
-            written.append(path)
-            write_plan_csv(report.plan, path)
+            write_plan_csv(report.plan, _path("plan.csv"))
 
         if trace_flag and report.trace is not None:
-            path = out / "trace.csv"
-            written.append(path)
-            write_trace_csv(report.trace, path)
-            path = out / "lambda.csv"
-            written.append(path)
-            write_lambda_csv(report.trace, path)
+            write_trace_csv(report.trace, _path("trace.csv"))
+            write_lambda_csv(report.trace, _path("lambda.csv"))
 
         with _open("runtime.txt") as fh:
             fh.write(f"{report.runtime_seconds:.3f} seconds\n")

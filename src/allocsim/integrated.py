@@ -6,6 +6,11 @@ or the exploration window closes); simulate the purchase from the ground
 truth; then take one projected gradient step on the weighted dual using the
 current estimate. The recorded per-arrival dual value series feeds regret.
 
+Learning keeps one confidence-bound bandit per customer type: counts N_ij
+and purchase totals R_ij feed estimates P̂_ij = R_ij/N_ij, with a flat prior
+(UNVISITED_PRIOR) on unvisited pairs. The UCB bonus uses a per-type clock
+t_j so rare types are not over-explored.
+
 State (dual iterate, preference estimate, remaining budgets, checkpoint
 baseline) lives in a LoopState so a caller can thread one run across
 several arrival batches, which is exactly what the segmentation driver
@@ -20,22 +25,24 @@ import numpy as np
 
 from . import _kernels
 from .arrivals import ArrivalSequence
-from .bandit import UNVISITED_PRIOR, PreferenceEstimate
 from .dual import DualState, default_grad_bound
-from .errors import LengthMismatch
+from .errors import DimensionMismatch, LengthMismatch
 from .model import SimConfig, substream
 
 __all__ = [
     "PHASE_NAMES",
+    "UNVISITED_PRIOR",
     "LoopState",
     "CheckpointLog",
     "Trace",
     "run_integrated",
     "write_trace_csv",
     "write_lambda_csv",
+    "write_checkpoint_csv",
 ]
 
 PHASE_NAMES = ("ucb", "ogd", "greedy")
+UNVISITED_PRIOR = 0.5  # P̂ on a type-item pair not yet offered
 _CSV_BLOCK = 4096  # trace.csv rows formatted per write
 
 
@@ -64,9 +71,8 @@ class LoopState:
     t_global: int = 0
 
     @classmethod
-    def fresh(cls, n_items: int, n_types: int, budgets: np.ndarray,
-              prior: float = UNVISITED_PRIOR) -> "LoopState":
-        p_hat = np.full((n_types, n_items), float(prior))
+    def fresh(cls, n_items: int, n_types: int, budgets: np.ndarray) -> "LoopState":
+        p_hat = np.full((n_types, n_items), UNVISITED_PRIOR)
         return cls(
             lam=np.zeros(n_items),
             remaining=np.asarray(budgets, dtype=float).copy(),
@@ -75,14 +81,6 @@ class LoopState:
             p_hat=p_hat,
             type_rounds=np.zeros(n_types, dtype=np.int64),
             prev_checkpoint=p_hat.copy(),
-        )
-
-    def estimate(self) -> PreferenceEstimate:
-        return PreferenceEstimate(
-            counts=self.counts.copy(),
-            purchases=self.purchases.copy(),
-            p_hat=self.p_hat.copy(),
-            type_rounds=self.type_rounds.copy(),
         )
 
 
@@ -139,7 +137,6 @@ class Trace:
     seed: int
     t_start_index: int
     checkpoints: CheckpointLog
-    estimate: PreferenceEstimate
     lam_final: np.ndarray
     remaining_final: np.ndarray
     carry: LoopState
@@ -170,7 +167,6 @@ class Trace:
             seed=pieces[0].seed,
             t_start_index=pieces[0].t_start_index,
             checkpoints=CheckpointLog.concat([p.checkpoints for p in pieces]),
-            estimate=last.estimate,
             lam_final=last.lam_final,
             remaining_final=last.remaining_final,
             carry=last.carry,
@@ -220,6 +216,7 @@ def run_integrated(
         raise LengthMismatch("weights length != number of types")
     if abs(float(weights.sum()) - 1.0) > 1e-8:
         raise ValueError("weights must sum to 1")
+    arrivals.check_types(m)
 
     st = loop_state if loop_state is not None else LoopState.fresh(
         n, m, inst.budgets)
@@ -299,7 +296,6 @@ def run_integrated(
         seed=config.seed,
         t_start_index=t_offset,
         checkpoints=checkpoints,
-        estimate=st.estimate(),
         lam_final=st.lam.copy(),
         remaining_final=st.remaining.copy(),
         carry=st,
@@ -345,3 +341,15 @@ def write_lambda_csv(trace: Trace, path) -> None:
         for k in range(ck.t.size):
             row = ",".join(f"{v:.9g}" for v in ck.lam[k])
             fh.write(f"{int(ck.t[k])},{row}\n")
+
+
+def write_checkpoint_csv(checkpoints: np.ndarray, errors: np.ndarray, path) -> None:
+    """Learning-curve CSV: checkpoint,frobenius_to_truth."""
+    checkpoints = np.asarray(checkpoints)
+    errors = np.asarray(errors, dtype=float)
+    if checkpoints.size != errors.size:
+        raise DimensionMismatch("checkpoint and error series differ in length")
+    with open(path, "w", newline="") as fh:
+        fh.write("checkpoint,frobenius_to_truth\n")
+        for t, e in zip(checkpoints, errors):
+            fh.write(f"{int(t)},{e:.9g}\n")

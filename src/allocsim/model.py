@@ -1,6 +1,6 @@
 """Problem data model: instances, rate functions, configs, and scenario builders.
 
-Defaults documented here and filled by :func:`load_config`:
+Defaults documented here and filled by :func:`config_from_document`:
 
 * ``mu`` = 0.1 (entropy regularization weight)
 * ``K`` = 1000 (checkpoint interval, arrivals)
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -43,7 +43,6 @@ __all__ = [
     "default_ucb_rounds",
     "substream",
     "validate_instance",
-    "load_config",
     "save_config",
     "config_document",
     "config_from_document",
@@ -293,11 +292,6 @@ class ProblemInstance:
         return self.preferences.shape[0] if self.preferences.ndim == 2 else 0
 
     @cached_property
-    def p_bar(self) -> np.ndarray:
-        """Row maxima of P*, length m."""
-        return self.preferences.max(axis=1)
-
-    @cached_property
     def r_star(self) -> float:
         return float(self.rewards.max())
 
@@ -310,7 +304,7 @@ class ProblemInstance:
 def validate_instance(inst: ProblemInstance) -> ProblemInstance:
     """Check instance consistency and cache derived fields.
 
-    Returns the instance itself with p_bar / r_star populated. On failure
+    Returns the instance itself with r_star populated. On failure
     raises the subclass of InvalidInstance matching the first violation; the
     exception carries the full violation list.
     """
@@ -347,7 +341,7 @@ def validate_instance(inst: ProblemInstance) -> ProblemInstance:
         raise cls(first, violations=[msg for _, msg in violations])
 
     # touch cached fields so later hot paths never recompute under surprise
-    _ = inst.p_bar, inst.r_star, inst.infinite_items
+    _ = inst.r_star, inst.infinite_items
     return inst
 
 
@@ -451,10 +445,48 @@ def substream(seed: int, *tags) -> np.random.Generator:
 # Config file I/O
 # ============================================================
 
-def _require(doc: dict, key: str, path: str):
+# config key -> (AlgoParams field, conversion), in document order
+_PARAM_KEYS = {
+    "R_max": ("r_max", int),
+    "K": ("k_interval", int),
+    "ucb_stop_epsilon": ("ucb_stop_epsilon", float),
+    "epsilon": ("epsilon", float),
+    "delta": ("delta", float),
+    "d": ("d", float),
+    "grid_dt": ("grid_dt", float),
+    "lambda_max": ("lambda_max", float),
+    "offline_tol": ("offline_tol", float),
+    "offline_max_iter": ("offline_max_iter", int),
+}
+
+
+def _convert(convert, value, where: str):
+    """`convert(value)`; a value it rejects is a ParseError naming `where`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _vector(value) -> np.ndarray:
+    out = np.asarray(value, dtype=float)
+    if out.ndim != 1:
+        raise ValueError("expected a list of numbers")
+    return out
+
+
+def _require(doc: dict, key: str, path: str, convert=None):
+    """doc[key], passed through `convert` when given."""
+    where = f"{path}.{key}" if path else key
     if key not in doc:
-        raise ParseError(f"missing required key {path}.{key}" if path else f"missing required key {key}")
-    return doc[key]
+        raise ParseError(f"missing required key {where}")
+    return doc[key] if convert is None else _convert(convert, doc[key], where)
 
 
 def _parse_budget(entry, path: str) -> float:
@@ -462,20 +494,21 @@ def _parse_budget(entry, path: str) -> float:
         if entry.get("infinite"):
             return np.inf
         if "value" in entry:
-            return float(entry["value"])
+            return _convert(float, entry["value"], f"{path}.value")
         raise ParseError(f"{path} must carry 'value' or 'infinite': true")
     if isinstance(entry, (int, float)):
         return float(entry)
     raise ParseError(f"{path} is not a budget entry")
 
 
-def _parse_piece(doc: dict, path: str) -> RatePiece:
+def _parse_piece(doc, path: str) -> RatePiece:
+    doc = _convert(_object, doc, path)
     try:
         return RatePiece(
-            t_from=float(_require(doc, "from", path)),
-            t_to=float(_require(doc, "to", path)),
+            t_from=_require(doc, "from", path, float),
+            t_to=_require(doc, "to", path, float),
             kind=str(_require(doc, "kind", path)),
-            params=tuple(float(x) for x in _require(doc, "params", path)),
+            params=_require(doc, "params", path, lambda v: tuple(float(x) for x in v)),
         )
     except RateFunctionError as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -483,46 +516,49 @@ def _parse_piece(doc: dict, path: str) -> RatePiece:
 
 def _draw_preferences(gen_spec: dict, m: int, n: int, seed: int) -> np.ndarray:
     kind = gen_spec.get("generator")
-    params = gen_spec.get("params", [])
+    where = "instance.preferences.params"
+    params = _convert(lambda v: [float(x) for x in v], gen_spec.get("params", []), where)
     rng = substream(seed, "preferences")
     if kind == "beta":
-        a, b = (params + [2.0, 5.0])[:2] if len(params) < 2 else params[:2]
-        return rng.beta(float(a), float(b), size=(m, n))
+        ab = (params + [2.0, 5.0])[:2]
+        return _convert(lambda p: rng.beta(*p, size=(m, n)), ab, where)
     if kind == "gaussian":
-        loc, scale = (list(params) + [0.1, 0.03])[:2]
-        draw = rng.normal(float(loc), float(scale), size=(m, n))
+        loc_scale = (params + [0.1, 0.03])[:2]
+        draw = _convert(lambda p: rng.normal(*p, size=(m, n)), loc_scale, where)
         return np.clip(draw, 0.01, 1.0)
     raise ParseError(f"instance.preferences.generator {kind!r} is not recognized")
 
 
 def config_from_document(doc: dict) -> SimConfig:
-    """Build a SimConfig from a parsed JSON document (defaults filled)."""
+    """Build a SimConfig from a parsed JSON document (defaults filled).
+
+    Any malformed value raises ParseError naming its key path.
+    """
     if not isinstance(doc, dict):
         raise ParseError("config root must be an object")
-    inst_doc = _require(doc, "instance", "")
-    arr_doc = _require(doc, "arrivals", "")
-    if "seed" not in doc:
-        raise ParseError("missing required key seed")
-    seed = int(doc["seed"])
+    inst_doc = _require(doc, "instance", "", _object)
+    arr_doc = _require(doc, "arrivals", "", _object)
+    seed = _require(doc, "seed", "", int)
     if seed < 0:
         raise ParseError("seed must be a nonnegative integer")
 
-    n = int(_require(inst_doc, "n", "instance"))
-    m = int(_require(inst_doc, "m", "instance"))
-    horizon = int(_require(inst_doc, "T", "instance"))
-    rewards = np.asarray(_require(inst_doc, "rewards", "instance"), dtype=float)
-    budgets_doc = _require(inst_doc, "budgets", "instance")
+    n = _require(inst_doc, "n", "instance", int)
+    m = _require(inst_doc, "m", "instance", int)
+    horizon = _require(inst_doc, "T", "instance", int)
+    rewards = _require(inst_doc, "rewards", "instance", _vector)
+    budgets_doc = _require(inst_doc, "budgets", "instance", list)
     budgets = np.array(
         [_parse_budget(e, f"instance.budgets[{k}]") for k, e in enumerate(budgets_doc)]
     )
-    mu = float(inst_doc.get("mu", MU_DEFAULT))
+    mu = _convert(float, inst_doc.get("mu", MU_DEFAULT), "instance.mu")
     prefs_doc = _require(inst_doc, "preferences", "instance")
     pref_generator = None
     if isinstance(prefs_doc, dict):
         pref_generator = dict(prefs_doc)
         preferences = _draw_preferences(prefs_doc, m, n, seed)
     else:
-        preferences = np.asarray(prefs_doc, dtype=float)
+        preferences = _convert(lambda v: np.asarray(v, dtype=float), prefs_doc,
+                               "instance.preferences")
     if rewards.size != n:
         raise ParseError(f"instance.rewards length {rewards.size} != n={n}")
     if preferences.shape != (m, n):
@@ -531,22 +567,24 @@ def config_from_document(doc: dict) -> SimConfig:
         )
 
     if "stationary" in arr_doc:
-        rates = np.asarray(_require(arr_doc["stationary"], "rates", "arrivals.stationary"), dtype=float)
+        stat = _require(arr_doc, "stationary", "arrivals", _object)
+        rates = _require(stat, "rates", "arrivals.stationary", _vector)
         if rates.size != m:
             raise ParseError(f"arrivals.stationary.rates length {rates.size} != m={m}")
         arrivals: ArrivalModel = StationaryArrivals(rates)
     elif "nonstationary" in arr_doc:
-        ns = arr_doc["nonstationary"]
-        t0 = float(_require(ns, "t0", "arrivals.nonstationary"))
-        t_end = float(_require(ns, "t_end", "arrivals.nonstationary"))
-        fns_doc = _require(ns, "rate_fns", "arrivals.nonstationary")
+        path = "arrivals.nonstationary"
+        ns = _require(arr_doc, "nonstationary", "arrivals", _object)
+        t0 = _require(ns, "t0", path, float)
+        t_end = _require(ns, "t_end", path, float)
+        fns_doc = _require(ns, "rate_fns", path, list)
         if len(fns_doc) != m:
-            raise ParseError(f"arrivals.nonstationary.rate_fns length {len(fns_doc)} != m={m}")
+            raise ParseError(f"{path}.rate_fns length {len(fns_doc)} != m={m}")
         rate_fns = tuple(
             RateFunction(
                 tuple(
-                    _parse_piece(p, f"arrivals.nonstationary.rate_fns[{j}][{k}]")
-                    for k, p in enumerate(pieces)
+                    _parse_piece(p, f"{path}.rate_fns[{j}][{k}]")
+                    for k, p in enumerate(_convert(list, pieces, f"{path}.rate_fns[{j}]"))
                 )
             )
             for j, pieces in enumerate(fns_doc)
@@ -555,29 +593,17 @@ def config_from_document(doc: dict) -> SimConfig:
     else:
         raise ParseError("arrivals must carry 'stationary' or 'nonstationary'")
 
-    params_doc = doc.get("params", {})
-    known = {
-        "R_max", "K", "ucb_stop_epsilon", "epsilon", "delta", "d",
-        "grid_dt", "lambda_max", "offline_tol", "offline_max_iter",
-    }
-    unknown = set(params_doc) - known
+    params_doc = _convert(_object, doc.get("params", {}), "params")
+    unknown = set(params_doc) - set(_PARAM_KEYS)
     if unknown:
         raise ParseError(f"params has unknown keys: {sorted(unknown)}")
-    defaults = AlgoParams(r_max=default_ucb_rounds(horizon))
-    params = AlgoParams(
-        r_max=int(params_doc.get("R_max", defaults.r_max)),
-        k_interval=int(params_doc.get("K", defaults.k_interval)),
-        ucb_stop_epsilon=float(params_doc.get("ucb_stop_epsilon", defaults.ucb_stop_epsilon)),
-        epsilon=float(params_doc.get("epsilon", defaults.epsilon)),
-        delta=float(params_doc.get("delta", defaults.delta)),
-        d=float(params_doc.get("d", defaults.d)),
-        grid_dt=float(params_doc.get("grid_dt", defaults.grid_dt)),
-        lambda_max=(
-            None if params_doc.get("lambda_max") is None else float(params_doc["lambda_max"])
-        ),
-        offline_tol=float(params_doc.get("offline_tol", defaults.offline_tol)),
-        offline_max_iter=int(params_doc.get("offline_max_iter", defaults.offline_max_iter)),
-    )
+    fields = {"r_max": default_ucb_rounds(horizon)}
+    for key, value in params_doc.items():
+        name, convert = _PARAM_KEYS[key]
+        if value is None and name == "lambda_max":
+            continue  # null means the max reward, AlgoParams' default
+        fields[name] = _convert(convert, value, f"params.{key}")
+    params = AlgoParams(**fields)
 
     instance = validate_instance(
         ProblemInstance(
@@ -596,16 +622,6 @@ def config_from_document(doc: dict) -> SimConfig:
         pref_generator=pref_generator,
         scenario=doc.get("scenario"),
     )
-
-
-def load_config(path: str | Path) -> SimConfig:
-    """Load a JSON config file; same file always yields the same config."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-    return config_from_document(doc)
 
 
 def config_document(config: SimConfig) -> dict:
@@ -652,18 +668,8 @@ def config_document(config: SimConfig) -> dict:
             }
         }
     doc["seed"] = config.seed
-    p = config.params
     doc["params"] = {
-        "R_max": p.r_max,
-        "K": p.k_interval,
-        "ucb_stop_epsilon": p.ucb_stop_epsilon,
-        "epsilon": p.epsilon,
-        "delta": p.delta,
-        "d": p.d,
-        "grid_dt": p.grid_dt,
-        "lambda_max": p.lambda_max,
-        "offline_tol": p.offline_tol,
-        "offline_max_iter": p.offline_max_iter,
+        key: getattr(config.params, name) for key, (name, _) in _PARAM_KEYS.items()
     }
     if config.scenario is not None:
         doc["scenario"] = config.scenario

@@ -15,9 +15,7 @@ from allocsim import (
     rate_extrema,
     sample_nonstationary_stream,
     sample_stationary_stream,
-    type_probability,
     type_probability_matrix,
-    write_arrivals_csv,
 )
 from allocsim.errors import ZeroTotalRate
 
@@ -103,14 +101,19 @@ class TestNonstationarySampler:
         assert abs(f_thin - f_stat) <= 4.0 * sigma
 
 
+def phi_row(model, t):
+    """φ(t) for one time, from type_probability_matrix."""
+    return type_probability_matrix(model, np.array([t]))[0]
+
+
 class TestTypeProbability:
     def test_stationary_mix(self):
         model = StationaryArrivals(np.array([1.0, 3.0]))
-        np.testing.assert_allclose(type_probability(model, 0.0), [0.25, 0.75])
+        np.testing.assert_allclose(phi_row(model, 0.0), [0.25, 0.75])
 
     def test_equal_rates_uniform(self):
         model = StationaryArrivals(np.full(4, 0.7))
-        np.testing.assert_allclose(type_probability(model, 2.0), np.full(4, 0.25))
+        np.testing.assert_allclose(phi_row(model, 2.0), np.full(4, 0.25))
 
     def test_time_varying_mix(self):
         # lambda_1 = t + 1, lambda_2 = 1: at t=1 the mix is [2/3, 1/3]
@@ -119,9 +122,7 @@ class TestTypeProbability:
             constant_fn(1.0, 0.0, 2.0),
         )
         model = NonstationaryArrivals(fns, 0.0, 2.0)
-        np.testing.assert_allclose(
-            type_probability(model, 1.0), [2.0 / 3.0, 1.0 / 3.0]
-        )
+        np.testing.assert_allclose(phi_row(model, 1.0), [2.0 / 3.0, 1.0 / 3.0])
 
     def test_matrix_rows_match_scalar(self):
         fns = (
@@ -132,7 +133,8 @@ class TestTypeProbability:
         times = np.array([0.1, 0.9, 1.7])
         mat = type_probability_matrix(model, times)
         for k, t in enumerate(times):
-            np.testing.assert_allclose(mat[k], type_probability(model, t))
+            rates = np.array([fn.value(t) for fn in fns])
+            np.testing.assert_allclose(mat[k], rates / rates.sum())
         np.testing.assert_allclose(mat.sum(axis=1), 1.0)
 
 
@@ -156,14 +158,3 @@ class TestRateExtrema:
         with pytest.raises(ValueError):
             rate_extrema(constant_fn(1.0), (2.0, 2.0), 0.001)
 
-
-def test_arrivals_csv_format(tmp_path):
-    seq = sample_stationary_stream(np.array([1.0, 2.0]), 4, seed=9)
-    path = tmp_path / "arrivals.csv"
-    write_arrivals_csv(seq, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,type"
-    assert len(lines) == 5
-    t0, j0 = lines[1].split(",")
-    assert float(t0) == pytest.approx(seq.times[0], rel=1e-8)
-    assert int(j0) == seq.types[0]

@@ -10,8 +10,7 @@ The loop ticks a type's round clock before scoring, so a state holding
 import numpy as np
 import pytest
 
-from allocsim import ArrivalSequence, run_integrated, write_checkpoint_csv
-from allocsim.bandit import UNVISITED_PRIOR
+from allocsim import UNVISITED_PRIOR, ArrivalSequence, run_integrated, write_checkpoint_csv
 from conftest import hand_state, loop_config, run_arrivals
 
 
@@ -142,7 +141,7 @@ class TestUpdate:
         stream = ArrivalSequence(times=np.arange(1.0, n + 1.0),
                                  types=np.zeros(n, dtype=np.int64), seed=77)
         trace = run_integrated(config, stream, np.array([1.0]))
-        est = trace.estimate
+        est = trace.carry
         assert est.purchases[0, 0] == trace.purchased.sum()
         assert est.p_hat[0, 0] == est.purchases[0, 0] / n
         sigma = np.sqrt(0.3 * 0.7 / n)
@@ -157,7 +156,7 @@ class TestUpdate:
         types = rng.integers(2, size=T)
         stream = ArrivalSequence(times=np.arange(1.0, T + 1.0), types=types, seed=8)
         trace = run_integrated(config, stream, np.full(3, 1.0 / 3.0))
-        est = trace.estimate
+        est = trace.carry
         assert set(trace.phase.tolist()) == {0, 1}
         # one visit per assignment, one purchase per sale, p̂ = R/N
         cell = trace.types * 4 + trace.assigned
@@ -183,7 +182,7 @@ class TestUpdate:
             config = loop_config(n=n, p=truth, mu=100.0, r_max=0, seed=seed)
             stream = ArrivalSequence(times=np.arange(1.0, T + 1.0),
                                      types=np.zeros(T, dtype=np.int64), seed=seed)
-            est = run_integrated(config, stream, np.array([1.0])).estimate
+            est = run_integrated(config, stream, np.array([1.0])).carry
             assert est.counts.min() > 0.9 * T / n
             assert float(np.abs(est.p_hat[0] - truth[0]).max()) <= 0.05
 

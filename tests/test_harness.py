@@ -12,13 +12,14 @@ import pytest
 import allocsim
 from allocsim import (
     ArrivalSequence,
+    LoopState,
     ProblemInstance,
     StationaryArrivals,
     compute_regret,
     compute_revenue,
     emit_report,
     greedy_baseline,
-    preference_error,
+    run_integrated,
     sample_stationary_stream,
     save_config,
     scenario_nonstationary,
@@ -28,7 +29,7 @@ from allocsim import (
 from allocsim._kernels import BACKENDS, available_backends
 from allocsim.cli import main
 from allocsim.dual import dual_objective
-from allocsim.errors import DimensionMismatch, LengthMismatch
+from allocsim.errors import DimensionMismatch
 from allocsim.harness import (
     MetricsReport,
     benchmark_spec,
@@ -112,6 +113,26 @@ class TestGreedyBaseline:
         np.testing.assert_array_equal(trace.remaining_final, [5.0, 0.0, np.inf])
 
 
+@pytest.mark.parametrize("bad_type", [10, -1])
+@pytest.mark.parametrize("policy", ["integrated", "greedy"])
+def test_arrival_type_outside_instance_rejected(policy, bad_type):
+    # m = 10: type 10 used to hit a bare IndexError, and type -1 to run as
+    # type 9; both are refused before the loop state moves
+    config = scenario_stationary(T=100, seed=1)
+    stream = ArrivalSequence(times=np.array([0.5]), types=np.array([bad_type]), seed=1)
+    with pytest.raises(DimensionMismatch, match=r"\[0, 10\)"):
+        if policy == "greedy":
+            greedy_baseline(config.instance, stream, seed=1)
+        else:
+            state = LoopState.fresh(10, 10, config.instance.budgets)
+            run_integrated(config, stream, expected_type_weights(config),
+                           loop_state=state)
+    if policy == "integrated":
+        assert state.t_global == 0
+        assert not state.counts.any() and not state.type_rounds.any()
+        np.testing.assert_array_equal(state.remaining, config.instance.budgets)
+
+
 class TestMetrics:
     def _benchmarked(self, T=400, seed=13):
         config = scenario_stationary(T=T, seed=seed)
@@ -123,24 +144,19 @@ class TestMetrics:
     def test_regret_zero_at_benchmark(self):
         report, spec = self._benchmarked()
         f_star = dual_objective(spec, report.lam_star)
-        flat = np.full(len(report.trace), f_star)
-        total, avg = compute_regret(report.trace, spec, report.lam_star, flat)
+        report.trace.f_vals = np.full(len(report.trace), f_star)
+        total, avg = compute_regret(report.trace, spec, report.lam_star)
         assert total == pytest.approx(0.0, abs=1e-9)
         assert avg == pytest.approx(0.0, abs=1e-12)
 
     def test_regret_is_linear_in_excess(self):
         report, spec = self._benchmarked()
         f_star = dual_objective(spec, report.lam_star)
-        series = np.full(len(report.trace), f_star)
-        series[7] += 0.2
-        total, avg = compute_regret(report.trace, spec, report.lam_star, series)
+        report.trace.f_vals = np.full(len(report.trace), f_star)
+        report.trace.f_vals[7] += 0.2
+        total, avg = compute_regret(report.trace, spec, report.lam_star)
         assert total == pytest.approx(0.2, abs=1e-9)
         assert avg == pytest.approx(0.2 / len(report.trace), abs=1e-12)
-
-    def test_regret_length_mismatch(self):
-        report, spec = self._benchmarked()
-        with pytest.raises(LengthMismatch):
-            compute_regret(report.trace, spec, report.lam_star, np.zeros(3))
 
     def test_revenue_of_empty_and_flat_traces(self):
         inst = tiny_instance([0.5, 0.5], [np.inf, np.inf])
@@ -148,15 +164,6 @@ class TestMetrics:
         assert compute_revenue(trace, inst.rewards) == pytest.approx(1.5)
         trace.purchased[:] = False
         assert compute_revenue(trace, inst.rewards) == 0.0
-
-    def test_preference_error_values(self):
-        p = np.full((2, 3), 0.4)
-        assert preference_error(p, p) == 0.0
-        q = p.copy()
-        q[1, 2] += 0.1
-        assert preference_error(q, p) == pytest.approx(0.1)
-        with pytest.raises(DimensionMismatch):
-            preference_error(p, np.zeros((3, 2)))
 
     def test_offline_revenue_bound_single_cell(self):
         inst = tiny_instance([1.0], [5.0])
@@ -301,6 +308,34 @@ class TestCli:
         path = tmp_path / "seedless.json"
         path.write_text(json.dumps(doc))
         assert main(["offline", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("where, value", [
+        (("params", "K"), None),
+        (("params", "K"), "abc"),
+        (("params", "R_max"), [1]),
+        (("instance", "T"), "x"),
+        (("instance", "rewards"), "abc"),
+        (("instance", "budgets"), 5),
+        (("arrivals", "stationary", "rates", 3), "fast"),
+        (("seed",), "x"),
+        (("instance", "preferences", "params"), "xy"),
+    ], ids=["K-null", "K-abc", "R_max-list", "T-x", "rewards-abc", "budgets-5",
+            "rates-string", "seed-x", "generator-params-xy"])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, where, value):
+        doc = config_document(scenario_stationary(T=300, seed=1))
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["stationary", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        key_path = ".".join(k for k in where if isinstance(k, str))
+        assert f"{key_path}: " in err[0]
+        assert not out.exists()
 
     def test_nonconvergence_exits_3(self, tmp_path):
         config = scenario_stationary(T=300, seed=1)

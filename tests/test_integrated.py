@@ -343,14 +343,17 @@ class TestBackendEquivalence:
 
 class TestCarryOver:
     def _split_run(self, config, stream, w, cut):
+        """Both batches' traces, plus the visit counts as the first batch
+        left them (the second call goes on mutating the shared carry)."""
         T = len(stream)
         rng = np.random.default_rng(substream(config.seed, "loop"))
         first = run_integrated(config, stream.slice(0, cut), w,
                                rng=rng, expected_count=T)
+        first_counts = first.carry.counts.copy()
         second = run_integrated(config, stream.slice(cut, T), w,
                                 loop_state=first.carry, rng=rng,
                                 expected_count=T)
-        return first, second
+        return first, second, first_counts
 
     def test_state_threads_through_batches(self):
         T = 3000
@@ -358,7 +361,7 @@ class TestCarryOver:
         stream = sample_stationary_stream(config.arrivals.rates, T, seed=9)
         w = config.arrivals.rates / config.arrivals.rates.sum()
 
-        first, second = self._split_run(config, stream, w, 1200)
+        first, second, first_counts = self._split_run(config, stream, w, 1200)
         # the second batch starts exactly where the first ended
         assert second.t_start_index == 1200
         assert second.carry.t_global == T
@@ -367,15 +370,15 @@ class TestCarryOver:
         joined = joined[joined >= 0]
         np.testing.assert_allclose(spent, np.bincount(joined, minlength=10))
         # learning never resets: counts only grow across the boundary
-        assert second.estimate.counts.sum() > first.estimate.counts.sum()
+        assert second.carry.counts.sum() > first_counts.sum()
 
     def test_split_run_reproducible(self):
         T = 2000
         config = scenario_stationary(T=T, seed=11)
         stream = sample_stationary_stream(config.arrivals.rates, T, seed=11)
         w = config.arrivals.rates / config.arrivals.rates.sum()
-        a1, a2 = self._split_run(config, stream, w, 700)
-        b1, b2 = self._split_run(config, stream, w, 700)
+        a1, a2, _ = self._split_run(config, stream, w, 700)
+        b1, b2, _ = self._split_run(config, stream, w, 700)
         np.testing.assert_array_equal(a1.assigned, b1.assigned)
         np.testing.assert_array_equal(a2.assigned, b2.assigned)
         np.testing.assert_array_equal(a2.purchased, b2.purchased)
