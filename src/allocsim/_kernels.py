@@ -2,7 +2,9 @@
 
 Two implementations of the same integrated loop live here:
 
-* a scalar kernel (`_integrated_scalar`) that numba compiles, and
+* a scalar kernel (`_integrated_scalar`) that numba compiles, which takes
+  every softmax row it needs (the pricing draw, the dual gradient and the
+  recorded dual value) from one helper, `_exp_row`, and
 * a vectorized pure-numpy twin (`_integrated_numpy`).
 
 The numpy twin's cost is numpy call overhead on small arrays, so it does one
@@ -85,6 +87,40 @@ def _resolve(backend: str | None) -> str:
 # Integrated loop, scalar form (numba target)
 # ============================================================
 
+@njit(cache=True)
+def _exp_row(p_row, rewards, lam, mu, infinite, remaining, masked, out):
+    """One row of the dual's softmax over items, shifted by its maximum.
+
+    Fills `out` with exp(e_i - shift), e_i = (r_i - lam_i) p_i / (p_bar mu),
+    where p_bar is the row maximum, taken as 1 on an all-zero row, and shift
+    is the largest e_i. With `masked`, sold-out items get 0 and the shift is
+    taken over in-stock items only. Returns (row maximum, shift, sum of out);
+    the returned row maximum is 0 on an all-zero row.
+    """
+    n = out.shape[0]
+    pbar = 0.0
+    for i in range(n):
+        if p_row[i] > pbar:
+            pbar = p_row[i]
+    scale = (pbar if pbar > 0.0 else 1.0) * mu
+    shift = -np.inf
+    for i in range(n):
+        if masked and not (infinite[i] or remaining[i] >= 1.0):
+            continue
+        e = (rewards[i] - lam[i]) * p_row[i] / scale
+        out[i] = e
+        if e > shift:
+            shift = e
+    total = 0.0
+    for i in range(n):
+        if masked and not (infinite[i] or remaining[i] >= 1.0):
+            out[i] = 0.0
+        else:
+            out[i] = np.exp(out[i] - shift)
+            total += out[i]
+    return pbar, shift, total
+
+
 def _integrated_scalar(
     types,
     weights,
@@ -159,34 +195,8 @@ def _integrated_scalar(
                         best_score = score
                         sel = i
             else:
-                pbar = 0.0
-                for i in range(n):
-                    if p_hat[j, i] > pbar:
-                        pbar = p_hat[j, i]
-                total = 0.0
-                if pbar <= 0.0:
-                    for i in range(n):
-                        if infinite[i] or remaining[i] >= 1.0:
-                            xrow[i] = 1.0
-                            total += 1.0
-                        else:
-                            xrow[i] = 0.0
-                else:
-                    shift = -np.inf
-                    for i in range(n):
-                        if infinite[i] or remaining[i] >= 1.0:
-                            e = (rewards[i] - lam[i]) * p_hat[j, i] / (pbar * mu)
-                            xrow[i] = e
-                            if e > shift:
-                                shift = e
-                        else:
-                            xrow[i] = -np.inf
-                    for i in range(n):
-                        if xrow[i] == -np.inf:
-                            xrow[i] = 0.0
-                        else:
-                            xrow[i] = np.exp(xrow[i] - shift)
-                            total += xrow[i]
+                _, _, total = _exp_row(p_hat[j], rewards, lam, mu, infinite,
+                                       remaining, True, xrow)
                 u = u_select[t] * total
                 acc = 0.0
                 for i in range(n):
@@ -221,21 +231,8 @@ def _integrated_scalar(
             w = weights[jj]
             if w <= 0.0:
                 continue
-            pbar = 0.0
-            for i in range(n):
-                if p_hat[jj, i] > pbar:
-                    pbar = p_hat[jj, i]
-            pb = pbar if pbar > 0.0 else 1.0
-            shift = -np.inf
-            for i in range(n):
-                e = (rewards[i] - lam[i]) * p_hat[jj, i] / (pb * mu)
-                xrow[i] = e
-                if e > shift:
-                    shift = e
-            z = 0.0
-            for i in range(n):
-                xrow[i] = np.exp(xrow[i] - shift)
-                z += xrow[i]
+            _, _, z = _exp_row(p_hat[jj], rewards, lam, mu, infinite,
+                               remaining, False, xrow)
             for i in range(n):
                 if not infinite[i]:
                     grad[i] -= w * p_hat[jj, i] * xrow[i] / z
@@ -259,20 +256,8 @@ def _integrated_scalar(
             ph = phi[prow, jj]
             if ph == 0.0:
                 continue
-            pbar = 0.0
-            for i in range(n):
-                if p_hat[jj, i] > pbar:
-                    pbar = p_hat[jj, i]
-            pb = pbar if pbar > 0.0 else 1.0
-            shift = -np.inf
-            for i in range(n):
-                e = (rewards[i] - lam[i]) * p_hat[jj, i] / (pb * mu)
-                xrow[i] = e
-                if e > shift:
-                    shift = e
-            z = 0.0
-            for i in range(n):
-                z += np.exp(xrow[i] - shift)
+            pbar, shift, z = _exp_row(p_hat[jj], rewards, lam, mu, infinite,
+                                      remaining, False, xrow)
             fval += ph * mu * pbar * (shift + np.log(z))
         for i in range(n):
             if not infinite[i]:

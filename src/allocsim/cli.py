@@ -27,6 +27,9 @@ from .harness import MODES, run_experiment
 from .model import (
     NonstationaryArrivals,
     SimConfig,
+    _convert,
+    _object,
+    _require,
     config_from_document,
     scenario_nonstationary,
     scenario_stationary,
@@ -75,11 +78,14 @@ def _rebuild_scenario(config: SimConfig, horizon: int) -> SimConfig:
             "--grid needs a config with scenario provenance "
             "(generated by the scenario builders)"
         )
-    if info["kind"] == "stationary":
+    info = _convert(_object, info, "scenario")
+    kind = _require(info, "kind", "scenario")
+    if kind == "stationary":
         return scenario_stationary(T=horizon, seed=config.seed)
     return scenario_nonstationary(
-        kind=info["kind"], T=horizon,
-        horizon_hours=info["horizon_hours"], seed=config.seed,
+        kind=kind, T=horizon,
+        horizon_hours=_require(info, "horizon_hours", "scenario", float),
+        seed=config.seed,
     )
 
 

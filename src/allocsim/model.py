@@ -445,10 +445,17 @@ def substream(seed: int, *tags) -> np.random.Generator:
 # Config file I/O
 # ============================================================
 
+def _integer(value) -> int:
+    """int(value), refusing a number with a fractional part (1000.0 passes)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 # config key -> (AlgoParams field, conversion), in document order
 _PARAM_KEYS = {
-    "R_max": ("r_max", int),
-    "K": ("k_interval", int),
+    "R_max": ("r_max", _integer),
+    "K": ("k_interval", _integer),
     "ucb_stop_epsilon": ("ucb_stop_epsilon", float),
     "epsilon": ("epsilon", float),
     "delta": ("delta", float),
@@ -456,7 +463,7 @@ _PARAM_KEYS = {
     "grid_dt": ("grid_dt", float),
     "lambda_max": ("lambda_max", float),
     "offline_tol": ("offline_tol", float),
-    "offline_max_iter": ("offline_max_iter", int),
+    "offline_max_iter": ("offline_max_iter", _integer),
 }
 
 
@@ -538,13 +545,13 @@ def config_from_document(doc: dict) -> SimConfig:
         raise ParseError("config root must be an object")
     inst_doc = _require(doc, "instance", "", _object)
     arr_doc = _require(doc, "arrivals", "", _object)
-    seed = _require(doc, "seed", "", int)
+    seed = _require(doc, "seed", "", _integer)
     if seed < 0:
         raise ParseError("seed must be a nonnegative integer")
 
-    n = _require(inst_doc, "n", "instance", int)
-    m = _require(inst_doc, "m", "instance", int)
-    horizon = _require(inst_doc, "T", "instance", int)
+    n = _require(inst_doc, "n", "instance", _integer)
+    m = _require(inst_doc, "m", "instance", _integer)
+    horizon = _require(inst_doc, "T", "instance", _integer)
     rewards = _require(inst_doc, "rewards", "instance", _vector)
     budgets_doc = _require(inst_doc, "budgets", "instance", list)
     budgets = np.array(

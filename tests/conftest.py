@@ -109,7 +109,7 @@ class FixedDraws:
 
 
 def run_arrivals(config, state, types, *, u_select=0.5, u_purchase=0.5,
-                 weights=None, phi=None, expected_count=None):
+                 weights=None, phi=None, expected_count=None, backend=None):
     """Run `types` through the integrated loop from `state` (mutated in
     place) with fixed uniforms; weights default to the uniform type mix."""
     types = np.asarray(types, dtype=np.int64)
@@ -123,7 +123,7 @@ def run_arrivals(config, state, types, *, u_select=0.5, u_purchase=0.5,
     )
     weights = np.full(m, 1.0 / m) if weights is None else weights
     return run_integrated(config, stream, weights, loop_state=state, rng=draws,
-                          expected_count=expected_count, phi=phi)
+                          expected_count=expected_count, phi=phi, backend=backend)
 
 
 def random_dual_spec(rng: np.random.Generator, n=None, m=None, all_finite=True):

@@ -319,8 +319,13 @@ class TestCli:
         (("arrivals", "stationary", "rates", 3), "fast"),
         (("seed",), "x"),
         (("instance", "preferences", "params"), "xy"),
+        (("seed",), 1.7),
+        (("instance", "T"), 300.9),
+        (("params", "K"), 999.9),
+        (("seed",), float("inf")),
     ], ids=["K-null", "K-abc", "R_max-list", "T-x", "rewards-abc", "budgets-5",
-            "rates-string", "seed-x", "generator-params-xy"])
+            "rates-string", "seed-x", "generator-params-xy", "seed-fraction",
+            "T-fraction", "K-fraction", "seed-inf"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, where, value):
         doc = config_document(scenario_stationary(T=300, seed=1))
         target = doc
@@ -335,6 +340,27 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("config error: ")
         key_path = ".".join(k for k in where if isinstance(k, str))
         assert f"{key_path}: " in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, key", [
+        (5, "scenario"),
+        ("x", "scenario"),
+        ({"T": 300, "seed": 1}, "scenario.kind"),
+        ({"kind": "extreme_budget", "T": 300, "seed": 1}, "scenario.horizon_hours"),
+        ({"kind": "extreme_budget", "horizon_hours": "long"}, "scenario.horizon_hours"),
+    ], ids=["int", "string", "no-kind", "no-horizon_hours", "horizon_hours-string"])
+    def test_grid_malformed_scenario_exits_2(self, tmp_path, capsys, scenario, key):
+        doc = config_document(scenario_stationary(T=300, seed=1))
+        doc["scenario"] = scenario
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "grid"
+        code = main(["greedy", "--config", str(path), "--out", str(out),
+                     "--grid", "T=200"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert key in err[0]
         assert not out.exists()
 
     def test_nonconvergence_exits_3(self, tmp_path):

@@ -334,6 +334,32 @@ class TestBackendEquivalence:
         np.testing.assert_array_equal(plain.assigned, [0] + [1] * 19)
         assert_backends_agree(fast, plain)
 
+    def test_all_zero_estimate_row(self, monkeypatch):
+        # r_max=0 prices from the first arrival. Type 0's estimate row is all
+        # zero, so p_bar = 0 and the row is scaled by 1 instead; nothing is
+        # bought (u_purchase above every P*), so the row stays zero and its
+        # draws are uniform over the items in stock.
+        config = loop_config(n=3, m=2, budgets=[4.0, 4.0, np.inf], p=0.5, r_max=0)
+        types = np.array([0, 0, 1] * 10)
+        u_select = np.random.default_rng(0).random(types.size)
+
+        def run(backend):
+            state = hand_state(config, remaining=[0.0, 4.0, np.inf],
+                               p_hat=[[0.0, 0.0, 0.0], [0.6, 0.4, 0.2]],
+                               counts=[[0, 0, 0], [5, 5, 5]],
+                               purchases=[[0, 0, 0], [3, 2, 1]])
+            return run_arrivals(config, state, types, u_select=u_select,
+                                u_purchase=0.99, backend=backend)
+
+        fast = on_reference_backend(monkeypatch, run)
+        plain = run("numpy")
+        assert_backends_agree(fast, plain)
+        assert not plain.purchased.any()
+        assert set(plain.assigned[types == 0].tolist()) == {1, 2}
+        assert 0 not in plain.assigned
+        assert np.count_nonzero(plain.assigned == 1) == 4
+        np.testing.assert_array_equal(plain.remaining_final, [0.0, 0.0, np.inf])
+
     def test_unknown_backend_rejected(self):
         config = loop_config(budgets=1e9, r_max=10)
         stream = sample_stationary_stream(np.array([1.0]), 10, seed=0)
