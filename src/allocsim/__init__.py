@@ -33,6 +33,7 @@ from .harness import (
     emit_report,
     greedy_baseline,
     run_experiment,
+    write_checkpoint_csv,
 )
 from .integrated import (
     UNVISITED_PRIOR,
@@ -40,7 +41,6 @@ from .integrated import (
     LoopState,
     Trace,
     run_integrated,
-    write_checkpoint_csv,
 )
 from .model import (
     AlgoParams,

@@ -23,11 +23,12 @@ import numpy as np
 
 from ._kernels import BACKENDS
 from .errors import AllocSimError, NonConvergence, ParseError
-from .harness import MODES, run_experiment
+from .harness import MODES, run_experiment, write_plan_csv
 from .model import (
     NonstationaryArrivals,
     SimConfig,
     _convert,
+    _integer,
     _object,
     _require,
     config_from_document,
@@ -35,7 +36,7 @@ from .model import (
     scenario_stationary,
     substream,
 )
-from .segmentation import segment_time_span, segment_weights, write_plan_csv
+from .segmentation import segment_time_span, segment_weights
 
 COMMANDS = MODES + ("segment-plan",)
 
@@ -66,7 +67,7 @@ def _parse_grid(text: str) -> list[int]:
     if key.strip() != "T" or not values:
         raise ParseError(f"--grid expects T=V1,V2,... (got {text!r})")
     try:
-        return [int(float(v)) for v in values.split(",") if v.strip()]
+        return [_integer(float(v)) for v in values.split(",") if v.strip()]
     except ValueError as exc:
         raise ParseError(f"bad --grid value in {text!r}: {exc}") from exc
 

@@ -11,7 +11,9 @@ benchmarks against the offline solve on ground-truth preferences with
 expected type weights; a realized-count benchmark column is emitted
 alongside for transparency.
 
-Report files are CSV (one directory per run). Wall-clock time goes to
+Report files are CSV (one directory per run), and this module writes all
+of them through one block writer: a header line, then rows with `%.9g`
+floats and a blank item for a null assignment. Wall-clock time goes to
 runtime.txt, not the CSVs, so re-running a configuration byte-identically
 reproduces every CSV.
 """
@@ -32,15 +34,13 @@ from .dual import (
     recover_primal,
     solve_offline,
 )
-from .errors import LengthMismatch, NonConvergence
+from .errors import DimensionMismatch, LengthMismatch, NonConvergence
 from .integrated import (
+    PHASE_NAMES,
     CheckpointLog,
     LoopState,
     Trace,
     run_integrated,
-    write_checkpoint_csv,
-    write_lambda_csv,
-    write_trace_csv,
 )
 from .model import (
     ProblemInstance,
@@ -49,7 +49,7 @@ from .model import (
     config_hash,
     substream,
 )
-from .segmentation import SegmentPlan, run_nonstationary, write_plan_csv
+from .segmentation import SegmentPlan, run_nonstationary
 
 __all__ = [
     "MetricsReport",
@@ -62,7 +62,13 @@ __all__ = [
     "segment_regret",
     "run_experiment",
     "emit_report",
+    "write_trace_csv",
+    "write_lambda_csv",
+    "write_checkpoint_csv",
+    "write_plan_csv",
 ]
+
+_CSV_BLOCK = 4096  # report rows formatted per write
 
 
 # ============================================================
@@ -87,9 +93,6 @@ class MetricsReport:
     greedy_revenue: float = np.nan
     runtime_seconds: float = np.nan
     lam_star: np.ndarray | None = None
-    selection_counts: np.ndarray | None = None
-    pref_error_t: np.ndarray | None = None
-    pref_error: np.ndarray | None = None
     trace: Trace | None = None
     greedy_trace: Trace | None = None
     plan: SegmentPlan | None = None
@@ -340,7 +343,6 @@ def run_experiment(
         report.arrivals = len(stream)
         report.greedy_trace = gtrace
         report.greedy_revenue = compute_revenue(gtrace, inst.rewards)
-        report.selection_counts = gtrace.assignment_counts
     elif mode == "stationary":
         stream = _sample_for(config)
         weights = expected_type_weights(config)
@@ -393,9 +395,6 @@ def _fill_online_metrics(
     report.online_dual_total = float(trace.f_vals.sum())
     report.realized_revenue = compute_revenue(trace, inst.rewards)
     report.greedy_revenue = compute_revenue(gtrace, inst.rewards)
-    report.selection_counts = trace.assignment_counts
-    report.pref_error_t = trace.checkpoints.t.copy()
-    report.pref_error = trace.checkpoints.pref_error.copy()
 
     counts_realized = np.bincount(trace.types, minlength=weights.size).astype(float)
     spec_real = benchmark_spec(
@@ -423,6 +422,91 @@ def _fill_online_metrics(
 # Files
 # ============================================================
 
+def _write_csv(path, header: str, row_format: str, columns) -> None:
+    """Write `header`, then one `row_format` line per row of `columns`.
+
+    `columns` are equal-length arrays or lists, one per %-field of
+    `row_format`. Rows are formatted from Python scalars a block of
+    _CSV_BLOCK rows at a time, which keeps the memory for formatted text
+    to one block.
+    """
+    width = len(columns)
+    rows = len(columns[0]) if width else 0
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, rows, _CSV_BLOCK):
+            k = min(_CSV_BLOCK, rows - lo)
+            values = [None] * (k * width)
+            for i, col in enumerate(columns):
+                block = col[lo:lo + k]
+                values[i::width] = (
+                    block.tolist() if isinstance(block, np.ndarray) else block)
+            fh.write((row_format * k) % tuple(values))
+
+
+def write_trace_csv(trace: Trace, path) -> None:
+    """Per-arrival CSV: t,time,type,item,purchased,phase (item blank when null)."""
+    items = trace.assigned.astype(object)
+    items[trace.assigned < 0] = ""
+    first = trace.t_start_index + 1
+    _write_csv(
+        path, "t,time,type,item,purchased,phase", "%d,%.9g,%d,%s,%d,%s\n",
+        [range(first, first + len(trace)), trace.times, trace.types, items,
+         trace.purchased, np.array(PHASE_NAMES, dtype=object)[trace.phase]],
+    )
+
+
+def write_lambda_csv(trace: Trace, path) -> None:
+    """Checkpoint snapshots of the dual iterate: t,lambda_1..lambda_n."""
+    ck = trace.checkpoints
+    n = trace.lam_final.size
+    header = ",".join(["t"] + [f"lambda_{i + 1}" for i in range(n)])
+    _write_csv(path, header, "%d" + ",%.9g" * n + "\n", [ck.t, *ck.lam.T])
+
+
+def write_checkpoint_csv(checkpoints: np.ndarray, errors: np.ndarray, path) -> None:
+    """Learning-curve CSV: checkpoint,frobenius_to_truth."""
+    checkpoints = np.asarray(checkpoints)
+    errors = np.asarray(errors, dtype=float)
+    if checkpoints.size != errors.size:
+        raise DimensionMismatch("checkpoint and error series differ in length")
+    _write_csv(path, "checkpoint,frobenius_to_truth", "%d,%.9g\n",
+               [checkpoints, errors])
+
+
+def write_plan_csv(plan: SegmentPlan, path) -> None:
+    """Plan CSV: t_start,t_end,label,v_or_epsilon,delta_max,w_1..w_m."""
+    segs = plan.segments
+    m = segs[0].weights.size if segs[0].weights is not None else 0
+    header = ",".join(["t_start", "t_end", "label", "v_or_epsilon", "delta_max"]
+                      + [f"w_{j + 1}" for j in range(m)])
+    rows = [
+        (seg.t_start, seg.t_end, seg.label,
+         seg.epsilon_used if seg.label == "A" else seg.v,
+         0.0 if seg.label == "A" else float(seg.delta_vec.max()),
+         *(seg.weights if m else ()))
+        for seg in segs
+    ]
+    _write_csv(path, header, "%.9g,%.9g,%s,%.9g,%.9g" + ",%.9g" * m + "\n",
+               list(zip(*rows)))
+
+
+def _arrival_histogram(trace: Trace) -> list[np.ndarray]:
+    """Columns hour, type, count over the trace's nonempty (floor(time), type)
+    cells, in sorted order. The key arithmetic runs in place and only the
+    nonzero counts are kept, which holds down peak memory on a long run."""
+    key = np.floor(trace.times).astype(np.int64)
+    h0 = int(key.min())
+    m = int(trace.types.max()) + 1
+    key -= h0
+    key *= m
+    key += trace.types
+    count = np.bincount(key)
+    key = np.flatnonzero(count)
+    count = count[key]
+    return [key // m + h0, key % m, count]
+
+
 def emit_report(
     report: MetricsReport,
     out_dir: str | Path,
@@ -431,6 +515,8 @@ def emit_report(
 ) -> list[Path]:
     """Write the report's CSV files plus runtime.txt into out_dir.
 
+    Selections, the learning curve and the arrivals histogram come from the
+    online trace, else the greedy one; with neither they are headers only.
     On any failure every file this call created is removed before the
     error propagates.
     """
@@ -442,37 +528,21 @@ def emit_report(
         written.append(out / name)
         return written[-1]
 
-    def _open(name: str):
-        return open(_path(name), "w", newline="")
-
+    tr = report.trace if report.trace is not None else report.greedy_trace
     try:
-        with _open("summary.csv") as fh:
-            row = report.summary_row()
-            fh.write(",".join(row.keys()) + "\n")
-            fh.write(",".join(row.values()) + "\n")
+        row = report.summary_row()
+        _write_csv(_path("summary.csv"), ",".join(row), "%s\n",
+                   [[",".join(row.values())]])
 
-        with _open("selections.csv") as fh:
-            fh.write("item,count\n")
-            if report.selection_counts is not None:
-                for i, c in enumerate(report.selection_counts):
-                    fh.write(f"{i},{int(c)}\n")
+        counts = tr.assignment_counts if tr is not None else []
+        _write_csv(_path("selections.csv"), "item,count", "%d,%d\n",
+                   [range(len(counts)), counts])
 
-        write_checkpoint_csv(
-            report.pref_error_t if report.pref_error_t is not None else np.empty(0),
-            report.pref_error if report.pref_error is not None else np.empty(0),
-            _path("pref_error.csv"),
-        )
+        ck = tr.checkpoints if tr is not None else CheckpointLog.empty(0)
+        write_checkpoint_csv(ck.t, ck.pref_error, _path("pref_error.csv"))
 
-        with _open("arrivals_hist.csv") as fh:
-            fh.write("hour,type,count\n")
-            tr = report.trace if report.trace is not None else report.greedy_trace
-            if tr is not None and len(tr):
-                hours = np.floor(tr.times).astype(np.int64)
-                m = int(tr.types.max()) + 1
-                key = hours * m + tr.types
-                uniq, cnt = np.unique(key, return_counts=True)
-                for k, c in zip(uniq, cnt):
-                    fh.write(f"{int(k // m)},{int(k % m)},{int(c)}\n")
+        hist = _arrival_histogram(tr) if tr is not None and len(tr) else [[]] * 3
+        _write_csv(_path("arrivals_hist.csv"), "hour,type,count", "%d,%d,%d\n", hist)
 
         if report.plan is not None:
             write_plan_csv(report.plan, _path("plan.csv"))
@@ -481,8 +551,7 @@ def emit_report(
             write_trace_csv(report.trace, _path("trace.csv"))
             write_lambda_csv(report.trace, _path("lambda.csv"))
 
-        with _open("runtime.txt") as fh:
-            fh.write(f"{report.runtime_seconds:.3f} seconds\n")
+        _path("runtime.txt").write_text(f"{report.runtime_seconds:.3f} seconds\n")
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .arrivals import ArrivalSequence
 from .dual import DualState, default_grad_bound
-from .errors import DimensionMismatch, LengthMismatch
+from .errors import LengthMismatch
 from .model import SimConfig, substream
 
 __all__ = [
@@ -36,14 +36,10 @@ __all__ = [
     "CheckpointLog",
     "Trace",
     "run_integrated",
-    "write_trace_csv",
-    "write_lambda_csv",
-    "write_checkpoint_csv",
 ]
 
 PHASE_NAMES = ("ucb", "ogd", "greedy")
 UNVISITED_PRIOR = 0.5  # P̂ on a type-item pair not yet offered
-_CSV_BLOCK = 4096  # trace.csv rows formatted per write
 
 
 # ============================================================
@@ -301,55 +297,3 @@ def run_integrated(
         carry=st,
     )
 
-
-# ============================================================
-# CSV export
-# ============================================================
-
-def write_trace_csv(trace: Trace, path) -> None:
-    """Per-arrival CSV: t,time,type,item,purchased,phase (item blank when null).
-
-    Rows are formatted from Python scalars a block at a time, which keeps
-    the memory for formatted text to one block.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write("t,time,type,item,purchased,phase\n")
-        first = trace.t_start_index + 1
-        for lo in range(0, len(trace), _CSV_BLOCK):
-            hi = min(lo + _CSV_BLOCK, len(trace))
-            fh.writelines(
-                f"{t},{time:.9g},{j},{'' if item < 0 else item},{bought:d},"
-                f"{PHASE_NAMES[phase]}\n"
-                for t, time, j, item, bought, phase in zip(
-                    range(first + lo, first + hi),
-                    trace.times[lo:hi].tolist(),
-                    trace.types[lo:hi].tolist(),
-                    trace.assigned[lo:hi].tolist(),
-                    trace.purchased[lo:hi].tolist(),
-                    trace.phase[lo:hi].tolist(),
-                )
-            )
-
-
-def write_lambda_csv(trace: Trace, path) -> None:
-    """Checkpoint snapshots of the dual iterate: t,lambda_1..lambda_n."""
-    ck = trace.checkpoints
-    n = trace.lam_final.size
-    header = "t," + ",".join(f"lambda_{i + 1}" for i in range(n))
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for k in range(ck.t.size):
-            row = ",".join(f"{v:.9g}" for v in ck.lam[k])
-            fh.write(f"{int(ck.t[k])},{row}\n")
-
-
-def write_checkpoint_csv(checkpoints: np.ndarray, errors: np.ndarray, path) -> None:
-    """Learning-curve CSV: checkpoint,frobenius_to_truth."""
-    checkpoints = np.asarray(checkpoints)
-    errors = np.asarray(errors, dtype=float)
-    if checkpoints.size != errors.size:
-        raise DimensionMismatch("checkpoint and error series differ in length")
-    with open(path, "w", newline="") as fh:
-        fh.write("checkpoint,frobenius_to_truth\n")
-        for t, e in zip(checkpoints, errors):
-            fh.write(f"{int(t)},{e:.9g}\n")

@@ -40,7 +40,6 @@ __all__ = [
     "segment_weights",
     "certify_plan",
     "run_nonstationary",
-    "write_plan_csv",
 ]
 
 
@@ -356,22 +355,3 @@ def run_nonstationary(
         raise ValueError("stream contained no arrivals")
     return Trace.concat(pieces), plan
 
-
-def write_plan_csv(plan: SegmentPlan, path) -> None:
-    """Plan CSV: t_start,t_end,label,v_or_epsilon,delta_max,w_1..w_m."""
-    m = plan.segments[0].weights.size if plan.segments[0].weights is not None else 0
-    header = "t_start,t_end,label,v_or_epsilon,delta_max," + ",".join(
-        f"w_{j + 1}" for j in range(m)
-    )
-    with open(path, "w", newline="") as fh:
-        fh.write(header.rstrip(",") + "\n")
-        for seg in plan.segments:
-            thresh = seg.epsilon_used if seg.label == "A" else seg.v
-            dmax = 0.0 if seg.label == "A" else float(seg.delta_vec.max())
-            wcols = ""
-            if seg.weights is not None:
-                wcols = "," + ",".join(f"{w:.9g}" for w in seg.weights)
-            fh.write(
-                f"{seg.t_start:.9g},{seg.t_end:.9g},{seg.label},"
-                f"{thresh:.9g},{dmax:.9g}{wcols}\n"
-            )

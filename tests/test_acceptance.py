@@ -152,9 +152,9 @@ def test_criterion_06_preference_error_halves_by_5000(stationary_report):
     ratios = []
     for seed in SEEDS:
         rep = stationary_report(100_000, seed)
-        t = rep.pref_error_t
-        e1000 = float(rep.pref_error[t == 1_000][0])
-        e5000 = float(rep.pref_error[t == 5_000][0])
+        t = rep.trace.checkpoints.t
+        e1000 = float(rep.trace.checkpoints.pref_error[t == 1_000][0])
+        e5000 = float(rep.trace.checkpoints.pref_error[t == 5_000][0])
         ratios.append(e5000 / e1000)
     median = float(np.median(ratios))
     record(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -177,8 +178,8 @@ class TestMetrics:
         # phase; allow a hair of noise-floor chatter near the end
         for seed in (1, 2, 3, 4, 5):
             report = stationary_report(100_000, seed)
-            mask = report.pref_error_t <= 20_000
-            series = report.pref_error[mask]
+            mask = report.trace.checkpoints.t <= 20_000
+            series = report.trace.checkpoints.pref_error[mask]
             smooth = np.convolve(series, np.ones(5) / 5, mode="valid")
             assert np.all(np.diff(smooth) <= 0.005)
             assert smooth[-1] < smooth[0]
@@ -200,7 +201,8 @@ class TestRunExperiment:
                       "realized_revenue", "greedy_revenue"):
             assert np.isfinite(getattr(report, field)), field
         assert report.runtime_seconds > 0.0
-        assert report.selection_counts.sum() == (report.trace.assigned >= 0).sum()
+        trace = report.trace
+        assert trace.assignment_counts.sum() == (trace.assigned >= 0).sum()
 
     def test_unknown_mode_rejected(self):
         config = scenario_stationary(T=100, seed=1)
@@ -262,6 +264,34 @@ class TestEmitReport:
         with pytest.raises(OSError):
             emit_report(report, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["stationary", "greedy", "nonstationary",
+                                      "negative-hours"])
+    def test_arrivals_hist_matches_brute_force(self, tmp_path, mode):
+        if mode == "nonstationary":
+            config = scenario_nonstationary("varying_reward", 1500, 24.0, seed=3)
+        else:
+            config = scenario_stationary(T=900, seed=3)
+        if mode == "negative-hours":
+            # a non-stationary horizon may start before zero
+            rng = np.random.default_rng(3)
+            stream = ArrivalSequence(np.sort(rng.uniform(-30.0, 40.0, 900)),
+                                     rng.integers(0, 10, 900), 3)
+            report = MetricsReport(
+                mode="greedy", seed=3, config_hash="x",
+                greedy_trace=greedy_baseline(config.instance, stream, 3))
+            emit_report(report, tmp_path)
+        else:
+            report = run_experiment(config, mode, out_dir=tmp_path)
+        trace = report.trace if report.trace is not None else report.greedy_trace
+        cells = Counter(zip(np.floor(trace.times).astype(int).tolist(),
+                            trace.types.tolist()))
+        rows = (tmp_path / "arrivals_hist.csv").read_text().splitlines()
+        assert rows[0] == "hour,type,count"
+        assert rows[1:] == [f"{h},{j},{c}" for (h, j), c in sorted(cells.items())]
+        if mode == "nonstationary":
+            hours = {h for h, _ in cells}
+            assert len(cells) < len(hours) * config.instance.preferences.shape[0]
 
 
 class TestCli:
@@ -404,6 +434,24 @@ class TestCli:
         cfg = self._write_config(tmp_path, scenario_stationary(T=300, seed=1))
         assert main(["greedy", "--config", cfg, "--out", str(tmp_path),
                      "--grid", "N=100"]) == 2
+
+    @pytest.mark.parametrize("grid, made", [
+        ("T=300.9", None),
+        ("T=1e400", None),
+        ("T=1e3", "T_1000"),
+    ], ids=["fraction", "overflow", "exponent"])
+    def test_grid_values_are_integers(self, tmp_path, capsys, grid, made):
+        cfg = self._write_config(tmp_path, scenario_stationary(T=300, seed=1))
+        out = tmp_path / "grid"
+        code = main(["greedy", "--config", cfg, "--out", str(out), "--grid", grid])
+        if made is None:
+            assert code == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: ")
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert [p.name for p in out.iterdir()] == [made]
 
     def test_backend_flag_matches_default(self, tmp_path, capsys):
         """Every backend that can run here reproduces the default run's

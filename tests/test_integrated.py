@@ -16,7 +16,9 @@ from allocsim import (
     HAS_NUMBA,
     AlgoParams,
     ArrivalSequence,
+    CheckpointLog,
     DualState,
+    LoopState,
     ProblemInstance,
     SimConfig,
     StationaryArrivals,
@@ -34,7 +36,8 @@ from allocsim import (
 from allocsim import _kernels
 from allocsim.dual import default_grad_bound
 from allocsim.errors import LengthMismatch
-from allocsim.integrated import PHASE_NAMES, Trace, write_lambda_csv, write_trace_csv
+from allocsim.harness import write_lambda_csv, write_trace_csv
+from allocsim.integrated import PHASE_NAMES, Trace
 from conftest import hand_state, loop_config, run_arrivals
 
 
@@ -486,3 +489,32 @@ class TestTraceExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "t," + ",".join(f"lambda_{i}" for i in range(1, 11))
         assert len(lines) == trace.checkpoints.t.size + 1
+
+    def test_trace_csv_bytes(self, tmp_path):
+        # one full block plus four rows, null items, an offset start index
+        # and times that take all nine significant digits (and an exponent)
+        T = 4100
+        rng = np.random.default_rng(11)
+        times = np.sort(rng.uniform(0.0, 1000.0, T))
+        times[0] = 3.14159265358979e-7
+        assigned = rng.integers(-1, 3, T)
+        trace = Trace(
+            times=times, types=rng.integers(0, 4, T), assigned=assigned,
+            purchased=(assigned >= 0) & (rng.random(T) < 0.5),
+            phase=rng.integers(0, 3, T).astype(np.uint8), f_vals=np.zeros(T),
+            segment=np.zeros(T, dtype=np.int32), seed=0, t_start_index=7,
+            checkpoints=CheckpointLog.empty(3), lam_final=np.zeros(3),
+            remaining_final=np.zeros(3), carry=LoopState.fresh(3, 4, np.ones(3)),
+        )
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        rows = "".join(
+            f"{t},{time:.9g},{j},{'' if item < 0 else item},{bought:d},"
+            f"{PHASE_NAMES[phase]}\n"
+            for t, time, j, item, bought, phase in zip(
+                range(8, 8 + T), times.tolist(), trace.types.tolist(),
+                assigned.tolist(), trace.purchased.tolist(), trace.phase.tolist())
+        )
+        assert path.read_text() == "t,time,type,item,purchased,phase\n" + rows
+        assert any(len(f"{t:.9g}".replace(".", "")) == 9 for t in times.tolist())
+        assert (assigned < 0).any()

@@ -18,6 +18,7 @@ from allocsim import (
     substream,
 )
 from allocsim.errors import ZeroLowerSum
+from allocsim.harness import write_plan_csv
 from allocsim.integrated import run_integrated
 from allocsim.model import (
     AlgoParams,
@@ -26,7 +27,7 @@ from allocsim.model import (
     SimConfig,
     validate_instance,
 )
-from allocsim.segmentation import _scan_window, write_plan_csv
+from allocsim.segmentation import _scan_window
 
 
 def constant_fn(c, t0=0.0, t_end=10.0):
@@ -274,3 +275,29 @@ class TestDriver:
         fields = lines[1].split(",")
         assert fields[2] in ("A", "B")
         assert float(fields[0]) == 0.0
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["no-weights", "weights"])
+    def test_plan_csv_bytes(self, tmp_path, weighted):
+        config = scenario_nonstationary("varying_reward", 3000, 24.0, seed=4)
+        model, p = config.arrivals, config.params
+        plan = segment_time_span(
+            model.rate_fns, model.t0, model.t_end, p.epsilon, p.delta, p.d, p.grid_dt)
+        if weighted:
+            rng = substream(config.seed, "weights")
+            for seg in plan.segments:
+                segment_weights(seg, model.rate_fns, rng)
+        path = tmp_path / "plan.csv"
+        write_plan_csv(plan, path)
+        m = len(model.rate_fns) if weighted else 0
+        header = ",".join(["t_start,t_end,label,v_or_epsilon,delta_max"]
+                          + [f"w_{j + 1}" for j in range(m)])
+        rows = "".join(
+            f"{seg.t_start:.9g},{seg.t_end:.9g},{seg.label},"
+            f"{seg.epsilon_used if seg.label == 'A' else seg.v:.9g},"
+            f"{0.0 if seg.label == 'A' else float(seg.delta_vec.max()):.9g}"
+            + "".join(f",{w:.9g}" for w in (seg.weights if weighted else ()))
+            + "\n"
+            for seg in plan.segments
+        )
+        assert path.read_text() == header + "\n" + rows
+        assert {seg.label for seg in plan.segments} == {"A", "B"}
