@@ -17,13 +17,13 @@ from .arrivals import (
     type_probability_matrix,
 )
 from .dual import (
-    DualState,
     OfflineSolution,
     WeightedDualSpec,
     dual_gradient,
     dual_objective,
     recover_primal,
     solve_offline,
+    step_sizes,
 )
 from .errors import *  # noqa: F401,F403 -- the module defines a tight __all__
 from .harness import (

@@ -5,7 +5,9 @@ Two implementations of the same integrated loop live here:
 * a scalar kernel (`_integrated_scalar`) that numba compiles, which takes
   every softmax row it needs (the pricing draw, the dual gradient and the
   recorded dual value) from one helper, `_exp_row`, and
-* a vectorized pure-numpy twin (`_integrated_numpy`).
+* a vectorized pure-numpy twin (`_integrated_numpy`), whose full softmax is
+  `dual.py`'s: `_row_scale` and `_softmax_rows`, the same code the offline
+  solver and the metrics evaluate the dual with.
 
 The numpy twin's cost is numpy call overhead on small arrays, so it does one
 full m x n softmax per arrival, right after the dual step, at the new
@@ -14,8 +16,8 @@ recorded dual value; its row for the next arrival's type, times the
 availability mask, is that arrival's selection weights (the same
 distribution as the masked, renormalized row the scalar kernel builds); and
 it is reused for the next arrival's gradient, where only the row of the
-estimate that the arrival moved is recomputed. p_hat / (p_bar mu) and the
-availability mask are cached and updated per arrival the same way, and the
+estimate that the arrival moved is recomputed. The row divisors p_bar mu and
+the availability mask are cached and updated per arrival the same way, and the
 gradient is one matvec. The caches are rebuilt at call start from the state
 with the expressions the loop uses, so a run split into chained calls
 matches one call bit for bit.
@@ -37,6 +39,7 @@ import os
 
 import numpy as np
 
+from .dual import _row_scale, _softmax_rows
 from .errors import BackendUnavailable
 
 __all__ = [
@@ -338,16 +341,15 @@ def _integrated_numpy(
 
     # Caches, rebuilt from the state with the expressions the loop refreshes
     # them with, so a run split into chained calls matches one call bit for
-    # bit. A = p_hat / (p_bar mu) with p_bar := 1 on an all-zero row; W and Z
-    # are the shifted exponentials and their row sums at (lam, p_hat).
+    # bit. scale = p_bar mu with p_bar := 1 on an all-zero row; W and Z are
+    # the shifted exponentials and their row sums at (lam, p_hat), which
+    # `_softmax_rows` fills here and after every dual step.
     rl = rewards - lam
-    pbar = np.maximum.reduce(p_hat, axis=1)
-    A = p_hat / (np.where(pbar > 0.0, pbar, 1.0) * mu)[:, None]
+    pbar, scale = _row_scale(p_hat, mu)
     E = np.empty((m, n))
     W = np.empty((m, n))
     PW = np.empty((m, n))
     shift = np.empty(m)
-    shift_col = shift[:, None]
     Z = np.empty(m)
     log_z = np.empty(m)
     wz = np.empty(m)
@@ -355,17 +357,10 @@ def _integrated_numpy(
     wts = np.empty(n)
     cum = np.empty(n)
     scores = np.empty(n)
-    p_rows, A_rows, E_rows, W_rows = (list(a) for a in (p_hat, A, E, W))
+    p_rows, E_rows, W_rows = (list(a) for a in (p_hat, E, W))
     phi_row = phi[0]
 
-    def softmax():
-        np.multiply(rl, A, out=E)
-        np.maximum.reduce(E, axis=1, out=shift)
-        np.subtract(E, shift_col, out=E)
-        np.exp(E, out=W)
-        np.add.reduce(W, axis=1, out=Z)
-
-    softmax()
+    _softmax_rows(rl, p_hat, scale, E, W, shift, Z)
     for t in range(T):
         g = t_offset + t + 1
         j = types[t]
@@ -394,7 +389,8 @@ def _integrated_numpy(
                 np.add.accumulate(wts, out=cum)
                 total = cum[-1]
                 if total < _SELECT_UNDERFLOW:
-                    np.multiply(rl, A_rows[j], out=wts)
+                    np.multiply(rl, p_rows[j], out=wts)
+                    np.divide(wts, scale[j], out=wts)
                     wts[sold_out] = -np.inf
                     np.exp(wts - np.maximum.reduce(wts), out=wts)
                     np.add.accumulate(wts, out=cum)
@@ -417,12 +413,14 @@ def _integrated_numpy(
             counts[j, sel] += 1
             p_hat[j, sel] = purchases[j, sel] / counts[j, sel]
 
-            # only row j of the estimate moved: refresh its caches
+            # only row j of the estimate moved: refresh its caches, with the
+            # dual.py softmax written out for one row (cheaper than a call)
             p_row, e_row = p_rows[j], E_rows[j]
             pbar_j = max(p_row.tolist())
             pbar[j] = pbar_j
-            np.divide(p_row, (pbar_j if pbar_j > 0.0 else 1.0) * mu, out=A_rows[j])
-            np.multiply(rl, A_rows[j], out=e_row)
+            scale[j] = scale_j = (pbar_j if pbar_j > 0.0 else 1.0) * mu
+            np.multiply(rl, p_row, out=e_row)
+            np.divide(e_row, scale_j, out=e_row)
             np.subtract(e_row, max(e_row.tolist()), out=e_row)
             np.exp(e_row, out=W_rows[j])
             Z[j] = np.add.reduce(W_rows[j])
@@ -440,7 +438,7 @@ def _integrated_numpy(
         # the one full softmax: log Z for the recorded dual value now, and
         # the selection and gradient rows of the next arrival
         np.subtract(rewards, lam, out=rl)
-        softmax()
+        _softmax_rows(rl, p_hat, scale, E, W, shift, Z)
         np.log(Z, out=log_z)
         np.add(log_z, shift, out=log_z)
         np.multiply(pbar, log_z, out=log_z)

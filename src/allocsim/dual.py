@@ -1,4 +1,4 @@
-"""Dual objectives, gradients, primal recovery, and the offline benchmark solver.
+"""Dual objectives, gradients, primal recovery, step sizes, and the offline solver.
 
 One weighted form covers both duals in play: with per-type weights w_j and a
 budget scale s,
@@ -10,6 +10,10 @@ Offline totals use w_j = per-type customer counts and s = 1; the per-arrival
 online objective uses w_j = λ_j/Σλ and s = 1/T. Items flagged as uncapped
 (b_i = ∞) have zero shadow price: their Λ_i is pinned at 0 and they are
 excluded from the ⟨Λ, b⟩ term and from the gradient.
+
+The row softmax has one vectorized form, `_row_scale` and `_softmax_rows`,
+shared by the objective, the gradient, primal recovery and the numpy twin of
+the online loop (numba compiles `_kernels._exp_row`, with the same exponent).
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 from .errors import DegenerateRow, DimensionMismatch
 
 __all__ = [
-    "DualState",
     "WeightedDualSpec",
     "OfflineSolution",
     "dual_objective",
@@ -29,55 +32,32 @@ __all__ = [
     "recover_primal",
     "solve_offline",
     "default_grad_bound",
+    "step_sizes",
 ]
 
 
 # ============================================================
-# Types
+# Step sizes and the dual's data
 # ============================================================
 
-@dataclass
-class DualState:
-    """Dual iterate plus the constants that define its feasible box and steps.
+def step_sizes(count: int, *, n: int, box_upper: float, grad_bound: float,
+               horizon: int, step_rule: str = "fixed", offset: int = 0) -> np.ndarray:
+    """Per-arrival dual step sizes for a run of `count` arrivals.
 
-    step_rule "fixed" uses η = D/(G·√T) with T = horizon; "decay" uses
-    η_t = D/(G·√t).
+    With diameter D = box_upper·√n, rule "fixed" uses η = D/(G·√T) with
+    T = horizon; "decay" uses η_t = D/(G·√t). `offset` is the number of
+    arrivals already consumed by earlier batches, so a decaying schedule
+    keeps shrinking across batches instead of restarting at η_1.
     """
-
-    lam: np.ndarray
-    box_upper: float
-    grad_bound: float
-    horizon: int
-    step_rule: str = "fixed"
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        if not self.box_upper > 0.0 or not self.grad_bound > 0.0:
-            raise ValueError("box_upper and grad_bound must be positive")
-        if self.step_rule not in ("fixed", "decay"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if np.any(self.lam < -1e-12) or np.any(self.lam > self.box_upper + 1e-12):
-            raise ValueError("lambda must start inside [0, box_upper]")
-
-    @property
-    def diameter(self) -> float:
-        return self.box_upper * np.sqrt(self.lam.size)
-
-    def step_size(self, t: int) -> float:
-        denom = self.horizon if self.step_rule == "fixed" else t
-        return self.diameter / (self.grad_bound * np.sqrt(denom))
-
-    def eta_array(self, count: int, offset: int = 0) -> np.ndarray:
-        """Per-arrival step sizes for a run of `count` arrivals.
-
-        `offset` is the number of arrivals already consumed by earlier
-        batches, so a decaying schedule keeps shrinking across batches
-        instead of restarting at η_1.
-        """
-        if self.step_rule == "fixed":
-            return np.full(count, self.step_size(1))
-        steps = np.arange(offset + 1, offset + count + 1, dtype=float)
-        return self.diameter / (self.grad_bound * np.sqrt(steps))
+    if not box_upper > 0.0 or not grad_bound > 0.0:
+        raise ValueError("box_upper and grad_bound must be positive")
+    if step_rule not in ("fixed", "decay"):
+        raise ValueError(f"unknown step rule {step_rule!r}")
+    diameter = box_upper * np.sqrt(n)
+    if step_rule == "fixed":
+        return np.full(count, diameter / (grad_bound * np.sqrt(horizon)))
+    steps = np.arange(offset + 1, offset + count + 1, dtype=float)
+    return diameter / (grad_bound * np.sqrt(steps))
 
 
 def default_grad_bound(n: int, budget_scale: float, budgets: np.ndarray) -> float:
@@ -98,6 +78,7 @@ class WeightedDualSpec:
     budgets: np.ndarray
     mu: float
     p_bar: np.ndarray = field(init=False)
+    scale: np.ndarray = field(init=False)
     infinite: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -111,7 +92,7 @@ class WeightedDualSpec:
             raise ValueError("budget_scale must be positive")
         if self.weights.size != self.preferences.shape[0]:
             raise DimensionMismatch("weights length != number of preference rows")
-        self.p_bar = self.preferences.max(axis=1)
+        self.p_bar, self.scale = _row_scale(self.preferences, self.mu)
         if np.any(self.p_bar <= 0.0):
             raise DegenerateRow("every preference row needs a positive maximum")
         self.infinite = np.isinf(self.budgets)
@@ -129,21 +110,47 @@ class WeightedDualSpec:
 # Core math
 # ============================================================
 
-def _row_exponents(P: np.ndarray, r: np.ndarray, mu: float, lam: np.ndarray) -> np.ndarray:
-    p_bar = P.max(axis=1)
-    if np.any(p_bar <= 0.0):
-        raise DegenerateRow("preference row with zero maximum")
-    return (r - lam)[None, :] * P / (p_bar[:, None] * mu)
+def _row_scale(P: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima p̄ of P and the exponent divisors p̄μ.
+
+    On an all-zero row p̄ is 0 and the divisor is μ, so the row's softmax
+    is uniform.
+    """
+    p_bar = np.maximum.reduce(P, axis=1)
+    return p_bar, np.where(p_bar > 0.0, p_bar, 1.0) * mu
 
 
-def _log_z_and_primal(P, r, mu, lam):
-    """Per-row log Z and softmax rows, max-shifted so exponents stay bounded."""
-    E = _row_exponents(P, r, mu, lam)
-    shift = E.max(axis=1, keepdims=True)
-    W = np.exp(E - shift)
-    sums = W.sum(axis=1, keepdims=True)
-    log_z = shift[:, 0] + np.log(sums[:, 0])
-    return log_z, W / sums
+def _softmax_rows(rl, P, scale, E, W, shift, Z) -> None:
+    """The dual's row softmax at reward margins rl = r − Λ, into buffers.
+
+    Fills E with the exponents (rl·P_j)/scale_j shifted by each row's
+    maximum `shift`, W with their exponentials and Z with W's row sums, so
+    that log Z_j(Λ) = shift_j + log Z_j and x_j = W_j / Z_j. Multiplying
+    before dividing is the scalar kernel's order; the offline solver's
+    stopping iteration sits on its tolerance for some instances, so its
+    rounding is kept as well.
+    """
+    np.multiply(rl, P, out=E)
+    np.divide(E, scale[:, None], out=E)
+    np.maximum.reduce(E, axis=1, out=shift)
+    np.subtract(E, shift[:, None], out=E)
+    np.exp(E, out=W)
+    np.add.reduce(W, axis=1, out=Z)
+
+
+def _softmax(rl: np.ndarray, P: np.ndarray, scale: np.ndarray):
+    """`_softmax_rows` into fresh buffers; returns (shift, W, Z)."""
+    E, W = np.empty((2,) + P.shape)
+    shift, Z = np.empty((2, P.shape[0]))
+    _softmax_rows(rl, P, scale, E, W, shift, Z)
+    return shift, W, Z
+
+
+def _checked(spec: WeightedDualSpec, lam: np.ndarray) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    if lam.size != spec.n:
+        raise DimensionMismatch(f"lambda length {lam.size} != n={spec.n}")
+    return lam
 
 
 def _budget_dot(lam: np.ndarray, budgets: np.ndarray, infinite: np.ndarray) -> float:
@@ -155,21 +162,16 @@ def _budget_dot(lam: np.ndarray, budgets: np.ndarray, infinite: np.ndarray) -> f
 
 def dual_objective(spec: WeightedDualSpec, lam: np.ndarray) -> float:
     """Weighted dual value at Λ. Uncapped items contribute nothing to ⟨Λ,b⟩."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.size != spec.n:
-        raise DimensionMismatch(f"lambda length {lam.size} != n={spec.n}")
-    log_z, _ = _log_z_and_primal(spec.preferences, spec.rewards, spec.mu, lam)
-    mix = spec.mu * float(spec.weights @ (spec.p_bar * log_z))
+    lam = _checked(spec, lam)
+    shift, _, Z = _softmax(spec.rewards - lam, spec.preferences, spec.scale)
+    mix = spec.mu * float(spec.weights @ (spec.p_bar * (shift + np.log(Z))))
     return mix + spec.budget_scale * _budget_dot(lam, spec.budgets, spec.infinite)
 
 
 def dual_gradient(spec: WeightedDualSpec, lam: np.ndarray) -> np.ndarray:
     """Analytic gradient: s·b_i − Σ_j w_j·P_ij·x_ij; zero for uncapped items."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.size != spec.n:
-        raise DimensionMismatch(f"lambda length {lam.size} != n={spec.n}")
-    _, x = _log_z_and_primal(spec.preferences, spec.rewards, spec.mu, lam)
-    consumption = (spec.weights[:, None] * spec.preferences * x).sum(axis=0)
+    _, W, Z = _softmax(spec.rewards - _checked(spec, lam), spec.preferences, spec.scale)
+    consumption = (spec.weights[:, None] * spec.preferences * (W / Z[:, None])).sum(axis=0)
     grad = spec.budget_scale * spec.budgets - consumption
     grad[spec.infinite] = 0.0
     return grad
@@ -178,8 +180,11 @@ def dual_gradient(spec: WeightedDualSpec, lam: np.ndarray) -> np.ndarray:
 def recover_primal(P: np.ndarray, r: np.ndarray, mu: float, lam: np.ndarray) -> np.ndarray:
     """Row-wise softmax allocation x_ij = exp((r_i−Λ_i)P_ij/(P̄_j μ)) / Z_j."""
     P = np.asarray(P, dtype=float)
-    _, x = _log_z_and_primal(P, np.asarray(r, dtype=float), mu, np.asarray(lam, dtype=float))
-    return x
+    p_bar, scale = _row_scale(P, mu)
+    if np.any(p_bar <= 0.0):
+        raise DegenerateRow("preference row with zero maximum")
+    _, W, Z = _softmax(np.asarray(r, dtype=float) - np.asarray(lam, dtype=float), P, scale)
+    return W / Z[:, None]
 
 
 # ============================================================
@@ -193,12 +198,6 @@ class OfflineSolution:
     iterations: int
     converged: bool
     pg_norm: float
-
-
-def _project(lam: np.ndarray, upper: float, infinite: np.ndarray) -> np.ndarray:
-    out = np.clip(lam, 0.0, upper)
-    out[infinite] = 0.0
-    return out
 
 
 def solve_offline(
@@ -216,6 +215,8 @@ def solve_offline(
     """
     if box_upper is None:
         box_upper = float(spec.rewards.max())
+    # upper edge of the box per item; 0 on uncapped items pins Λ_i at 0
+    hi = np.where(spec.infinite, 0.0, box_upper)
     lam = np.zeros(spec.n)
     f = dual_objective(spec, lam)
     step = 1.0
@@ -224,14 +225,14 @@ def solve_offline(
     converged = False
     for it in range(1, max_iter + 1):
         grad = dual_gradient(spec, lam)
-        pg = lam - _project(lam - grad, box_upper, spec.infinite)
+        pg = lam - np.clip(lam - grad, 0.0, hi)
         pg_norm = float(np.linalg.norm(pg))
         if pg_norm <= tol:
             converged = True
             break
         step = min(step * 2.0, 1e6)
         while True:
-            cand = _project(lam - step * grad, box_upper, spec.infinite)
+            cand = np.clip(lam - step * grad, 0.0, hi)
             move = cand - lam
             f_cand = dual_objective(spec, cand)
             if f_cand <= f + 1e-4 * float(grad @ move) or step < 1e-18:

@@ -30,7 +30,6 @@ from .arrivals import ArrivalSequence, sample_stream
 from .dual import (
     OfflineSolution,
     WeightedDualSpec,
-    dual_objective,
     recover_primal,
     solve_offline,
 )
@@ -191,14 +190,9 @@ def greedy_baseline(
 # Metrics
 # ============================================================
 
-def compute_regret(
-    trace: Trace,
-    benchmark: WeightedDualSpec,
-    lam_star: np.ndarray,
-) -> tuple[float, float]:
+def compute_regret(trace: Trace, f_star: float) -> tuple[float, float]:
     """Total and average regret of the recorded dual values against the
-    fixed offline benchmark value."""
-    f_star = dual_objective(benchmark, lam_star)
+    fixed offline benchmark value `f_star` (the solver's `value`)."""
     total = float(trace.f_vals.sum() - trace.f_vals.size * f_star)
     return total, total / trace.f_vals.size
 
@@ -407,7 +401,7 @@ def _fill_online_metrics(
         sol = _solve_benchmark(config, spec)
         report.f_star = sol.value
         report.lam_star = sol.lam
-        report.total_regret, report.average_regret = compute_regret(trace, spec, sol.lam)
+        report.total_regret, report.average_regret = compute_regret(trace, sol.value)
     else:
         report.total_regret, report.average_regret, report.f_star = segment_regret(
             trace, plan, config)

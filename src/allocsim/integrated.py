@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .arrivals import ArrivalSequence
-from .dual import DualState, default_grad_bound
+from .dual import default_grad_bound, step_sizes
 from .errors import LengthMismatch
 from .model import SimConfig, substream
 
@@ -210,8 +210,9 @@ def run_integrated(
     weights = np.asarray(weights, dtype=float)
     if weights.size != m:
         raise LengthMismatch("weights length != number of types")
-    if abs(float(weights.sum()) - 1.0) > 1e-8:
-        raise ValueError("weights must sum to 1")
+    # written so that NaN (which compares False) and inf both fail
+    if not (np.all(weights >= 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-8):
+        raise ValueError("weights must be nonnegative and sum to 1")
     arrivals.check_types(m)
 
     st = loop_state if loop_state is not None else LoopState.fresh(
@@ -221,12 +222,13 @@ def run_integrated(
     expected = max(expected, 1)
     s_budget = 1.0 / expected
     lam_max = config.lambda_max()
-    grad_bound = default_grad_bound(n, s_budget, inst.budgets)
-    dual_state = DualState(
-        lam=st.lam.copy(), box_upper=lam_max, grad_bound=grad_bound,
-        horizon=expected, step_rule=step_rule,
+    etas = step_sizes(
+        T, n=n, box_upper=lam_max,
+        grad_bound=default_grad_bound(n, s_budget, inst.budgets),
+        horizon=expected, step_rule=step_rule, offset=st.t_global,
     )
-    etas = dual_state.eta_array(T, offset=st.t_global)
+    if np.any(st.lam < -1e-12) or np.any(st.lam > lam_max + 1e-12):
+        raise ValueError("lambda must start inside [0, lambda_max]")
 
     if rng is None:
         rng = np.random.default_rng(substream(config.seed, "loop"))

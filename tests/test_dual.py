@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from allocsim import (
-    DualState,
     WeightedDualSpec,
     dual_gradient,
     dual_objective,
     recover_primal,
     solve_offline,
+    step_sizes,
 )
-from allocsim.errors import DimensionMismatch
+from allocsim.errors import DegenerateRow, DimensionMismatch
 from conftest import hand_state, loop_config, random_dual_spec, run_arrivals
 
 
@@ -178,6 +178,15 @@ class TestRecoverPrimal:
             x[0], [e / (e + 1.0), 1.0 / (e + 1.0)], atol=1e-9
         )
 
+    def test_zero_row_is_degenerate(self):
+        P = np.array([[0.5, 0.2], [0.0, 0.0]])
+        with pytest.raises(DegenerateRow):
+            recover_primal(P, np.ones(2), 0.5, np.zeros(2))
+        with pytest.raises(DegenerateRow):
+            WeightedDualSpec(weights=np.array([0.5, 0.5]), budget_scale=1.0,
+                             preferences=P, rewards=np.ones(2),
+                             budgets=np.ones(2), mu=0.5)
+
     def test_price_equal_to_reward_gives_uniform(self):
         r = np.array([0.4, 0.7, 1.0])
         x = recover_primal(np.array([[0.5, 0.5, 0.5]]), r, 0.3, r.copy())
@@ -326,26 +335,23 @@ class TestSolveOffline:
 
 
 class TestDualState:
+    """The loop's dual step sizes, from `step_sizes`."""
+
     def test_fixed_step_size(self):
-        state = DualState(
-            lam=np.zeros(4), box_upper=1.0, grad_bound=2.0, horizon=400,
-        )
+        etas = step_sizes(3, n=4, box_upper=1.0, grad_bound=2.0, horizon=400)
         # D = box * sqrt(n) = 2, eta = D / (G sqrt(T)) = 2 / (2 * 20)
-        assert state.step_size(1) == pytest.approx(0.05)
-        etas = state.eta_array(3)
+        assert etas[0] == pytest.approx(0.05)
         np.testing.assert_allclose(etas, 0.05)
 
     def test_decay_schedule_continues_across_batches(self):
-        state = DualState(
-            lam=np.zeros(1), box_upper=1.0, grad_bound=1.0, horizon=100,
-            step_rule="decay",
-        )
-        first = state.eta_array(5)
-        second = state.eta_array(5, offset=5)
+        sizes = dict(n=1, box_upper=1.0, grad_bound=1.0, horizon=100,
+                     step_rule="decay")
+        first = step_sizes(5, **sizes)
+        second = step_sizes(5, offset=5, **sizes)
         np.testing.assert_allclose(first, 1.0 / np.sqrt(np.arange(1, 6)))
         np.testing.assert_allclose(second, 1.0 / np.sqrt(np.arange(6, 11)))
 
     def test_rejects_bad_rule(self):
         with pytest.raises(ValueError):
-            DualState(lam=np.zeros(1), box_upper=1.0, grad_bound=1.0,
-                      horizon=10, step_rule="linear")
+            step_sizes(1, n=1, box_upper=1.0, grad_bound=1.0, horizon=10,
+                       step_rule="linear")

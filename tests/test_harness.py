@@ -146,7 +146,7 @@ class TestMetrics:
         report, spec = self._benchmarked()
         f_star = dual_objective(spec, report.lam_star)
         report.trace.f_vals = np.full(len(report.trace), f_star)
-        total, avg = compute_regret(report.trace, spec, report.lam_star)
+        total, avg = compute_regret(report.trace, f_star)
         assert total == pytest.approx(0.0, abs=1e-9)
         assert avg == pytest.approx(0.0, abs=1e-12)
 
@@ -155,7 +155,7 @@ class TestMetrics:
         f_star = dual_objective(spec, report.lam_star)
         report.trace.f_vals = np.full(len(report.trace), f_star)
         report.trace.f_vals[7] += 0.2
-        total, avg = compute_regret(report.trace, spec, report.lam_star)
+        total, avg = compute_regret(report.trace, f_star)
         assert total == pytest.approx(0.2, abs=1e-9)
         assert avg == pytest.approx(0.2 / len(report.trace), abs=1e-12)
 

@@ -17,7 +17,6 @@ from allocsim import (
     AlgoParams,
     ArrivalSequence,
     CheckpointLog,
-    DualState,
     LoopState,
     ProblemInstance,
     SimConfig,
@@ -30,6 +29,7 @@ from allocsim import (
     scenario_nonstationary,
     scenario_stationary,
     solve_offline,
+    step_sizes,
     substream,
     validate_instance,
 )
@@ -100,7 +100,7 @@ class TestProjectBox:
             with pytest.raises(ValueError):
                 AlgoParams(r_max=1, lambda_max=bad)
             with pytest.raises(ValueError):
-                DualState(lam=np.zeros(2), box_upper=bad, grad_bound=1.0, horizon=10)
+                step_sizes(1, n=2, box_upper=bad, grad_bound=1.0, horizon=10)
 
 
 class TestOgdStep:
@@ -265,6 +265,25 @@ class TestRunIntegrated:
         stream = sample_stationary_stream(np.ones(2), 10, seed=0)
         with pytest.raises(ValueError):
             run_integrated(config, stream, np.array([0.7, 0.7]))
+
+    @pytest.mark.parametrize("weights", [
+        np.full(10, np.nan),
+        np.array([2.0, -1.0] + [0.0] * 8),
+        np.full(10, 0.2),
+    ], ids=["nan", "negative", "unnormalized"])
+    def test_rejects_bad_weights(self, weights):
+        config = scenario_stationary(T=500, seed=1)
+        stream = sample_stationary_stream(config.arrivals.rates, 500, seed=1)
+        with pytest.raises(ValueError):
+            run_integrated(config, stream, weights)
+
+    @pytest.mark.parametrize("offset", [-1e-3, 1e-3], ids=["below", "above"])
+    def test_rejects_lambda_outside_box(self, offset):
+        config = loop_config(n=2, budgets=5.0)
+        top = config.lambda_max()
+        lam = [0.0, offset] if offset < 0.0 else [top + offset, 0.0]
+        with pytest.raises(ValueError):
+            run_arrivals(config, hand_state(config, lam=lam), [0])
 
 
 def on_reference_backend(monkeypatch, run):
