@@ -11,16 +11,23 @@ Two implementations of the same integrated loop live here:
 
 The numpy twin's cost is numpy call overhead on small arrays, so it does one
 full m x n softmax per arrival, right after the dual step, at the new
-iterate and the current estimate. That one softmax gives log Z for the
-recorded dual value; its row for the next arrival's type, times the
-availability mask, is that arrival's selection weights (the same
+iterate and the current estimate. Its row for the next arrival's type,
+times the availability mask, is that arrival's selection weights (the same
 distribution as the masked, renormalized row the scalar kernel builds); and
 it is reused for the next arrival's gradient, where only the row of the
-estimate that the arrival moved is recomputed. The row divisors p_bar mu and
-the availability mask are cached and updated per arrival the same way, and the
-gradient is one matvec. The caches are rebuilt at call start from the state
-with the expressions the loop uses, so a run split into chained calls
-matches one call bit for bit.
+estimate that the arrival moved is recomputed. The row divisors p_bar mu
+are kept as a materialized (m, n) matrix, so the softmax divides two arrays
+of one shape instead of broadcasting a column; a row is refilled only when
+its p_bar changes. The availability mask, a score cap (-inf on sold-out
+items) and a per-type count of unvisited items are updated per arrival the
+same way, and the gradient is one matvec. The recorded dual values are
+deferred: the loop runs in chunks of `_DUAL_CHUNK` arrivals, each arrival
+writes its post-step shift, Z, p_bar and lambda into a row of fixed history
+buffers, and at the end of each chunk one stacked pass turns the filled
+rows into f_vals, with products that round like the per-row ones. A chunk's
+per-arrival inputs are read as Python scalars when it starts. The caches
+are rebuilt at call start from the state with the expressions the loop
+uses, so a run split into chained calls matches one call bit for bit.
 
 The default backend, `BACKEND`, is read at import from ALLOCSIM_BACKEND
 ("numba" or "numpy"; default numba when importable) but checked only when a
@@ -307,6 +314,10 @@ _integrated_jit = njit(cache=True)(_integrated_scalar) if HAS_NUMBA else None
 # recomputed with the shift taken over available items only.
 _SELECT_UNDERFLOW = 1e-200
 
+# Arrivals per chunk of the numpy twin: its per-arrival inputs are read as
+# Python scalars, and its recorded dual values computed, a chunk at a time.
+_DUAL_CHUNK = 256
+
 
 def _integrated_numpy(
     types, weights, phi, phi_constant, s_budget, p_true, rewards, budgets,
@@ -329,133 +340,184 @@ def _integrated_numpy(
     ck_rem = np.empty((max_ck, n))
     n_ck = 0
 
+    # small state read as Python scalars
+    p_true_l, infinite_l, rounds_l = (
+        a.tolist() for a in (p_true, infinite, type_rounds))
+
     fin_budgets = np.where(infinite, 0.0, budgets)
     grad_floor = s_budget * fin_budgets
     # Box upper bound per item; 0 on uncapped items pins their price at 0,
     # so their gradient entries never reach the iterate.
     lam_hi = np.where(infinite, 0.0, lam_max)
     zeros = np.zeros(n)
-    sold_out = ~(infinite | (remaining >= 1.0))
-    mask = (~sold_out).astype(np.float64)
-    n_avail = n - int(np.count_nonzero(sold_out))
+    available = infinite | (remaining >= 1.0)
+    mask = available.astype(np.float64)
+    # capping a score row at `cap` sends sold-out items to -inf
+    cap = np.where(available, np.inf, -np.inf)
+    n_avail = int(np.count_nonzero(available))
+    unseen = np.count_nonzero(counts == 0, axis=1).tolist()
 
     # Caches, rebuilt from the state with the expressions the loop refreshes
     # them with, so a run split into chained calls matches one call bit for
-    # bit. scale = p_bar mu with p_bar := 1 on an all-zero row; W and Z are
-    # the shifted exponentials and their row sums at (lam, p_hat), which
-    # `_softmax_rows` fills here and after every dual step.
+    # bit. scale = p_bar mu with p_bar := 1 on an all-zero row, materialized
+    # as the (m, n) divisor matrix `div`; W and Z are the shifted
+    # exponentials and their row sums at (lam, p_hat), which `_softmax_rows`
+    # fills here and after every dual step.
     rl = rewards - lam
     pbar, scale = _row_scale(p_hat, mu)
+    pbar_l, scale_l = pbar.tolist(), scale.tolist()
+    div = np.repeat(scale[:, None], n, axis=1)
     E = np.empty((m, n))
     W = np.empty((m, n))
     PW = np.empty((m, n))
-    shift = np.empty(m)
     Z = np.empty(m)
-    log_z = np.empty(m)
     wz = np.empty(m)
     grad = np.empty(n)
+    step = np.empty(n)
     wts = np.empty(n)
     cum = np.empty(n)
     scores = np.empty(n)
-    p_rows, E_rows, W_rows = (list(a) for a in (p_hat, E, W))
-    phi_row = phi[0]
+    p_rows, E_rows, W_rows, div_rows = (list(a) for a in (p_hat, E, W, div))
 
-    _softmax_rows(rl, p_hat, scale, E, W, shift, Z)
-    for t in range(T):
-        g = t_offset + t + 1
-        j = types[t]
-        type_rounds[j] += 1
-        use_ucb = last_change > eps_p and g <= r_max
-        if not use_ucb:
-            phase[t] = 1
+    # Deferred dual values: arrival k of a chunk leaves its post-step shift,
+    # Z, p_bar and lam in row k of these buffers, and `record` turns the
+    # filled rows into f_vals with stacked products that round like the
+    # per-row ones.
+    h_shift = np.empty((_DUAL_CHUNK, m))
+    h_z = np.empty((_DUAL_CHUNK, m))
+    h_pbar = np.empty((_DUAL_CHUNK, m))
+    h_lam = np.empty((_DUAL_CHUNK, n))
+    h_log = np.empty((_DUAL_CHUNK, m))
+    shift_rows, lam_rows = list(h_shift), list(h_lam)
+    phi_rows = np.broadcast_to(phi[0], (_DUAL_CHUNK, m)) if phi_constant else None
 
-        sel = -1
-        if n_avail:
-            if use_ucb:
-                row_counts = counts[j]
-                np.divide(1.5 * np.log(np.float64(type_rounds[j])),
-                          np.maximum(row_counts, 1), out=scores)
-                np.sqrt(scores, out=scores)
-                np.add(p_rows[j], scores, out=scores)
-                scores[row_counts == 0] = np.inf
-                scores[sold_out] = -np.inf
-                sel = int(scores.argmax())
-            else:
-                # Row j of the cached softmax at (lam, p_hat), masked, is a
-                # positive multiple of the masked row shifted by its own
-                # maximum, so it samples the same distribution. An all-zero
-                # estimate row is all ones: uniform over what is available.
-                np.multiply(W_rows[j], mask, out=wts)
-                np.add.accumulate(wts, out=cum)
-                total = cum[-1]
-                if total < _SELECT_UNDERFLOW:
-                    np.multiply(rl, p_rows[j], out=wts)
-                    np.divide(wts, scale[j], out=wts)
-                    wts[sold_out] = -np.inf
-                    np.exp(wts - np.maximum.reduce(wts), out=wts)
+    def record(lo, size):
+        log_z = h_log[:size]
+        np.log(h_z[:size], out=log_z)
+        np.add(log_z, h_shift[:size], out=log_z)
+        np.multiply(h_pbar[:size], log_z, out=log_z)
+        rows = phi_rows[:size] if phi_constant else phi[lo:lo + size]
+        mix = np.matmul(rows[:, None, :], log_z[:, :, None])
+        spent = np.matmul(h_lam[:size, None, :], fin_budgets[:, None])
+        f_vals[lo:lo + size] = mu * mix[:, 0, 0] + s_budget * spent[:, 0, 0]
+
+    state_lam = lam
+    _softmax_rows(rl, p_hat, div, E, W, np.empty(m), Z)
+    for lo in range(0, T, _DUAL_CHUNK):
+        size = min(_DUAL_CHUNK, T - lo)
+        # the chunk's per-arrival inputs as Python scalars
+        types_c, u_select_c, u_purchase_c, etas_c = (
+            a[lo:lo + size].tolist() for a in (types, u_select, u_purchase, etas))
+        for k in range(size):
+            t = lo + k
+            g = t_offset + t + 1
+            j = types_c[k]
+            rounds_l[j] += 1
+            use_ucb = last_change > eps_p and g <= r_max
+            if not use_ucb:
+                phase[t] = 1
+
+            sel = -1
+            if n_avail:
+                if use_ucb:
+                    row_counts = counts[j]
+                    # unvisited items score inf; once a type has visited
+                    # every item its counts need no floor and its row no mask
+                    np.divide(1.5 * np.log(np.float64(rounds_l[j])),
+                              np.maximum(row_counts, 1) if unseen[j] else row_counts,
+                              out=scores)
+                    np.sqrt(scores, out=scores)
+                    np.add(p_rows[j], scores, out=scores)
+                    if unseen[j]:
+                        scores[row_counts == 0] = np.inf
+                    np.minimum(scores, cap, out=scores)
+                    sel = int(scores.argmax())
+                else:
+                    # Row j of the cached softmax at (lam, p_hat), masked, is
+                    # a positive multiple of the masked row shifted by its
+                    # own maximum, so it samples the same distribution. An
+                    # all-zero estimate row is all ones: uniform over what is
+                    # available.
+                    np.multiply(W_rows[j], mask, out=wts)
                     np.add.accumulate(wts, out=cum)
                     total = cum[-1]
-                sel = int(cum.searchsorted(u_select[t] * total, side="right"))
-                if sel >= n:
-                    sel = int(np.flatnonzero(wts > 0.0)[-1])
+                    if total < _SELECT_UNDERFLOW:
+                        np.multiply(rl, p_rows[j], out=wts)
+                        np.divide(wts, scale_l[j], out=wts)
+                        np.minimum(wts, cap, out=wts)
+                        np.exp(wts - np.maximum.reduce(wts), out=wts)
+                        np.add.accumulate(wts, out=cum)
+                        total = cum[-1]
+                    sel = int(cum.searchsorted(u_select_c[k] * total, side="right"))
+                    if sel >= n:
+                        sel = int(np.flatnonzero(wts > 0.0)[-1])
 
-        assigned[t] = sel
-        if sel >= 0:
-            if u_purchase[t] < p_true[j, sel]:
-                bought[t] = 1
-                purchases[j, sel] += 1
-            if not infinite[sel]:
-                remaining[sel] -= 1.0
-                if remaining[sel] < 1.0:
-                    sold_out[sel] = True
-                    mask[sel] = 0.0
-                    n_avail -= 1
-            counts[j, sel] += 1
-            p_hat[j, sel] = purchases[j, sel] / counts[j, sel]
+            assigned[t] = sel
+            if sel >= 0:
+                if u_purchase_c[k] < p_true_l[j][sel]:
+                    bought[t] = 1
+                    purchases[j, sel] += 1
+                if not infinite_l[sel]:
+                    remaining[sel] -= 1.0
+                    if remaining[sel] < 1.0:
+                        mask[sel] = 0.0
+                        cap[sel] = -np.inf
+                        n_avail -= 1
+                visits = counts[j, sel] + 1
+                counts[j, sel] = visits
+                if visits == 1:
+                    unseen[j] -= 1
+                p_hat[j, sel] = purchases[j, sel] / visits
 
-            # only row j of the estimate moved: refresh its caches, with the
-            # dual.py softmax written out for one row (cheaper than a call)
-            p_row, e_row = p_rows[j], E_rows[j]
-            pbar_j = max(p_row.tolist())
-            pbar[j] = pbar_j
-            scale[j] = scale_j = (pbar_j if pbar_j > 0.0 else 1.0) * mu
-            np.multiply(rl, p_row, out=e_row)
-            np.divide(e_row, scale_j, out=e_row)
-            np.subtract(e_row, max(e_row.tolist()), out=e_row)
-            np.exp(e_row, out=W_rows[j])
-            Z[j] = np.add.reduce(W_rows[j])
+                # only row j of the estimate moved: refresh its caches, with
+                # the dual.py softmax written out for one row (cheaper than a
+                # call)
+                p_row, e_row = p_rows[j], E_rows[j]
+                pbar_j = max(p_row.tolist())
+                if pbar_j != pbar_l[j]:
+                    pbar_l[j] = pbar[j] = pbar_j
+                    scale_l[j] = (pbar_j if pbar_j > 0.0 else 1.0) * mu
+                    div_rows[j].fill(scale_l[j])
+                np.multiply(rl, p_row, out=e_row)
+                np.divide(e_row, scale_l[j], out=e_row)
+                np.subtract(e_row, max(e_row.tolist()), out=e_row)
+                np.exp(e_row, out=W_rows[j])
+                Z[j] = np.add.reduce(W_rows[j])
 
-        # gradient of the weighted dual at the pre-step iterate, one matvec
-        np.divide(weights, Z, out=wz)
-        np.multiply(p_hat, W, out=PW)
-        np.matmul(wz, PW, out=grad)
-        np.subtract(grad_floor, grad, out=grad)
-        np.multiply(grad, etas[t], out=grad)
-        np.subtract(lam, grad, out=lam)
-        np.minimum(lam, lam_hi, out=lam)
-        np.maximum(lam, zeros, out=lam)
+            # gradient of the weighted dual at the pre-step iterate, one
+            # matvec; the projected step lands in the arrival's history row
+            np.divide(weights, Z, out=wz)
+            np.multiply(p_hat, W, out=PW)
+            np.matmul(wz, PW, out=grad)
+            np.subtract(grad_floor, grad, out=grad)
+            np.multiply(grad, etas_c[k], out=grad)
+            np.subtract(lam, grad, out=step)
+            np.minimum(step, lam_hi, out=step)
+            lam = lam_rows[k]
+            np.maximum(step, zeros, out=lam)
 
-        # the one full softmax: log Z for the recorded dual value now, and
-        # the selection and gradient rows of the next arrival
-        np.subtract(rewards, lam, out=rl)
-        _softmax_rows(rl, p_hat, scale, E, W, shift, Z)
-        np.log(Z, out=log_z)
-        np.add(log_z, shift, out=log_z)
-        np.multiply(pbar, log_z, out=log_z)
-        prow = phi_row if phi_constant else phi[t]
-        f_vals[t] = mu * float(prow @ log_z) + s_budget * float(lam @ fin_budgets)
+            # the one full softmax: the recorded dual value's log Z, and the
+            # selection and gradient rows of the next arrival
+            np.subtract(rewards, lam, out=rl)
+            _softmax_rows(rl, p_hat, div, E, W, shift_rows[k], Z)
+            h_z[k] = Z
+            h_pbar[k] = pbar
 
-        if g % k_interval == 0:
-            err = float(np.linalg.norm(p_hat - p_true))
-            chg = float(np.linalg.norm(p_hat - prev_ckpt))
-            prev_ckpt[...] = p_hat
-            last_change = chg
-            ck_t[n_ck] = g
-            ck_err[n_ck] = err
-            ck_chg[n_ck] = chg
-            ck_lam[n_ck] = lam
-            ck_rem[n_ck] = remaining
-            n_ck += 1
+            if g % k_interval == 0:
+                err = float(np.linalg.norm(p_hat - p_true))
+                chg = float(np.linalg.norm(p_hat - prev_ckpt))
+                prev_ckpt[...] = p_hat
+                last_change = chg
+                ck_t[n_ck] = g
+                ck_err[n_ck] = err
+                ck_chg[n_ck] = chg
+                ck_lam[n_ck] = lam
+                ck_rem[n_ck] = remaining
+                n_ck += 1
+        record(lo, size)
+
+    state_lam[...] = lam
+    type_rounds[...] = rounds_l
 
     return (
         assigned, bought, phase, f_vals, last_change,

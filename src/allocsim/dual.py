@@ -86,7 +86,8 @@ class WeightedDualSpec:
         self.preferences = np.asarray(self.preferences, dtype=float)
         self.rewards = np.asarray(self.rewards, dtype=float)
         self.budgets = np.asarray(self.budgets, dtype=float)
-        if np.any(self.weights < 0.0):
+        # written so that NaN (which compares False) fails
+        if not np.all(self.weights >= 0.0):
             raise ValueError("weights must be nonnegative")
         if not self.budget_scale > 0.0:
             raise ValueError("budget_scale must be positive")
@@ -120,18 +121,20 @@ def _row_scale(P: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
     return p_bar, np.where(p_bar > 0.0, p_bar, 1.0) * mu
 
 
-def _softmax_rows(rl, P, scale, E, W, shift, Z) -> None:
+def _softmax_rows(rl, P, div, E, W, shift, Z) -> None:
     """The dual's row softmax at reward margins rl = r − Λ, into buffers.
 
     Fills E with the exponents (rl·P_j)/scale_j shifted by each row's
     maximum `shift`, W with their exponentials and Z with W's row sums, so
-    that log Z_j(Λ) = shift_j + log Z_j and x_j = W_j / Z_j. Multiplying
-    before dividing is the scalar kernel's order; the offline solver's
-    stopping iteration sits on its tolerance for some instances, so its
-    rounding is kept as well.
+    that log Z_j(Λ) = shift_j + log Z_j and x_j = W_j / Z_j. The divisors
+    come as `div`: either the column scale[:, None] or the same values
+    materialized as an (m, n) matrix, which the per-arrival loop keeps to
+    avoid a broadcast; both round alike. Multiplying before dividing is the
+    scalar kernel's order; the offline solver's stopping iteration sits on
+    its tolerance for some instances, so its rounding is kept as well.
     """
     np.multiply(rl, P, out=E)
-    np.divide(E, scale[:, None], out=E)
+    np.divide(E, div, out=E)
     np.maximum.reduce(E, axis=1, out=shift)
     np.subtract(E, shift[:, None], out=E)
     np.exp(E, out=W)
@@ -142,7 +145,7 @@ def _softmax(rl: np.ndarray, P: np.ndarray, scale: np.ndarray):
     """`_softmax_rows` into fresh buffers; returns (shift, W, Z)."""
     E, W = np.empty((2,) + P.shape)
     shift, Z = np.empty((2, P.shape[0]))
-    _softmax_rows(rl, P, scale, E, W, shift, Z)
+    _softmax_rows(rl, P, scale[:, None], E, W, shift, Z)
     return shift, W, Z
 
 

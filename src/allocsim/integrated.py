@@ -242,6 +242,8 @@ def run_integrated(
         phi_arr = np.ascontiguousarray(phi, dtype=float)
         if phi_arr.shape != (T, m):
             raise LengthMismatch("phi must be (arrivals, types)")
+        if not np.all(np.isfinite(phi_arr) & (phi_arr >= 0.0)):
+            raise ValueError("phi must be finite and nonnegative")
         phi_constant = False
 
     t_offset = st.t_global

@@ -165,6 +165,9 @@ class RateFunction:
     def value(self, t):
         """Evaluate at scalar or array t; pieces are [from, to), last closed."""
         ts = np.asarray(t, dtype=float)
+        if len(self.pieces) == 1:
+            piece = self.pieces[0]
+            return piece.value(ts) if ts.ndim else float(piece.value(float(ts)))
         starts = np.array([p.t_from for p in self.pieces])
         idx = np.searchsorted(starts, ts, side="right") - 1
         idx = np.clip(idx, 0, len(self.pieces) - 1)

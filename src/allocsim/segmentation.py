@@ -122,25 +122,37 @@ def _scan_window(
     [t, t*] stays within threshold (and, when delta_cap is given, the
     implied probability band stays within it). Returns t* and the per-type
     (min, max) extrema over [t, t*]. Advances at least one grid point.
+
+    The rates are evaluated on a growing prefix of `scan_grid(t, t_end)`:
+    a window of 2 grid_dt that doubles until it holds a violation or
+    reaches t_end. Running extrema over a prefix equal those over the whole
+    grid, so the result is the full-horizon scan's.
     """
     pts = scan_grid(rate_fns, t, t_end, grid_dt)
     if pts.size < 2:
         raise DegenerateSegment(
             f"no grid point inside ({t}, {t_end}]; grid_dt={grid_dt} too coarse"
         )
-    vals = np.stack([fn.value(pts) for fn in rate_fns])
-    cmax = np.maximum.accumulate(vals, axis=1)
-    cmin = np.minimum.accumulate(vals, axis=1)
-    ok = np.all(cmax - cmin <= threshold + 1e-12, axis=0)
-    if delta_cap is not None:
-        y = cmin.sum(axis=0)
-        big = cmax.sum(axis=0)
-        safe_y = np.where(y > 0.0, y, 1.0)
-        dvec = cmax / safe_y - cmin / big
-        ok &= (y > 0.0) & np.all(dvec <= delta_cap + 1e-12, axis=0)
-    ok[0] = True
-    bad = np.flatnonzero(~ok)
-    k = int(bad[0]) - 1 if bad.size else pts.size - 1
+    width = 2.0 * grid_dt
+    while True:
+        stop = max(int(np.searchsorted(pts, t + width, side="right")), 2)
+        window = pts[:stop]
+        vals = np.stack([fn.value(window) for fn in rate_fns])
+        cmax = np.maximum.accumulate(vals, axis=1)
+        cmin = np.minimum.accumulate(vals, axis=1)
+        ok = np.all(cmax - cmin <= threshold + 1e-12, axis=0)
+        if delta_cap is not None:
+            y = cmin.sum(axis=0)
+            big = cmax.sum(axis=0)
+            safe_y = np.where(y > 0.0, y, 1.0)
+            dvec = cmax / safe_y - cmin / big
+            ok &= (y > 0.0) & np.all(dvec <= delta_cap + 1e-12, axis=0)
+        ok[0] = True
+        bad = np.flatnonzero(~ok)
+        if bad.size or stop == pts.size:
+            break
+        width *= 2.0
+    k = int(bad[0]) - 1 if bad.size else stop - 1
     k = max(k, 1)
     extrema = [(float(cmin[j, k]), float(cmax[j, k])) for j in range(len(rate_fns))]
     return float(pts[k]), extrema

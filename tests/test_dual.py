@@ -187,6 +187,12 @@ class TestRecoverPrimal:
                              preferences=P, rewards=np.ones(2),
                              budgets=np.ones(2), mu=0.5)
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError):
+            WeightedDualSpec(weights=np.array([np.nan, 0.5]), budget_scale=1.0,
+                             preferences=np.full((2, 2), 0.5), rewards=np.ones(2),
+                             budgets=np.ones(2), mu=0.5)
+
     def test_price_equal_to_reward_gives_uniform(self):
         r = np.array([0.4, 0.7, 1.0])
         x = recover_primal(np.array([[0.5, 0.5, 0.5]]), r, 0.3, r.copy())

@@ -277,6 +277,16 @@ class TestRunIntegrated:
         with pytest.raises(ValueError):
             run_integrated(config, stream, weights)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
+    def test_rejects_bad_phi_row(self, bad):
+        config = scenario_stationary(T=500, seed=1)
+        stream = sample_stationary_stream(config.arrivals.rates, 500, seed=1)
+        w = config.arrivals.rates / config.arrivals.rates.sum()
+        phi = np.tile(w, (500, 1))
+        phi[137] = bad
+        with pytest.raises(ValueError):
+            run_integrated(config, stream, w, phi=phi)
+
     @pytest.mark.parametrize("offset", [-1e-3, 1e-3], ids=["below", "above"])
     def test_rejects_lambda_outside_box(self, offset):
         config = loop_config(n=2, budgets=5.0)
@@ -463,6 +473,40 @@ class TestCarryOver:
             np.testing.assert_array_equal(getattr(chained.checkpoints, name),
                                           getattr(whole.checkpoints, name))
         assert whole.checkpoints.t.size > 0
+
+
+    def test_chunk_boundaries(self):
+        # The numpy twin records dual values a chunk of arrivals at a time.
+        # Calls cut one before, at and one after a chunk edge, a call shorter
+        # than a chunk, and a last call over several chunks must reproduce
+        # one call over more than three chunks, with per-arrival phi rows.
+        chunk = _kernels._DUAL_CHUNK
+        T = 3 * chunk + 61
+        config = scenario_stationary(T=T, seed=2)
+        stream = sample_stationary_stream(config.arrivals.rates, T, seed=2)
+        w = config.arrivals.rates / config.arrivals.rates.sum()
+        phi = np.random.default_rng(7).random((T, w.size))
+        phi /= phi.sum(axis=1, keepdims=True)
+
+        def run(cuts):
+            draws = SlicedDraws(np.random.default_rng(substream(config.seed, "loop")), T)
+            state, pieces = None, []
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                piece = run_integrated(config, stream.slice(lo, hi), w,
+                                       loop_state=state, rng=draws,
+                                       expected_count=T, phi=phi[lo:hi])
+                state = piece.carry
+                pieces.append(piece)
+            return Trace.concat(pieces)
+
+        whole = run([0, T])
+        chained = run([0, chunk - 1, chunk, chunk + 1, chunk + 41, T])
+        for name in ("assigned", "purchased", "phase", "f_vals", "lam_final",
+                     "remaining_final"):
+            np.testing.assert_array_equal(getattr(chained, name), getattr(whole, name))
+        np.testing.assert_array_equal(chained.carry.type_rounds,
+                                      whole.carry.type_rounds)
+        assert np.all(np.isfinite(whole.f_vals))
 
 
 class SlicedDraws:

@@ -17,6 +17,7 @@ from allocsim import (
     solve_v_threshold,
     substream,
 )
+from allocsim.arrivals import scan_grid
 from allocsim.errors import ZeroLowerSum
 from allocsim.harness import write_plan_csv
 from allocsim.integrated import run_integrated
@@ -27,6 +28,7 @@ from allocsim.model import (
     SimConfig,
     validate_instance,
 )
+from allocsim import segmentation
 from allocsim.segmentation import _scan_window
 
 
@@ -59,6 +61,72 @@ class TestFindSegmentEnd:
         fns = (linear_fn(50.0, 1.0, 0.0, 1.0),)
         t_star = _scan_window(fns, 0.0, 1e-9, 0.01, 1.0)[0]
         assert t_star > 0.0
+
+
+def full_horizon_scan(rate_fns, t, threshold, grid_dt, t_end, delta_cap=None):
+    """Brute-force `_scan_window`: every rate on the whole grid to t_end at
+    once, then the last point before the first violation (at least one
+    point past t)."""
+    pts = scan_grid(rate_fns, t, t_end, grid_dt)
+    vals = np.stack([fn.value(pts) for fn in rate_fns])
+    cmax = np.maximum.accumulate(vals, axis=1)
+    cmin = np.minimum.accumulate(vals, axis=1)
+    ok = np.all(cmax - cmin <= threshold + 1e-12, axis=0)
+    if delta_cap is not None:
+        y = cmin.sum(axis=0)
+        big = cmax.sum(axis=0)
+        dvec = cmax / np.where(y > 0.0, y, 1.0) - cmin / big
+        ok &= (y > 0.0) & np.all(dvec <= delta_cap + 1e-12, axis=0)
+    ok[0] = True
+    bad = np.flatnonzero(~ok)
+    k = max(int(bad[0]) - 1 if bad.size else pts.size - 1, 1)
+    return float(pts[k]), [(float(cmin[j, k]), float(cmax[j, k]))
+                           for j in range(len(rate_fns))]
+
+
+class TestGrowingWindow:
+    """The doubling window scan builds the same plans as a scan of the whole
+    remaining horizon, bit for bit."""
+
+    @staticmethod
+    def _plans(monkeypatch, rate_fns, t0, t_end, *knobs):
+        plan = segment_time_span(rate_fns, t0, t_end, *knobs)
+        with monkeypatch.context() as patch:
+            patch.setattr(segmentation, "_scan_window", full_horizon_scan)
+            brute = segment_time_span(rate_fns, t0, t_end, *knobs)
+        return plan, brute
+
+    @staticmethod
+    def _assert_same(plan, brute):
+        assert len(plan) == len(brute)
+        for seg, ref in zip(plan.segments, brute.segments):
+            assert (seg.t_start, seg.t_end, seg.label, seg.v) == (
+                ref.t_start, ref.t_end, ref.label, ref.v)
+            for name in ("upper", "lower", "delta_vec"):
+                a, b = getattr(seg, name), getattr(ref, name)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["extreme_budget", "varying_reward"])
+    def test_scenario_plans_match_full_scan(self, monkeypatch, kind, seed):
+        config = scenario_nonstationary(kind, 60000, 24.0, seed=seed)
+        model, p = config.arrivals, config.params
+        plan, brute = self._plans(monkeypatch, model.rate_fns, model.t0,
+                                  model.t_end, p.epsilon, p.delta, p.d, p.grid_dt)
+        assert {seg.label for seg in brute.segments} == {"A", "B"}
+        self._assert_same(plan, brute)
+        assert np.all(certify_plan(plan, model.rate_fns))
+
+    def test_piecewise_rates_match_full_scan(self, monkeypatch):
+        # piece boundaries off the grid, and mostly type-B segments
+        steep = RateFunction((RatePiece(0.0, 1.337, "linear", (5.0, 1.0)),
+                              RatePiece(1.337, 4.0, "quadratic", (-0.5, 2.0, 3.0))))
+        fns = (steep, constant_fn(1.0, 0.0, 4.0))
+        plan, brute = self._plans(monkeypatch, fns, 0.0, 4.0, 0.001, 0.3, 2.0, 0.001)
+        assert sum(seg.label == "B" for seg in brute.segments) > 1
+        self._assert_same(plan, brute)
 
 
 class TestVThreshold:
