@@ -1,4 +1,7 @@
-"""Poisson arrival stream simulation and ground-truth type probabilities."""
+"""Poisson arrival stream simulation and ground-truth type probabilities.
+
+The rate functions' scan grid (`scan_grid`, re-exported here), piece
+lookup and expected counts live in `model`."""
 
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ from .model import (
     ArrivalModel,
     RateFunction,
     StationaryArrivals,
+    scan_grid,
     substream,
 )
 
@@ -86,11 +90,7 @@ def _thin_one_type(fn: RateFunction, rng: np.random.Generator, grid_dt: float) -
     """
     out: list[float] = []
     for piece in fn.pieces:
-        lo, hi = rate_extrema(
-            RateFunction((piece,)), (piece.t_from, piece.t_to), grid_dt
-        )
-        del lo
-        lam_bar = hi
+        lam_bar = piece.grid_max(grid_dt)
         if lam_bar <= 0.0:
             continue
         t = piece.t_from
@@ -115,14 +115,14 @@ def sample_nonstationary_stream(
     Each type is thinned against its own piecewise majorant on an independent
     substream keyed by (seed, type index), so adding or reordering other
     types never perturbs a given type's draws. The merged stream is sorted by
-    time (ties broken by type index).
+    time (ties broken by type index). A rate negative on the scan grid
+    raises NegativeRate.
     """
     all_times = []
     all_types = []
     for j, fn in enumerate(rate_fns):
         if abs(fn.t0 - t0) > 1e-9 or abs(fn.t_end - t_end) > 1e-9:
             raise ValueError(f"rate function {j} does not cover [{t0}, {t_end}]")
-        fn.check_nonnegative(grid_dt)
         rng = substream(seed, "stream", j)
         tj = _thin_one_type(fn, rng, grid_dt)
         all_times.append(tj)
@@ -155,15 +155,6 @@ def type_probability_matrix(model: ArrivalModel, times: np.ndarray) -> np.ndarra
         t_bad = float(times[int(np.argmin(totals))])
         raise ZeroTotalRate(f"total rate is zero at t={t_bad}")
     return lam / totals[:, None]
-
-
-def scan_grid(rate_fns, a: float, b: float, grid_dt: float) -> np.ndarray:
-    """The points rates are checked on over [a, b], sorted and distinct:
-    {a, a+grid_dt, ...} below b, every piece boundary inside (a, b), and b."""
-    pts = np.arange(a, b, grid_dt)
-    inner = [fn.boundaries[(fn.boundaries > a) & (fn.boundaries < b)]
-             for fn in rate_fns]
-    return np.unique(np.concatenate([pts[pts < b], *inner, [b]]))
 
 
 def rate_extrema(

@@ -221,9 +221,7 @@ def expected_type_weights(config: SimConfig) -> np.ndarray:
     model = config.arrivals
     if isinstance(model, StationaryArrivals):
         return model.rates / model.rates.sum()
-    totals = np.array(
-        [fn.integral(model.t0, model.t_end) for fn in model.rate_fns]
-    )
+    totals, _ = model.expected_arrivals(model.t0, model.t_end)
     return totals / totals.sum()
 
 
@@ -279,10 +277,7 @@ def segment_regret(
         cnt = int(mask.sum())
         if cnt == 0:
             continue
-        per_type = np.array(
-            [fn.integral(seg.t_start, seg.t_end) for fn in model.rate_fns]
-        )
-        expected = max(1, round(float(per_type.sum())))
+        per_type, expected = model.expected_arrivals(seg.t_start, seg.t_end)
         spec = benchmark_spec(config, per_type / per_type.sum(), expected)
         sol = _solve_benchmark(config, spec)
         total += float(trace.f_vals[mask].sum()) - cnt * sol.value
@@ -323,7 +318,9 @@ def run_experiment(
 
     if mode == "offline":
         weights = expected_type_weights(config)
-        expected = _expected_total_arrivals(config)
+        model = config.arrivals
+        expected = (inst.horizon if isinstance(model, StationaryArrivals)
+                    else model.expected_arrivals(model.t0, model.t_end)[1])
         spec = benchmark_spec(config, weights, expected)
         sol = _solve_benchmark(config, spec)
         report.f_star = sol.value
@@ -357,14 +354,6 @@ def run_experiment(
     if out_dir is not None:
         emit_report(report, out_dir, trace_flag=trace_flag)
     return report
-
-
-def _expected_total_arrivals(config: SimConfig) -> int:
-    model = config.arrivals
-    if isinstance(model, StationaryArrivals):
-        return int(config.instance.horizon)
-    total = sum(fn.integral(model.t0, model.t_end) for fn in model.rate_fns)
-    return max(1, round(total))
 
 
 def _sample_for(config: SimConfig) -> ArrivalSequence:

@@ -11,6 +11,7 @@ Defaults documented here and filled by :func:`config_from_document`:
 
 from __future__ import annotations
 
+import bisect
 import json
 import zlib
 from dataclasses import dataclass, replace
@@ -34,6 +35,7 @@ __all__ = [
     "RATE_KINDS",
     "RatePiece",
     "RateFunction",
+    "scan_grid",
     "StationaryArrivals",
     "NonstationaryArrivals",
     "ArrivalModel",
@@ -87,6 +89,11 @@ class RatePiece:
                 f"{self.kind} piece expects {RATE_KINDS[self.kind]} params, "
                 f"got {len(self.params)}"
             )
+        if not np.all(np.isfinite((self.t_from, self.t_to, *self.params))):
+            raise RateFunctionError(
+                f"piece bounds and params must be finite, got "
+                f"[{self.t_from}, {self.t_to}) {self.params}"
+            )
         if not self.t_from < self.t_to:
             raise RateFunctionError(
                 f"piece interval [{self.t_from}, {self.t_to}) is empty"
@@ -102,6 +109,16 @@ class RatePiece:
         if self.kind == "quadratic":
             return (p[0] * t + p[1]) * t + p[2]
         return p[0] * np.sin(p[1] * t + p[2]) + p[3]
+
+    def grid_max(self, grid_dt: float) -> float:
+        """Maximum over the piece's own scan grid, [t_from, t_to] anchored at
+        t_from; raises NegativeRate if any grid value is negative."""
+        ts = scan_grid((), self.t_from, self.t_to, grid_dt)
+        vals = self.value(ts)
+        k = int(np.argmin(vals))
+        if vals[k] < 0.0:
+            raise NegativeRate(f"rate is negative at t={ts[k]:.6g} ({vals[k]:.6g})")
+        return float(vals.max())
 
     def integral(self, a: float, b: float) -> float:
         """Closed-form integral over [a, b] ⊆ [t_from, t_to]."""
@@ -147,6 +164,7 @@ class RateFunction:
                     f"coverage gap between pieces at t={prev.t_to} and t={piece.t_from}"
                 )
             prev = piece
+        object.__setattr__(self, "_starts", [p.t_from for p in self.pieces])
 
     @property
     def t0(self) -> float:
@@ -156,28 +174,20 @@ class RateFunction:
     def t_end(self) -> float:
         return self.pieces[-1].t_to
 
-    @property
+    @cached_property
     def boundaries(self) -> np.ndarray:
         """All piece endpoints, sorted ascending."""
-        pts = [p.t_from for p in self.pieces] + [self.pieces[-1].t_to]
-        return np.array(pts, dtype=float)
+        return np.array(self._starts + [self.t_end], dtype=float)
 
     def value(self, t):
         """Evaluate at scalar or array t; pieces are [from, to), last closed."""
+        if np.ndim(t) == 0:
+            k = max(bisect.bisect_right(self._starts, float(t)) - 1, 0)
+            return float(self.pieces[k].value(float(t)))
         ts = np.asarray(t, dtype=float)
-        if len(self.pieces) == 1:
-            piece = self.pieces[0]
-            return piece.value(ts) if ts.ndim else float(piece.value(float(ts)))
-        starts = np.array([p.t_from for p in self.pieces])
-        idx = np.searchsorted(starts, ts, side="right") - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
-        if ts.ndim == 0:
-            return float(self.pieces[int(idx)].value(float(ts)))
-        out = np.empty_like(ts)
-        for k, piece in enumerate(self.pieces):
-            mask = idx == k
-            if mask.any():
-                out[mask] = piece.value(ts[mask])
+        out = self.pieces[0].value(ts)
+        for piece in self.pieces[1:]:
+            np.copyto(out, piece.value(ts), where=ts >= piece.t_from)
         return out
 
     def integral(self, a: float | None = None, b: float | None = None) -> float:
@@ -197,16 +207,21 @@ class RateFunction:
         return RateFunction(tuple(p.scaled(factor) for p in self.pieces))
 
     def check_nonnegative(self, grid_dt: float) -> None:
-        """Grid-scan the whole span; raise NegativeRate on any negative value."""
+        """Grid-scan every piece; raise NegativeRate on any negative value."""
         for piece in self.pieces:
-            ts = np.arange(piece.t_from, piece.t_to, grid_dt)
-            ts = np.append(ts, piece.t_to)
-            vals = piece.value(ts)
-            if np.min(vals) < 0.0:
-                t_bad = float(ts[int(np.argmin(vals))])
-                raise NegativeRate(
-                    f"rate is negative at t={t_bad:.6g} ({float(np.min(vals)):.6g})"
-                )
+            piece.grid_max(grid_dt)
+
+
+def scan_grid(rate_fns, a: float, b: float, grid_dt: float) -> np.ndarray:
+    """The points rates are checked on over [a, b], sorted and distinct:
+    {a, a+grid_dt, ...} below b, every piece boundary inside (a, b), and b.
+    `np.arange` fills a + i·step with step fixed by a and grid_dt alone, so
+    the grid over [a, c] holds every point of the grid over [a, b] below c."""
+    pts = np.arange(a, b, grid_dt)
+    grid = np.append(pts[pts < b], b)
+    edges = np.concatenate([grid[:0], *(fn.boundaries for fn in rate_fns)])
+    inner = edges[(edges > a) & (edges < b)]
+    return np.unique(np.concatenate([grid, inner])) if inner.size else grid
 
 
 # ============================================================
@@ -223,8 +238,8 @@ class StationaryArrivals:
         object.__setattr__(self, "rates", np.asarray(self.rates, dtype=float))
         if self.rates.ndim != 1 or self.rates.size == 0:
             raise InvalidInstance("stationary rates must be a non-empty vector")
-        if np.any(self.rates <= 0.0):
-            raise InvalidInstance("stationary rates must be strictly positive")
+        if not np.all(np.isfinite(self.rates) & (self.rates > 0.0)):
+            raise InvalidInstance("stationary rates must be finite and strictly positive")
 
     @property
     def m(self) -> int:
@@ -254,6 +269,12 @@ class NonstationaryArrivals:
     @property
     def m(self) -> int:
         return len(self.rate_fns)
+
+    def expected_arrivals(self, a: float, b: float) -> tuple[np.ndarray, int]:
+        """Expected arrivals over [a, b]: per type (the rate integrals), and
+        their total rounded to a count of at least one."""
+        per_type = np.array([fn.integral(a, b) for fn in self.rate_fns])
+        return per_type, max(1, round(float(per_type.sum())))
 
 
 ArrivalModel = StationaryArrivals | NonstationaryArrivals
@@ -320,22 +341,24 @@ def validate_instance(inst: ProblemInstance) -> ProblemInstance:
         violations.append(
             (EmptyDimension, f"preferences shape {inst.preferences.shape} != (m, n)")
         )
-    elif inst.preferences.size and (
-        inst.preferences.min() < 0.0 or inst.preferences.max() > 1.0
-    ):
+    elif not np.all((inst.preferences >= 0.0) & (inst.preferences <= 1.0)):
         violations.append(
             (PreferenceOutOfRange, "preference entries must lie in [0, 1]")
         )
-    if inst.rewards.size and inst.rewards.min() <= 0.0:
-        violations.append((NonpositiveReward, "rewards must be strictly positive"))
+    if not np.all(np.isfinite(inst.rewards) & (inst.rewards > 0.0)):
+        violations.append(
+            (NonpositiveReward, "rewards must be finite and strictly positive")
+        )
     if inst.budgets.size != inst.rewards.size:
         violations.append(
             (EmptyDimension, f"budgets length {inst.budgets.size} != n={inst.n}")
         )
-    elif inst.budgets.size and np.any(inst.budgets[~np.isinf(inst.budgets)] < 0.0):
+    elif not np.all(inst.budgets >= 0.0):
         violations.append((InvalidInstance, "budgets must be nonnegative"))
-    if not inst.mu > 0.0:
-        violations.append((NonpositiveMu, f"mu must be positive, got {inst.mu}"))
+    if not 0.0 < inst.mu < np.inf:
+        violations.append(
+            (NonpositiveMu, f"mu must be positive and finite, got {inst.mu}")
+        )
     if inst.horizon < 1:
         violations.append((InvalidInstance, f"horizon must be >= 1, got {inst.horizon}"))
 
@@ -484,8 +507,15 @@ def _object(value) -> dict:
     return value
 
 
-def _vector(value) -> np.ndarray:
+def _finite(value) -> np.ndarray:
     out = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("expected finite numbers")
+    return out
+
+
+def _vector(value) -> np.ndarray:
+    out = _finite(value)
     if out.ndim != 1:
         raise ValueError("expected a list of numbers")
     return out
@@ -499,15 +529,22 @@ def _require(doc: dict, key: str, path: str, convert=None):
     return doc[key] if convert is None else _convert(convert, doc[key], where)
 
 
+def _budget(value) -> float:
+    out = float(value)
+    if np.isnan(out):
+        raise ValueError("budget is NaN")
+    return out
+
+
 def _parse_budget(entry, path: str) -> float:
     if isinstance(entry, dict):
         if entry.get("infinite"):
             return np.inf
         if "value" in entry:
-            return _convert(float, entry["value"], f"{path}.value")
+            return _convert(_budget, entry["value"], f"{path}.value")
         raise ParseError(f"{path} must carry 'value' or 'infinite': true")
     if isinstance(entry, (int, float)):
-        return float(entry)
+        return _convert(_budget, entry, path)
     raise ParseError(f"{path} is not a budget entry")
 
 
@@ -567,8 +604,7 @@ def config_from_document(doc: dict) -> SimConfig:
         pref_generator = dict(prefs_doc)
         preferences = _draw_preferences(prefs_doc, m, n, seed)
     else:
-        preferences = _convert(lambda v: np.asarray(v, dtype=float), prefs_doc,
-                               "instance.preferences")
+        preferences = _convert(_finite, prefs_doc, "instance.preferences")
     if rewards.size != n:
         raise ParseError(f"instance.rewards length {rewards.size} != n={n}")
     if preferences.shape != (m, n):
@@ -622,8 +658,9 @@ def config_from_document(doc: dict) -> SimConfig:
         )
     )
     if isinstance(arrivals, NonstationaryArrivals):
-        for fn in arrivals.rate_fns:
-            fn.check_nonnegative(params.grid_dt)
+        for j, fn in enumerate(arrivals.rate_fns):
+            _convert(fn.check_nonnegative, params.grid_dt,
+                     f"arrivals.nonstationary.rate_fns[{j}]")
     return SimConfig(
         instance=instance,
         arrivals=arrivals,

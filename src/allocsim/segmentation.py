@@ -9,10 +9,12 @@ delta, and the window is cut where the per-type rate variation (and the
 implied probability band) would exceed it: a type-B segment. Certification
 re-derives both bounds from grid extrema over each finished segment.
 
-The window scans and the certification step share one grid construction
-(uniform grid_dt steps anchored at the segment start, plus piece
-boundaries, plus the right endpoint), so a certified bound is checked on
-the same points the search saw.
+The window scans and the certification step build their grids with
+`model.scan_grid` (uniform grid_dt steps anchored at the segment start, plus
+piece boundaries, plus the right endpoint): the scan puts every type's
+boundaries on one grid, certification scans each type on its own. Rates are
+looked up through `RateFunction.value`, and the driver takes each segment's
+expected arrival count from `NonstationaryArrivals.expected_arrivals`.
 """
 
 from __future__ import annotations
@@ -123,18 +125,19 @@ def _scan_window(
     implied probability band stays within it). Returns t* and the per-type
     (min, max) extrema over [t, t*]. Advances at least one grid point.
 
-    The rates are evaluated on a growing prefix of `scan_grid(t, t_end)`:
-    a window of 2 grid_dt that doubles until it holds a violation or
-    reaches t_end. Running extrema over a prefix equal those over the whole
-    grid, so the result is the full-horizon scan's.
+    The rates are evaluated on a growing prefix of `scan_grid(t, t_end)`,
+    built as the grid to one step past it: a window of 2 grid_dt that doubles
+    until it holds a violation or reaches t_end. Running extrema over a
+    prefix equal those over the whole grid, so the result is the full scan's.
     """
-    pts = scan_grid(rate_fns, t, t_end, grid_dt)
-    if pts.size < 2:
-        raise DegenerateSegment(
-            f"no grid point inside ({t}, {t_end}]; grid_dt={grid_dt} too coarse"
-        )
     width = 2.0 * grid_dt
     while True:
+        pts = scan_grid(rate_fns, t, min(t + width + grid_dt, t_end), grid_dt)
+        if pts.size < 2:
+            raise DegenerateSegment(
+                f"no grid point inside ({t}, {t_end}]; grid_dt={grid_dt} too coarse"
+            )
+        # the window holds the last grid point only when it reaches t_end
         stop = max(int(np.searchsorted(pts, t + width, side="right")), 2)
         window = pts[:stop]
         vals = np.stack([fn.value(window) for fn in rate_fns])
@@ -351,8 +354,7 @@ def run_nonstationary(
         if hi <= lo:
             continue
         batch = stream.slice(lo, hi)
-        total = sum(fn.integral(seg.t_start, seg.t_end) for fn in model.rate_fns)
-        expected = max(1, round(total))
+        _, expected = model.expected_arrivals(seg.t_start, seg.t_end)
         phi = type_probability_matrix(model, batch.times)
         piece = run_integrated(
             config, batch, seg.weights,

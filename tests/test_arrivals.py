@@ -17,7 +17,7 @@ from allocsim import (
     sample_stationary_stream,
     type_probability_matrix,
 )
-from allocsim.errors import ZeroTotalRate
+from allocsim.errors import NegativeRate, ZeroTotalRate
 
 
 def constant_fn(c, t0=0.0, t_end=10.0):
@@ -99,6 +99,13 @@ class TestNonstationarySampler:
         f_stat = float((stat.types == 1).mean())
         sigma = np.sqrt(p * (1 - p) * (1.0 / len(thin) + 1.0 / len(stat)))
         assert abs(f_thin - f_stat) <= 4.0 * sigma
+
+    def test_negative_rate_raises(self):
+        # the majorant scan of the second piece sees -0.5 at its right end
+        fn = RateFunction((RatePiece(0.0, 1.0, "constant", (1.0,)),
+                           RatePiece(1.0, 2.0, "linear", (-1.0, 1.5))))
+        with pytest.raises(NegativeRate, match=r"t=2 \(-0\.5\)"):
+            sample_nonstationary_stream((constant_fn(1.0, 0.0, 2.0), fn), 0.0, 2.0, seed=0)
 
 
 def phi_row(model, t):

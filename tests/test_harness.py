@@ -353,9 +353,16 @@ class TestCli:
         (("instance", "T"), 300.9),
         (("params", "K"), 999.9),
         (("seed",), float("inf")),
+        (("instance", "rewards", 2), float("nan")),
+        (("instance", "budgets", 4, "value"), float("nan")),
+        (("instance", "preferences"), [[0.1] * 10] * 9 + [[0.1] * 9 + [float("nan")]]),
+        (("arrivals", "stationary", "rates", 3), float("nan")),
+        (("instance", "rewards", 2), float("inf")),
+        (("arrivals", "stationary", "rates", 3), float("inf")),
     ], ids=["K-null", "K-abc", "R_max-list", "T-x", "rewards-abc", "budgets-5",
             "rates-string", "seed-x", "generator-params-xy", "seed-fraction",
-            "T-fraction", "K-fraction", "seed-inf"])
+            "T-fraction", "K-fraction", "seed-inf", "reward-nan", "budget-nan",
+            "preference-nan", "rate-nan", "reward-inf", "rate-inf"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, where, value):
         doc = config_document(scenario_stationary(T=300, seed=1))
         target = doc
@@ -368,8 +375,25 @@ class TestCli:
         assert main(["stationary", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
-        key_path = ".".join(k for k in where if isinstance(k, str))
-        assert f"{key_path}: " in err[0]
+        # a vector's errors name the vector; a list of objects names the entry
+        keys = where[:-1] if isinstance(where[-1], int) else where
+        key_path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+        assert f"{key_path[1:]}: " in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["segment-plan", "nonstationary"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_rate_piece_exits_2(self, tmp_path, capsys, command, value):
+        doc = config_document(scenario_nonstationary("varying_reward", 2000, 24.0, seed=2))
+        doc["arrivals"]["nonstationary"]["rate_fns"][1][0]["params"][3] = value
+        path = tmp_path / "rates.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: arrivals.nonstationary.rate_fns[1][0]: ")
+        assert "finite" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario, key", [

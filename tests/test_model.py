@@ -24,6 +24,7 @@ from allocsim import (
 from allocsim.errors import (
     InvalidInstance,
     NonpositiveMu,
+    NonpositiveReward,
     ParseError,
     PreferenceOutOfRange,
     RateFunctionError,
@@ -86,6 +87,32 @@ class TestValidateInstance:
                 )
             )
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("rewards", [np.nan], NonpositiveReward),
+        ("rewards", [np.inf], NonpositiveReward),
+        ("budgets", [np.nan], InvalidInstance),
+        ("budgets", [-np.inf], InvalidInstance),
+        ("preferences", [[np.nan]], PreferenceOutOfRange),
+        ("mu", np.inf, NonpositiveMu),
+    ], ids=["reward-nan", "reward-inf", "budget-nan", "budget-minus-inf",
+            "preference-nan", "mu-inf"])
+    def test_rejects_non_finite(self, field, value, error):
+        fields = dict(rewards=[1.0], budgets=[1.0], mu=1.0,
+                      preferences=[[0.5]], horizon=10)
+        fields[field] = value
+        with pytest.raises(error):
+            validate_instance(ProblemInstance(**fields))
+
+    def test_infinite_budget_is_uncapped(self):
+        inst = validate_instance(ProblemInstance(
+            rewards=[1.0], budgets=[np.inf], mu=1.0, preferences=[[0.5]], horizon=10))
+        assert inst.infinite_items.tolist() == [True]
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_stationary_rates_must_be_finite(self, rate):
+        with pytest.raises(InvalidInstance):
+            StationaryArrivals(np.array([1.0, rate]))
+
 
 class TestConfigIO:
     def test_defaults_filled(self):
@@ -114,6 +141,13 @@ class TestConfigIO:
         save_config(config, path)
         again = config_from_document(json.loads(path.read_text()))
         assert config_document(again) == config_document(config)
+
+    def test_negative_rate_is_named(self):
+        doc = config_document(scenario_nonstationary("varying_reward", 2000, 12.0, seed=5))
+        doc["arrivals"]["nonstationary"]["rate_fns"][3][0]["params"] = [-1.0, 5.0]
+        with pytest.raises(ParseError, match=r"^arrivals\.nonstationary\.rate_fns\[3\]: "
+                                             r"rate is negative at t=12 \(-7\)"):
+            config_from_document(doc)
 
     def test_bad_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -213,10 +247,110 @@ class TestRatePieces:
         with pytest.raises(RateFunctionError):
             RatePiece(0.0, 1.0, "cubic", (1.0,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", ["t_from", "t_to", "params"])
+    def test_non_finite_piece_rejected(self, slot, bad):
+        fields = dict(t_from=0.0, t_to=1.0, kind="linear", params=(1.0, 2.0))
+        fields[slot] = (1.0, bad) if slot == "params" else bad
+        with pytest.raises(RateFunctionError, match="finite"):
+            RatePiece(**fields)
+
     def test_negative_rate_caught_by_scan(self):
         fn = RateFunction((RatePiece(0.0, 2.0, "linear", (-1.0, 1.0)),))
         with pytest.raises(RateFunctionError):
             fn.check_nonnegative(0.001)
+
+
+def lookup_value(fn, ts):
+    """Per-point reference for `RateFunction.value` on an array: each point
+    takes the last piece starting at or before it, the first piece if none."""
+    ts = np.asarray(ts, dtype=float)
+    per_piece = [piece.value(ts) for piece in fn.pieces]
+    out = np.empty_like(ts)
+    for i, t in enumerate(ts):
+        k = 0
+        for j, piece in enumerate(fn.pieces):
+            if piece.t_from <= t:
+                k = j
+        out[i] = per_piece[k][i]
+    return out
+
+
+def lookup_piece(fn, t):
+    return max([0] + [j for j, p in enumerate(fn.pieces) if p.t_from <= t])
+
+
+FOUR_KINDS = (
+    RatePiece(0.0, 1.3337, "constant", (2.5,)),
+    RatePiece(1.3337, 2.71, "linear", (3.1, 0.7)),
+    RatePiece(2.71, 4.2001, "quadratic", (-1.0, 7.3, 1.1)),
+    RatePiece(4.2001, 6.0, "sinusoid", (0.9, 2.3, 0.3, 4.0)),
+)
+
+
+def shifted(pieces, t0):
+    """The same kinds and params laid end to end from t0."""
+    out, t = [], t0
+    for p in pieces:
+        out.append(RatePiece(t, t + (p.t_to - p.t_from), p.kind, p.params))
+        t = out[-1].t_to
+    return RateFunction(tuple(out))
+
+
+class TestRateFunctionValue:
+    """`RateFunction.value` agrees bit for bit with a per-point piece lookup,
+    inside the span, on piece boundaries and outside it."""
+
+    FUNCTIONS = {
+        "four-kinds": RateFunction(FOUR_KINDS),
+        "three-pieces": shifted(FOUR_KINDS[1:], 0.0),
+        "two-pieces": shifted((FOUR_KINDS[3], FOUR_KINDS[0]), 0.5),
+        "one-piece": RateFunction(FOUR_KINDS[2:3]),
+    }
+
+    @staticmethod
+    def _points(fn):
+        edges = fn.boundaries
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf)])
+        rng = np.random.default_rng(3)
+        loose = rng.uniform(fn.t0 - 1.0, fn.t_end + 1.0, 5000)
+        dense = np.arange(fn.t0, fn.t_end, 0.00025)
+        return np.concatenate([near, loose, dense])
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_array_matches_lookup(self, name):
+        fn = self.FUNCTIONS[name]
+        ts = self._points(fn)
+        got = fn.value(ts)
+        assert got.dtype == np.float64 and got.shape == ts.shape
+        assert got.tobytes() == lookup_value(fn, ts).tobytes()
+        grid = fn.value(ts[:300].reshape(100, 3))
+        assert grid.tobytes() == lookup_value(fn, ts[:300]).tobytes()
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_scalar_matches_lookup(self, name):
+        fn = self.FUNCTIONS[name]
+        for t in self._points(fn)[:400]:
+            want = float(fn.pieces[lookup_piece(fn, t)].value(float(t)))
+            for arg in (float(t), t, np.array(t)):
+                got = fn.value(arg)
+                assert type(got) is float and got == want
+
+
+class TestExpectedArrivals:
+    MODEL = NonstationaryArrivals(
+        (RateFunction(FOUR_KINDS), shifted(FOUR_KINDS[::-1], 0.0)), 0.0, 6.0)
+
+    def test_per_type_integrals_and_rounded_total(self):
+        per_type, count = self.MODEL.expected_arrivals(1.0, 5.0)
+        want = [fn.integral(1.0, 5.0) for fn in self.MODEL.rate_fns]
+        assert per_type.tolist() == want
+        assert count == round(float(np.sum(want)))
+
+    def test_count_is_at_least_one(self):
+        per_type, count = self.MODEL.expected_arrivals(0.0, 0.01)
+        assert per_type.sum() < 0.5 and count == 1
 
 
 def test_default_ucb_rounds_floor_and_fraction():

@@ -62,6 +62,42 @@ class TestFindSegmentEnd:
         t_star = _scan_window(fns, 0.0, 1e-9, 0.01, 1.0)[0]
         assert t_star > 0.0
 
+    def test_scan_grid_matches_sorted_union(self):
+        # shared and on-grid boundaries, and windows with none inside
+        a = RateFunction((RatePiece(0.0, 1.0, "constant", (1.0,)),
+                          RatePiece(1.0, 2.5, "linear", (1.0, 0.0)),
+                          RatePiece(2.5, 4.0, "constant", (2.0,))))
+        b = RateFunction((RatePiece(0.0, 1.337, "constant", (1.0,)),
+                          RatePiece(1.337, 4.0, "constant", (3.0,))))
+        rng = np.random.default_rng(6)
+        windows = [(0.0, 4.0), (1.0, 2.5), (1.1, 1.3)] + [
+            tuple(np.sort(rng.uniform(0.0, 4.0, 2))) for _ in range(200)]
+        for fns in ((a,), (b,), (a, b), ()):
+            for lo, hi in windows:
+                got = scan_grid(fns, lo, hi, 0.001)
+                assert got.tobytes() == sorted_union_grid(fns, lo, hi, 0.001).tobytes()
+
+    def test_window_grid_is_a_prefix_of_the_horizon_grid(self):
+        # the scan builds each window as the grid to one step past it; its
+        # points up to the window's end are exactly the horizon grid's
+        steep = RateFunction((RatePiece(0.0, 1.337, "linear", (5.0, 1.0)),
+                              RatePiece(1.337, 4.0, "quadratic", (-0.5, 2.0, 3.0))))
+        fns, dt = (steep, constant_fn(1.0, 0.0, 4.0)), 0.001
+        rng = np.random.default_rng(5)
+        for t, width in zip(rng.uniform(0.0, 4.0, 300), rng.uniform(0.0, 2.0, 300)):
+            full = scan_grid(fns, t, 4.0, dt)
+            part = scan_grid(fns, t, min(t + width + dt, 4.0), dt)
+            np.testing.assert_array_equal(part[part <= t + width],
+                                          full[full <= t + width])
+
+
+def sorted_union_grid(rate_fns, a, b, grid_dt):
+    """Reference scan grid: every candidate point, sorted and deduplicated."""
+    pts = np.arange(a, b, grid_dt)
+    inner = [fn.boundaries[(fn.boundaries > a) & (fn.boundaries < b)]
+             for fn in rate_fns]
+    return np.unique(np.concatenate([pts[pts < b], *inner, [b]]))
+
 
 def full_horizon_scan(rate_fns, t, threshold, grid_dt, t_end, delta_cap=None):
     """Brute-force `_scan_window`: every rate on the whole grid to t_end at
