@@ -9,25 +9,37 @@ Two implementations of the same integrated loop live here:
   `dual.py`'s: `_row_scale` and `_softmax_rows`, the same code the offline
   solver and the metrics evaluate the dual with.
 
-The numpy twin's cost is numpy call overhead on small arrays, so it does one
-full m x n softmax per arrival, right after the dual step, at the new
-iterate and the current estimate. Its row for the next arrival's type,
-times the availability mask, is that arrival's selection weights (the same
-distribution as the masked, renormalized row the scalar kernel builds); and
-it is reused for the next arrival's gradient, where only the row of the
-estimate that the arrival moved is recomputed. The row divisors p_bar mu
-are kept as a materialized (m, n) matrix, so the softmax divides two arrays
-of one shape instead of broadcasting a column; a row is refilled only when
-its p_bar changes. The availability mask, a score cap (-inf on sold-out
-items) and a per-type count of unvisited items are updated per arrival the
-same way, and the gradient is one matvec. The recorded dual values are
-deferred: the loop runs in chunks of `_DUAL_CHUNK` arrivals, each arrival
-writes its post-step shift, Z, p_bar and lambda into a row of fixed history
-buffers, and at the end of each chunk one stacked pass turns the filled
-rows into f_vals, with products that round like the per-row ones. A chunk's
-per-arrival inputs are read as Python scalars when it starts. The caches
-are rebuilt at call start from the state with the expressions the loop
-uses, so a run split into chained calls matches one call bit for bit.
+The numpy twin's cost is numpy call overhead on small arrays, so it keeps
+the full m x n softmax at the current iterate and estimate cached and, per
+arrival, recomputes only the estimate row the arrival moved, right before
+the gradient. The cached row for an arrival's type, times the availability
+mask, is its selection weights (the same distribution as the masked,
+renormalized row the scalar kernel builds). The row divisors p_bar mu are
+kept as a materialized (m, n) matrix, so the softmax divides two arrays of
+one shape instead of broadcasting a column; a row is refilled only when its
+p_bar changes. The availability mask, a score cap (-inf on sold-out items)
+and a per-type count of unvisited items are updated per arrival the same
+way, and the gradient is one matvec.
+
+A dual step is followed by one full softmax at the new iterate, except
+while lambda is pinned at zero. When every entry of lambda is +0.0 and no
+capped item's consumption (the gradient's matvec) exceeds its floor s b_i,
+floor - consumption >= 0 holds in floating point, so the step lands at or
+below 0 and projects back to +0.0; lambda and r - lambda stay as they are,
+and the cache differs from the full softmax only in the row already
+refreshed. Such an arrival skips the step and the full softmax. The
+consumption test is written so that NaN fails it. The pinned flag is set
+only by the call's own projected step, never from the incoming state, so
+each call's first arrival takes the full step.
+
+The recorded dual values are deferred: the loop runs in chunks of
+`_DUAL_CHUNK` arrivals, each arrival writes its post-step shift, Z, p_bar
+and lambda into a row of fixed history buffers, and at the end of each
+chunk one stacked pass turns the filled rows into f_vals, with products
+that round like the per-row ones. A chunk's per-arrival inputs are read as
+Python scalars when it starts. The caches are rebuilt at call start from
+the state with the expressions the loop uses, so a run split into chained
+calls matches one call bit for bit.
 
 The default backend, `BACKEND`, is read at import from ALLOCSIM_BACKEND
 ("numba" or "numpy"; default numba when importable) but checked only when a
@@ -350,6 +362,12 @@ def _integrated_numpy(
     # so their gradient entries never reach the iterate.
     lam_hi = np.where(infinite, 0.0, lam_max)
     zeros = np.zeros(n)
+    # consumption bound under which a step from lam = +0 projects back to +0;
+    # the test against it is written so that NaN (which compares False) fails
+    pin_bound = np.where(infinite, np.inf, grad_floor)
+    within = np.empty(n, dtype=bool)
+    # lam's bytes when every entry is +0.0 (not -0.0, which a step may flip)
+    zero_bytes = zeros.tobytes()
     available = infinite | (remaining >= 1.0)
     mask = available.astype(np.float64)
     # capping a score row at `cap` sends sold-out items to -inf
@@ -362,7 +380,7 @@ def _integrated_numpy(
     # bit. scale = p_bar mu with p_bar := 1 on an all-zero row, materialized
     # as the (m, n) divisor matrix `div`; W and Z are the shifted
     # exponentials and their row sums at (lam, p_hat), which `_softmax_rows`
-    # fills here and after every dual step.
+    # fills here and after every dual step that is not skipped as pinned.
     rl = rewards - lam
     pbar, scale = _row_scale(p_hat, mu)
     pbar_l, scale_l = pbar.tolist(), scale.tolist()
@@ -403,6 +421,9 @@ def _integrated_numpy(
 
     state_lam = lam
     _softmax_rows(rl, p_hat, div, E, W, np.empty(m), Z)
+    # Set only by this call's own projected step, so a call's first arrival
+    # always steps and chained calls match one call bit for bit.
+    pinned = False
     for lo in range(0, T, _DUAL_CHUNK):
         size = min(_DUAL_CHUNK, T - lo)
         # the chunk's per-arrival inputs as Python scalars
@@ -480,7 +501,8 @@ def _integrated_numpy(
                     div_rows[j].fill(scale_l[j])
                 np.multiply(rl, p_row, out=e_row)
                 np.divide(e_row, scale_l[j], out=e_row)
-                np.subtract(e_row, max(e_row.tolist()), out=e_row)
+                shift_j = max(e_row.tolist())
+                np.subtract(e_row, shift_j, out=e_row)
                 np.exp(e_row, out=W_rows[j])
                 Z[j] = np.add.reduce(W_rows[j])
 
@@ -489,17 +511,30 @@ def _integrated_numpy(
             np.divide(weights, Z, out=wz)
             np.multiply(p_hat, W, out=PW)
             np.matmul(wz, PW, out=grad)
-            np.subtract(grad_floor, grad, out=grad)
-            np.multiply(grad, etas_c[k], out=grad)
-            np.subtract(lam, grad, out=step)
-            np.minimum(step, lam_hi, out=step)
-            lam = lam_rows[k]
-            np.maximum(step, zeros, out=lam)
+            if pinned and all(np.less_equal(grad, pin_bound, out=within).tolist()):
+                # lam = +0 and no capped item consumes above its floor s b_i:
+                # the step is <= 0 and projects back to +0, so lam and rl
+                # stay, and the caches differ from the full softmax's only in
+                # row j, which the refresh above has recomputed
+                lam_rows[k][...] = lam
+                lam = lam_rows[k]
+                shift_rows[k][...] = shift
+                if sel >= 0:
+                    shift_rows[k][j] = shift_j
+            else:
+                np.subtract(grad_floor, grad, out=grad)
+                np.multiply(grad, etas_c[k], out=grad)
+                np.subtract(lam, grad, out=step)
+                np.minimum(step, lam_hi, out=step)
+                lam = lam_rows[k]
+                np.maximum(step, zeros, out=lam)
+                pinned = lam.tobytes() == zero_bytes
 
-            # the one full softmax: the recorded dual value's log Z, and the
-            # selection and gradient rows of the next arrival
-            np.subtract(rewards, lam, out=rl)
-            _softmax_rows(rl, p_hat, div, E, W, shift_rows[k], Z)
+                # the full softmax: the recorded dual value's log Z, and the
+                # selection and gradient rows of the next arrival
+                np.subtract(rewards, lam, out=rl)
+                _softmax_rows(rl, p_hat, div, E, W, shift_rows[k], Z)
+            shift = shift_rows[k]
             h_z[k] = Z
             h_pbar[k] = pbar
 

@@ -527,6 +527,130 @@ class SlicedDraws:
         return self._draws[k][lo:lo + size]
 
 
+def per_arrival_loop(lams):
+    """Stands in for `_kernels.integrated_loop`: runs the numpy twin on the
+    same inputs and state as one call per arrival, and appends λ after each
+    arrival to `lams`. A call's first arrival always takes the full dual
+    step, so here every arrival does."""
+
+    def loop(*args, backend=None):
+        (types, weights, phi, phi_constant, s_budget, p_true, rewards, budgets,
+         infinite, mu, lam, remaining, counts, purchases, p_hat, type_rounds,
+         last_change, prev_ckpt, r_max, k_interval, eps_p, lam_max, etas,
+         t_offset, u_select, u_purchase) = args
+        outs = []
+        for t in range(types.size):
+            one = slice(t, t + 1)
+            out = _kernels._integrated_numpy(
+                types[one], weights, phi if phi_constant else phi[one],
+                phi_constant, s_budget, p_true, rewards, budgets, infinite, mu,
+                lam, remaining, counts, purchases, p_hat, type_rounds,
+                last_change, prev_ckpt, r_max, k_interval, eps_p, lam_max,
+                etas[one], t_offset + t, u_select[one], u_purchase[one])
+            last_change = out[4]
+            lams.append(lam.copy())
+            outs.append(out)
+        return tuple(last_change if i == 4 else np.concatenate([o[i] for o in outs])
+                     for i in range(len(outs[0])))
+
+    return loop
+
+
+def one_call_and_per_arrival(monkeypatch, run):
+    """`run()` as the loop runs it, `run()` again with one loop call per
+    arrival, and λ after each arrival of the second run."""
+    whole = run()
+    lams = []
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "integrated_loop", per_arrival_loop(lams))
+        stepped = run()
+    return whole, stepped, np.array(lams)
+
+
+def assert_bit_identical(a, b):
+    for name in ("assigned", "purchased", "phase", "f_vals", "lam_final",
+                 "remaining_final"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for name in ("t", "pref_error", "change", "lam", "remaining"):
+        np.testing.assert_array_equal(getattr(a.checkpoints, name),
+                                      getattr(b.checkpoints, name))
+
+
+class TestPinnedIterate:
+    """While λ is +0 and no capped item's consumption exceeds its floor
+    s·b_i, the dual step projects back to +0 and the numpy twin skips it and
+    its full softmax. The skip is armed only by a call's own step, so the
+    same run as one call per arrival steps on every arrival and is the
+    bit-for-bit oracle."""
+
+    @pytest.mark.parametrize("kind,seed", [("varying_reward", 1),
+                                           ("extreme_budget", 4)])
+    def test_pinned_run_matches_stepping_every_arrival(self, kind, seed,
+                                                       monkeypatch):
+        config = scenario_nonstationary(kind, 2000, 24.0, seed=seed)
+        whole, stepped, lams = one_call_and_per_arrival(
+            monkeypatch, lambda: run_nonstationary(config, backend="numpy")[0])
+        assert_bit_identical(whole, stepped)
+        assert np.mean(~lams.any(axis=1)) >= 0.9
+        assert np.mean(~whole.checkpoints.lam.any(axis=1)) >= 0.9
+
+    def test_iterate_leaves_zero_and_returns(self, monkeypatch):
+        # Item 0 is always offered (u_select = 0). Its estimate starts low, so
+        # λ stays at 0; 100 sales lift it until the floor s·b_0 = 0.3 binds
+        # and λ rises; then no sales pull it back down, and λ returns to 0.
+        T = 600
+        config = loop_config(n=2, budgets=[0.3 * T, np.inf], p=0.5, r_max=0,
+                             k_interval=10)
+        u_purchase = np.where(np.arange(T) < 100, 0.0, 0.99)
+
+        def run():
+            state = hand_state(config, remaining=[1e6, np.inf],
+                               p_hat=[[0.1, 0.5]], counts=[[30, 10**6]],
+                               purchases=[[3, 5 * 10**5]])
+            return run_arrivals(config, state, np.zeros(T, dtype=np.int64),
+                                u_select=0.0, u_purchase=u_purchase,
+                                backend="numpy")
+
+        whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
+        assert_bit_identical(whole, stepped)
+        moved = lams.any(axis=1)
+        first, last = np.flatnonzero(moved)[[0, -1]]
+        assert first >= 5 and last < T - 100
+        assert moved[first:last].mean() > 0.9
+
+    def test_negative_zero_start_takes_full_step(self, monkeypatch):
+        # The budget never binds, so every arrival after the first is
+        # pinned; the first steps from -0.0 and lands on +0.0.
+        config = loop_config(n=3, m=2, budgets=[1e6, 1e6, np.inf], p=0.5)
+        types = np.array([0, 1, 1] * 20)
+
+        def run(lam):
+            return run_arrivals(config, hand_state(config, lam=lam), types,
+                                backend="numpy")
+
+        whole, stepped, _ = one_call_and_per_arrival(
+            monkeypatch, lambda: run([-0.0, -0.0, -0.0]))
+        assert_bit_identical(whole, stepped)
+        assert_bit_identical(whole, run([0.0, 0.0, 0.0]))
+        assert not np.signbit(whole.lam_final).any()
+        assert not np.signbit(whole.checkpoints.lam).any()
+
+    def test_nan_consumption_takes_full_step(self, monkeypatch):
+        # A NaN estimate row makes every item's consumption NaN, which must
+        # fail the pinned test: the step makes every price NaN.
+        config = loop_config(n=3, m=2, budgets=[1e6, 1e6, np.inf], p=0.5)
+        types = np.zeros(30, dtype=np.int64)
+
+        def run():
+            state = hand_state(config, p_hat=[[0.5, 0.5, 0.5],
+                                              [np.nan, 0.5, 0.5]])
+            return run_arrivals(config, state, types, backend="numpy")
+
+        whole, stepped, _ = one_call_and_per_arrival(monkeypatch, run)
+        assert_bit_identical(whole, stepped)
+        assert np.isnan(whole.lam_final).all()
+
+
 class TestTraceExport:
     def test_trace_csv_layout(self, tmp_path):
         config = loop_config(budgets=1e9, r_max=5)
