@@ -1,6 +1,14 @@
 """The per-arrival integrated loop, compiled with numba when available.
 
-Two implementations of the same integrated loop live here:
+A loop call runs one piece of a batch in one phase: UCB learning when
+`learning` is set, dual-driven pricing otherwise. `run_integrated` cuts the
+batch at the guard checkpoints and where the clock passes r_max, decides
+each piece's phase and takes the checkpoints itself, so the kernels hold
+only per-arrival work and both backends share one phase rule. The
+per-arrival type-probability rows `phi` always arrive as a (T, m) array,
+a zero-stride view when they are constant.
+
+Two implementations of the same per-arrival loop live here:
 
 * a scalar kernel (`_integrated_scalar`) that numba compiles, which takes
   every softmax row it needs (the pricing draw, the dual gradient and the
@@ -30,7 +38,7 @@ and the cache differs from the full softmax only in the row already
 refreshed. Such an arrival skips the step and the full softmax. The
 consumption test is written so that NaN fails it. The pinned flag is set
 only by the call's own projected step, never from the incoming state, so
-each call's first arrival takes the full step.
+it resets at each piece: a piece's first arrival takes the full step.
 
 The recorded dual values are deferred: the loop runs in chunks of
 `_DUAL_CHUNK` arrivals, each arrival writes its post-step shift, Z, p_bar
@@ -147,7 +155,6 @@ def _integrated_scalar(
     types,
     weights,
     phi,
-    phi_constant,
     s_budget,
     p_true,
     rewards,
@@ -160,14 +167,9 @@ def _integrated_scalar(
     purchases,
     p_hat,
     type_rounds,
-    last_change,
-    prev_ckpt,
-    r_max,
-    k_interval,
-    eps_p,
+    learning,
     lam_max,
     etas,
-    t_offset,
     u_select,
     u_purchase,
 ):
@@ -175,26 +177,14 @@ def _integrated_scalar(
     m, n = p_true.shape
     assigned = np.empty(T, dtype=np.int64)
     bought = np.zeros(T, dtype=np.uint8)
-    phase = np.zeros(T, dtype=np.uint8)
     f_vals = np.empty(T, dtype=np.float64)
-
-    max_ck = T // k_interval + 2
-    ck_t = np.empty(max_ck, dtype=np.int64)
-    ck_err = np.empty(max_ck, dtype=np.float64)
-    ck_chg = np.empty(max_ck, dtype=np.float64)
-    ck_lam = np.empty((max_ck, n), dtype=np.float64)
-    ck_rem = np.empty((max_ck, n), dtype=np.float64)
-    n_ck = 0
 
     grad = np.empty(n, dtype=np.float64)
     xrow = np.empty(n, dtype=np.float64)
 
     for t in range(T):
-        g = t_offset + t + 1
         j = types[t]
         type_rounds[j] += 1
-        use_ucb = (last_change > eps_p) and (g <= r_max)
-        phase[t] = 0 if use_ucb else 1
 
         n_avail = 0
         for i in range(n):
@@ -203,7 +193,7 @@ def _integrated_scalar(
 
         sel = -1
         if n_avail > 0:
-            if use_ucb:
+            if learning:
                 best_score = -np.inf
                 log_tj = np.log(np.float64(type_rounds[j]))
                 for i in range(n):
@@ -272,10 +262,9 @@ def _integrated_scalar(
                 lam[i] = v
 
         # recorded dual value at the post-step iterate
-        prow = 0 if phi_constant else t
         fval = 0.0
         for jj in range(m):
-            ph = phi[prow, jj]
+            ph = phi[t, jj]
             if ph == 0.0:
                 continue
             pbar, shift, z = _exp_row(p_hat[jj], rewards, lam, mu, infinite,
@@ -286,32 +275,7 @@ def _integrated_scalar(
                 fval += s_budget * lam[i] * budgets[i]
         f_vals[t] = fval
 
-        if g % k_interval == 0:
-            err = 0.0
-            chg = 0.0
-            for jj in range(m):
-                for i in range(n):
-                    d1 = p_hat[jj, i] - p_true[jj, i]
-                    err += d1 * d1
-                    d2 = p_hat[jj, i] - prev_ckpt[jj, i]
-                    chg += d2 * d2
-                    prev_ckpt[jj, i] = p_hat[jj, i]
-            err = np.sqrt(err)
-            chg = np.sqrt(chg)
-            last_change = chg
-            ck_t[n_ck] = g
-            ck_err[n_ck] = err
-            ck_chg[n_ck] = chg
-            for i in range(n):
-                ck_lam[n_ck, i] = lam[i]
-                ck_rem[n_ck, i] = remaining[i]
-            n_ck += 1
-
-    return (
-        assigned, bought, phase, f_vals, last_change,
-        ck_t[:n_ck], ck_err[:n_ck], ck_chg[:n_ck],
-        ck_lam[:n_ck], ck_rem[:n_ck],
-    )
+    return assigned, bought, f_vals
 
 
 _integrated_jit = njit(cache=True)(_integrated_scalar) if HAS_NUMBA else None
@@ -332,25 +296,15 @@ _DUAL_CHUNK = 256
 
 
 def _integrated_numpy(
-    types, weights, phi, phi_constant, s_budget, p_true, rewards, budgets,
-    infinite, mu, lam, remaining, counts, purchases, p_hat, type_rounds,
-    last_change, prev_ckpt, r_max, k_interval, eps_p, lam_max, etas,
-    t_offset, u_select, u_purchase,
+    types, weights, phi, s_budget, p_true, rewards, budgets, infinite, mu,
+    lam, remaining, counts, purchases, p_hat, type_rounds, learning, lam_max,
+    etas, u_select, u_purchase,
 ):
     T = types.shape[0]
     m, n = p_true.shape
     assigned = np.empty(T, dtype=np.int64)
     bought = np.zeros(T, dtype=np.uint8)
-    phase = np.zeros(T, dtype=np.uint8)
     f_vals = np.empty(T, dtype=np.float64)
-
-    max_ck = T // k_interval + 2
-    ck_t = np.empty(max_ck, dtype=np.int64)
-    ck_err = np.empty(max_ck)
-    ck_chg = np.empty(max_ck)
-    ck_lam = np.empty((max_ck, n))
-    ck_rem = np.empty((max_ck, n))
-    n_ck = 0
 
     # small state read as Python scalars
     p_true_l, infinite_l, rounds_l = (
@@ -407,15 +361,13 @@ def _integrated_numpy(
     h_lam = np.empty((_DUAL_CHUNK, n))
     h_log = np.empty((_DUAL_CHUNK, m))
     shift_rows, lam_rows = list(h_shift), list(h_lam)
-    phi_rows = np.broadcast_to(phi[0], (_DUAL_CHUNK, m)) if phi_constant else None
 
     def record(lo, size):
         log_z = h_log[:size]
         np.log(h_z[:size], out=log_z)
         np.add(log_z, h_shift[:size], out=log_z)
         np.multiply(h_pbar[:size], log_z, out=log_z)
-        rows = phi_rows[:size] if phi_constant else phi[lo:lo + size]
-        mix = np.matmul(rows[:, None, :], log_z[:, :, None])
+        mix = np.matmul(phi[lo:lo + size, None, :], log_z[:, :, None])
         spent = np.matmul(h_lam[:size, None, :], fin_budgets[:, None])
         f_vals[lo:lo + size] = mu * mix[:, 0, 0] + s_budget * spent[:, 0, 0]
 
@@ -431,16 +383,12 @@ def _integrated_numpy(
             a[lo:lo + size].tolist() for a in (types, u_select, u_purchase, etas))
         for k in range(size):
             t = lo + k
-            g = t_offset + t + 1
             j = types_c[k]
             rounds_l[j] += 1
-            use_ucb = last_change > eps_p and g <= r_max
-            if not use_ucb:
-                phase[t] = 1
 
             sel = -1
             if n_avail:
-                if use_ucb:
+                if learning:
                     row_counts = counts[j]
                     # unvisited items score inf; once a type has visited
                     # every item its counts need no floor and its row no mask
@@ -537,28 +485,12 @@ def _integrated_numpy(
             shift = shift_rows[k]
             h_z[k] = Z
             h_pbar[k] = pbar
-
-            if g % k_interval == 0:
-                err = float(np.linalg.norm(p_hat - p_true))
-                chg = float(np.linalg.norm(p_hat - prev_ckpt))
-                prev_ckpt[...] = p_hat
-                last_change = chg
-                ck_t[n_ck] = g
-                ck_err[n_ck] = err
-                ck_chg[n_ck] = chg
-                ck_lam[n_ck] = lam
-                ck_rem[n_ck] = remaining
-                n_ck += 1
         record(lo, size)
 
     state_lam[...] = lam
     type_rounds[...] = rounds_l
 
-    return (
-        assigned, bought, phase, f_vals, last_change,
-        ck_t[:n_ck], ck_err[:n_ck], ck_chg[:n_ck],
-        ck_lam[:n_ck], ck_rem[:n_ck],
-    )
+    return assigned, bought, f_vals
 
 
 # ============================================================
@@ -566,10 +498,11 @@ def _integrated_numpy(
 # ============================================================
 
 def integrated_loop(*args, backend: str | None = None):
-    """Run the per-arrival integrated loop on the selected backend.
+    """Run one piece of arrivals, all in one phase, on the selected backend.
 
-    Mutates the state arrays (lam, remaining, counts, purchases, p_hat,
-    type_rounds, prev_ckpt) in place; callers pass copies they own.
+    Returns (assigned, bought, f_vals). Mutates the state arrays (lam,
+    remaining, counts, purchases, p_hat, type_rounds) in place; callers pass
+    copies they own.
     """
     if _resolve(backend) == "numba":
         return _integrated_jit(*args)

@@ -19,8 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._kernels import BACKENDS
 from .errors import AllocSimError, NonConvergence, ParseError
 from .harness import MODES, run_experiment, write_plan_csv
@@ -98,7 +96,7 @@ def _emit_plan_only(config: SimConfig, out_dir: Path) -> None:
     plan = segment_time_span(
         model.rate_fns, model.t0, model.t_end, p.epsilon, p.delta, p.d, p.grid_dt
     )
-    rng = np.random.default_rng(substream(config.seed, "weights"))
+    rng = substream(config.seed, "weights")
     for seg in plan.segments:
         segment_weights(seg, model.rate_fns, rng)
     out_dir.mkdir(parents=True, exist_ok=True)

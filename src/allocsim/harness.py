@@ -155,7 +155,7 @@ def greedy_baseline(
     slot = np.searchsorted(stock_ends, np.arange(T), side="right")
     assigned = np.append(capped, after_stock)[slot]
 
-    rng = np.random.default_rng(substream(seed, "loop"))
+    rng = substream(seed, "loop")
     rng.random(T)  # discarded: keeps purchase draws aligned with run_integrated
     u_purchase = rng.random(T)
     offered = assigned >= 0

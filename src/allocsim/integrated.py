@@ -11,6 +11,14 @@ and purchase totals R_ij feed estimates P̂_ij = R_ij/N_ij, with a flat prior
 (UNVISITED_PRIOR) on unvisited pairs. The UCB bonus uses a per-type clock
 t_j so rare types are not over-explored.
 
+Every K arrivals of the global clock a guard checkpoint records the
+estimate's Frobenius error and its movement since the previous checkpoint;
+learning continues while that movement exceeds ucb_stop_epsilon and the
+clock has not passed r_max. `run_integrated` owns this rule for both compute
+backends: it cuts a batch into pieces that end at those points, runs each
+piece in one phase through `_kernels.integrated_loop`, and takes each
+checkpoint once between pieces.
+
 State (dual iterate, preference estimate, remaining budgets, checkpoint
 baseline) lives in a LoopState so a caller can thread one run across
 several arrival batches, which is exactly what the segmentation driver
@@ -231,63 +239,68 @@ def run_integrated(
         raise ValueError("lambda must start inside [0, lambda_max]")
 
     if rng is None:
-        rng = np.random.default_rng(substream(config.seed, "loop"))
+        rng = substream(config.seed, "loop")
     u_select = rng.random(T)
     u_purchase = rng.random(T)
 
     if phi is None:
-        phi_arr = weights[None, :].copy()
-        phi_constant = True
+        phi = np.broadcast_to(weights, (T, m))
     else:
-        phi_arr = np.ascontiguousarray(phi, dtype=float)
-        if phi_arr.shape != (T, m):
+        phi = np.ascontiguousarray(phi, dtype=float)
+        if phi.shape != (T, m):
             raise LengthMismatch("phi must be (arrivals, types)")
-        if not np.all(np.isfinite(phi_arr) & (phi_arr >= 0.0)):
+        if not np.all(np.isfinite(phi) & (phi >= 0.0)):
             raise ValueError("phi must be finite and nonnegative")
-        phi_constant = False
 
+    types = arrivals.types.astype(np.int64)
+    k_interval, r_max = int(params.k_interval), int(params.r_max)
     t_offset = st.t_global
-    out = _kernels.integrated_loop(
-        arrivals.types.astype(np.int64),
-        weights,
-        phi_arr,
-        phi_constant,
-        s_budget,
-        inst.preferences,
-        inst.rewards,
-        inst.budgets,
-        inst.infinite_items,
-        inst.mu,
-        st.lam,
-        st.remaining,
-        st.counts,
-        st.purchases,
-        st.p_hat,
-        st.type_rounds,
-        float(st.last_change),
-        st.prev_checkpoint,
-        int(params.r_max),
-        int(params.k_interval),
-        float(params.ucb_stop_epsilon),
-        float(lam_max),
-        etas,
-        t_offset,
-        u_select,
-        u_purchase,
-        backend=backend,
+    assigned = np.empty(T, dtype=np.int64)
+    bought = np.empty(T, dtype=np.uint8)
+    phase = np.empty(T, dtype=np.uint8)
+    f_vals = np.empty(T)
+    # the guard checkpoints are the multiples of K in (t_offset, t_offset + T]
+    ck_t = np.arange(t_offset // k_interval + 1,
+                     (t_offset + T) // k_interval + 1) * k_interval
+    checkpoints = CheckpointLog(
+        t=ck_t, pref_error=np.empty(ck_t.size), change=np.empty(ck_t.size),
+        lam=np.empty((ck_t.size, n)), remaining=np.empty((ck_t.size, n)),
     )
-    (assigned, bought, phase, f_vals, last_change,
-     ck_t, ck_err, ck_chg, ck_lam, ck_rem) = out
+    lo = c = 0
+    while lo < T:
+        # The phase can change only after a guard checkpoint or once the
+        # clock passes r_max, so each piece up to the next such point runs
+        # in one phase.
+        g = t_offset + lo + 1
+        learning = st.last_change > params.ucb_stop_epsilon and g <= r_max
+        stop = -(-g // k_interval) * k_interval
+        if g <= r_max:
+            stop = min(stop, r_max)
+        hi = min(T, lo + stop - g + 1)
+        piece = slice(lo, hi)
+        assigned[piece], bought[piece], f_vals[piece] = _kernels.integrated_loop(
+            types[piece], weights, phi[piece], s_budget,
+            inst.preferences, inst.rewards, inst.budgets, inst.infinite_items,
+            inst.mu, st.lam, st.remaining, st.counts, st.purchases, st.p_hat,
+            st.type_rounds, learning, float(lam_max), etas[piece],
+            u_select[piece], u_purchase[piece], backend=backend,
+        )
+        phase[piece] = PHASE_NAMES.index("ucb" if learning else "ogd")
+        lo = hi
 
-    st.last_change = float(last_change)
+        if (t_offset + hi) % k_interval == 0:
+            st.last_change = float(np.linalg.norm(st.p_hat - st.prev_checkpoint))
+            st.prev_checkpoint[...] = st.p_hat
+            checkpoints.pref_error[c] = np.linalg.norm(st.p_hat - inst.preferences)
+            checkpoints.change[c] = st.last_change
+            checkpoints.lam[c] = st.lam
+            checkpoints.remaining[c] = st.remaining
+            c += 1
     st.t_global = t_offset + T
 
-    checkpoints = CheckpointLog(
-        t=ck_t, pref_error=ck_err, change=ck_chg, lam=ck_lam, remaining=ck_rem,
-    )
     return Trace(
         times=arrivals.times.copy(),
-        types=arrivals.types.astype(np.int64),
+        types=types,
         assigned=assigned,
         purchased=bought.astype(bool),
         phase=phase,

@@ -755,7 +755,8 @@ def scenario_stationary(T: int, seed: int) -> SimConfig:
     rates = 0.1 * np.arange(1, m + 1)
     rewards = np.linspace(0.1, 1.0, n)
     budgets = np.linspace(0.30 * T, 0.10 * T, n)
-    preferences = substream(seed, "preferences").beta(2.0, 5.0, size=(m, n))
+    pref_generator = {"generator": "beta", "params": [2.0, 5.0]}
+    preferences = _draw_preferences(pref_generator, m, n, seed)
     instance = validate_instance(
         ProblemInstance(
             rewards=rewards, budgets=budgets, mu=MU_DEFAULT,
@@ -767,7 +768,7 @@ def scenario_stationary(T: int, seed: int) -> SimConfig:
         arrivals=StationaryArrivals(rates),
         seed=int(seed),
         params=AlgoParams(r_max=default_ucb_rounds(T)),
-        pref_generator={"generator": "beta", "params": [2.0, 5.0]},
+        pref_generator=pref_generator,
         scenario={"kind": "stationary", "T": int(T), "seed": int(seed)},
     )
 
@@ -822,8 +823,8 @@ def scenario_nonstationary(kind: str, T: int, horizon_hours: float, seed: int) -
         rewards = np.linspace(0.2, 1.0, n)
         budgets = np.concatenate([[T * 2.0 / 3.0], np.full(9, 0.10 * T)])
 
-    draw = substream(seed, "preferences").normal(0.1, 0.03, size=(m, n))
-    preferences = np.clip(draw, 0.01, 1.0)
+    pref_generator = {"generator": "gaussian", "params": [0.1, 0.03]}
+    preferences = _draw_preferences(pref_generator, m, n, seed)
     instance = validate_instance(
         ProblemInstance(
             rewards=rewards, budgets=budgets, mu=MU_DEFAULT,
@@ -844,7 +845,7 @@ def scenario_nonstationary(kind: str, T: int, horizon_hours: float, seed: int) -
         arrivals=NonstationaryArrivals(rate_fns, 0.0, h),
         seed=int(seed),
         params=params,
-        pref_generator={"generator": "gaussian", "params": [0.1, 0.03]},
+        pref_generator=pref_generator,
         scenario={
             "kind": kind,
             "T": int(T),

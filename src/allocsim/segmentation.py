@@ -336,14 +336,14 @@ def run_nonstationary(
         model.rate_fns, model.t0, model.t_end,
         params.epsilon, params.delta, params.d, params.grid_dt,
     )
-    w_rng = np.random.default_rng(substream(config.seed, "weights"))
+    w_rng = substream(config.seed, "weights")
     for seg in plan.segments:
         segment_weights(seg, model.rate_fns, w_rng)
 
     stream = sample_nonstationary_stream(
         model.rate_fns, model.t0, model.t_end, config.seed, params.grid_dt
     )
-    loop_rng = np.random.default_rng(substream(config.seed, "loop"))
+    loop_rng = substream(config.seed, "loop")
 
     edges = np.array([seg.t_end for seg in plan.segments])
     cut = np.searchsorted(stream.times, edges[:-1], side="left")

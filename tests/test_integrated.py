@@ -9,6 +9,8 @@ numpy twin must produce identical discrete decisions, since both consume the
 same pre-drawn uniforms.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,11 @@ def assert_backends_agree(fast, plain):
     np.testing.assert_array_equal(fast.assigned, plain.assigned)
     np.testing.assert_array_equal(fast.purchased, plain.purchased)
     np.testing.assert_array_equal(fast.phase, plain.phase)
+    # one checkpoint computation serves both backends, so the phase rule
+    # reads the same estimate error and movement on each
+    for name in ("t", "pref_error", "change"):
+        np.testing.assert_array_equal(getattr(fast.checkpoints, name),
+                                      getattr(plain.checkpoints, name))
     np.testing.assert_allclose(fast.f_vals, plain.f_vals, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(fast.lam_final, plain.lam_final,
                                rtol=1e-10, atol=1e-12)
@@ -445,35 +452,37 @@ class TestCarryOver:
         # A run cut into chained calls (as run_nonstationary and the
         # phase-splitting benchmark tracer do) must reproduce one call bit
         # for bit when every piece gets its slice of the same uniforms and
-        # the whole batch's expected count.
+        # the whole batch's expected count. With K = 7 many checkpoints fall
+        # inside each call; with either K, the calls start between
+        # checkpoints and r_max is not a multiple of K.
         T = 3000
-        config = scenario_stationary(T=T, seed=5)
-        stream = sample_stationary_stream(config.arrivals.rates, T, seed=5)
-        w = config.arrivals.rates / config.arrivals.rates.sum()
-        whole = run_integrated(config, stream, w)
+        for k_interval in (1000, 7):
+            config = scenario_stationary(T=T, seed=5)
+            config = replace(config, params=replace(config.params,
+                                                    k_interval=k_interval))
+            assert config.params.r_max % k_interval != 0
+            stream = sample_stationary_stream(config.arrivals.rates, T, seed=5)
+            w = config.arrivals.rates / config.arrivals.rates.sum()
+            whole = run_integrated(config, stream, w)
 
-        learn_end = int(np.flatnonzero(whole.phase == 1)[0])
-        cuts = [0, learn_end // 2 + 7, learn_end + (T - learn_end) // 2 + 3, T]
-        assert whole.phase[cuts[1] - 1] == 0 and whole.phase[cuts[1]] == 0
-        assert np.all(whole.phase[learn_end:] == 1)
+            learn_end = int(np.flatnonzero(whole.phase == 1)[0])
+            cuts = [0, learn_end // 2 + 7, learn_end + (T - learn_end) // 2 + 3, T]
+            assert whole.phase[cuts[1] - 1] == 0 and whole.phase[cuts[1]] == 0
+            assert all(cut % k_interval for cut in cuts[1:-1])
+            assert np.all(whole.phase[learn_end:] == 1)
 
-        draws = SlicedDraws(np.random.default_rng(substream(config.seed, "loop")), T)
-        state, pieces = None, []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            piece = run_integrated(config, stream.slice(lo, hi), w,
-                                   loop_state=state, rng=draws, expected_count=T)
-            state = piece.carry
-            pieces.append(piece)
-        chained = Trace.concat(pieces)
+            draws = SlicedDraws(substream(config.seed, "loop"), T)
+            state, pieces = None, []
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                piece = run_integrated(config, stream.slice(lo, hi), w,
+                                       loop_state=state, rng=draws,
+                                       expected_count=T)
+                state = piece.carry
+                pieces.append(piece)
+            chained = Trace.concat(pieces)
 
-        for name in ("assigned", "purchased", "phase", "f_vals", "lam_final",
-                     "remaining_final"):
-            np.testing.assert_array_equal(getattr(chained, name), getattr(whole, name))
-        for name in ("t", "pref_error", "change", "lam", "remaining"):
-            np.testing.assert_array_equal(getattr(chained.checkpoints, name),
-                                          getattr(whole.checkpoints, name))
-        assert whole.checkpoints.t.size > 0
-
+            assert_bit_identical(chained, whole)
+            assert whole.checkpoints.t.size > 0
 
     def test_chunk_boundaries(self):
         # The numpy twin records dual values a chunk of arrivals at a time.
@@ -534,24 +543,19 @@ def per_arrival_loop(lams):
     step, so here every arrival does."""
 
     def loop(*args, backend=None):
-        (types, weights, phi, phi_constant, s_budget, p_true, rewards, budgets,
-         infinite, mu, lam, remaining, counts, purchases, p_hat, type_rounds,
-         last_change, prev_ckpt, r_max, k_interval, eps_p, lam_max, etas,
-         t_offset, u_select, u_purchase) = args
+        (types, weights, phi, s_budget, p_true, rewards, budgets, infinite, mu,
+         lam, remaining, counts, purchases, p_hat, type_rounds, learning,
+         lam_max, etas, u_select, u_purchase) = args
         outs = []
         for t in range(types.size):
             one = slice(t, t + 1)
-            out = _kernels._integrated_numpy(
-                types[one], weights, phi if phi_constant else phi[one],
-                phi_constant, s_budget, p_true, rewards, budgets, infinite, mu,
-                lam, remaining, counts, purchases, p_hat, type_rounds,
-                last_change, prev_ckpt, r_max, k_interval, eps_p, lam_max,
-                etas[one], t_offset + t, u_select[one], u_purchase[one])
-            last_change = out[4]
+            outs.append(_kernels._integrated_numpy(
+                types[one], weights, phi[one], s_budget, p_true, rewards,
+                budgets, infinite, mu, lam, remaining, counts, purchases, p_hat,
+                type_rounds, learning, lam_max, etas[one], u_select[one],
+                u_purchase[one]))
             lams.append(lam.copy())
-            outs.append(out)
-        return tuple(last_change if i == 4 else np.concatenate([o[i] for o in outs])
-                     for i in range(len(outs[0])))
+        return tuple(np.concatenate(column) for column in zip(*outs))
 
     return loop
 

@@ -134,6 +134,8 @@ class TestConfigIO:
         again = config_from_document(json.loads(path.read_text()))
         assert config_document(again) == config_document(config)
         assert config_hash(again) == config_hash(config)
+        np.testing.assert_array_equal(again.instance.preferences,
+                                      config.instance.preferences)
 
     def test_nonstationary_round_trip(self, tmp_path):
         config = scenario_nonstationary("varying_reward", 2000, 12.0, seed=5)
@@ -141,6 +143,8 @@ class TestConfigIO:
         save_config(config, path)
         again = config_from_document(json.loads(path.read_text()))
         assert config_document(again) == config_document(config)
+        np.testing.assert_array_equal(again.instance.preferences,
+                                      config.instance.preferences)
 
     def test_negative_rate_is_named(self):
         doc = config_document(scenario_nonstationary("varying_reward", 2000, 12.0, seed=5))
