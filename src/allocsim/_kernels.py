@@ -24,10 +24,12 @@ the gradient. The cached row for an arrival's type, times the availability
 mask, is its selection weights (the same distribution as the masked,
 renormalized row the scalar kernel builds). The row divisors p_bar mu are
 kept as a materialized (m, n) matrix, so the softmax divides two arrays of
-one shape instead of broadcasting a column; a row is refilled only when its
-p_bar changes. The availability mask, a score cap (-inf on sold-out items)
-and a per-type count of unvisited items are updated per arrival the same
-way, and the gradient is one matvec.
+one shape instead of broadcasting a column; a row's p_bar is taken from the
+cell that moved, rescanned only when the cell that held it went down, and
+the row is refilled only when p_bar changes. The availability mask, a
+score cap (-inf on sold-out items) and a per-type count of unvisited items
+are updated per arrival the same way; counts, purchases and remaining
+stock are Python numbers within a call, and the gradient is one matvec.
 
 A dual step is followed by one full softmax at the new iterate, except
 while lambda is pinned at zero. When every entry of lambda is +0.0 and no
@@ -35,19 +37,22 @@ capped item's consumption (the gradient's matvec) exceeds its floor s b_i,
 floor - consumption >= 0 holds in floating point, so the step lands at or
 below 0 and projects back to +0.0; lambda and r - lambda stay as they are,
 and the cache differs from the full softmax only in the row already
-refreshed. Such an arrival skips the step and the full softmax. The
+refreshed. Such an arrival skips the step and the full softmax, and the
+matvec's operands w / Z and p_hat W are updated in that row only. The
 consumption test is written so that NaN fails it. The pinned flag is set
 only by the call's own projected step, never from the incoming state, so
 it resets at each piece: a piece's first arrival takes the full step.
 
 The recorded dual values are deferred: the loop runs in chunks of
-`_DUAL_CHUNK` arrivals, each arrival writes its post-step shift, Z, p_bar
-and lambda into a row of fixed history buffers, and at the end of each
-chunk one stacked pass turns the filled rows into f_vals, with products
-that round like the per-row ones. A chunk's per-arrival inputs are read as
-Python scalars when it starts. The caches are rebuilt at call start from
-the state with the expressions the loop uses, so a run split into chained
-calls matches one call bit for bit.
+`_DUAL_CHUNK` arrivals. A full step writes its post-step shift, Z, p_bar
+and lambda into a row of history buffers; a pinned arrival writes only
+column j of shift, Z and p_bar (nothing on a null assignment). At the end
+of each chunk every unwritten cell is copied from the last row above that
+wrote its column, row 0 carrying the state from before the chunk, and one
+stacked pass turns the rows into f_vals, with products that round like the
+per-row ones. A chunk's per-arrival inputs are read as Python scalars when
+it starts. The caches are rebuilt at call start from the state with the
+expressions the loop uses, so chained calls match one call bit for bit.
 
 The default backend, `BACKEND`, is read at import from ALLOCSIM_BACKEND
 ("numba" or "numpy"; default numba when importable) but checked only when a
@@ -303,12 +308,14 @@ def _integrated_numpy(
     T = types.shape[0]
     m, n = p_true.shape
     assigned = np.empty(T, dtype=np.int64)
-    bought = np.zeros(T, dtype=np.uint8)
+    bought = np.empty(T, dtype=np.uint8)
     f_vals = np.empty(T, dtype=np.float64)
 
-    # small state read as Python scalars
-    p_true_l, infinite_l, rounds_l = (
-        a.tolist() for a in (p_true, infinite, type_rounds))
+    # small and integer state read as Python numbers; the integer state is
+    # written back at the end (counts also per arrival while learning)
+    (p_true_l, infinite_l, rounds_l, weights_l, rem_l, counts_l, purch_l,
+     p_hat_l) = (a.tolist() for a in (p_true, infinite, type_rounds, weights,
+                                      remaining, counts, purchases, p_hat))
 
     fin_budgets = np.where(infinite, 0.0, budgets)
     grad_floor = s_budget * fin_budgets
@@ -335,55 +342,64 @@ def _integrated_numpy(
     # as the (m, n) divisor matrix `div`; W and Z are the shifted
     # exponentials and their row sums at (lam, p_hat), which `_softmax_rows`
     # fills here and after every dual step that is not skipped as pinned.
+    # While pinned, the gradient operands wz = w / Z and PW = p_hat W are
+    # kept current row by row; otherwise they are recomputed before use.
     rl = rewards - lam
     pbar, scale = _row_scale(p_hat, mu)
-    pbar_l, scale_l = pbar.tolist(), scale.tolist()
+    pbar_l = pbar.tolist()
     div = np.repeat(scale[:, None], n, axis=1)
-    E = np.empty((m, n))
-    W = np.empty((m, n))
-    PW = np.empty((m, n))
-    Z = np.empty(m)
-    wz = np.empty(m)
-    grad = np.empty(n)
-    step = np.empty(n)
-    wts = np.empty(n)
-    cum = np.empty(n)
-    scores = np.empty(n)
-    p_rows, E_rows, W_rows, div_rows = (list(a) for a in (p_hat, E, W, div))
+    E, W, PW = np.empty((3, m, n))
+    Z, wz = np.empty((2, m))
+    grad, step, wts, cum, scores = np.empty((5, n))
+    p_rows, E_rows, W_rows, PW_rows, div_rows = (
+        list(a) for a in (p_hat, E, W, PW, div))
 
-    # Deferred dual values: arrival k of a chunk leaves its post-step shift,
-    # Z, p_bar and lam in row k of these buffers, and `record` turns the
-    # filled rows into f_vals with stacked products that round like the
-    # per-row ones.
-    h_shift = np.empty((_DUAL_CHUNK, m))
-    h_z = np.empty((_DUAL_CHUNK, m))
-    h_pbar = np.empty((_DUAL_CHUNK, m))
-    h_lam = np.empty((_DUAL_CHUNK, n))
+    # Deferred dual values: row k + 1 of the history buffers holds arrival
+    # k's post-step state, row 0 the state before the chunk. `record` fills
+    # the cells pinned arrivals left from the last row above that wrote their
+    # column (`owner` per cell, lam's in column m), then turns the rows into
+    # f_vals with stacked products that round like the per-row ones.
+    h_shift, h_z, h_pbar = np.empty((3, _DUAL_CHUNK + 1, m))
+    h_lam = np.empty((_DUAL_CHUNK + 1, n))
     h_log = np.empty((_DUAL_CHUNK, m))
-    shift_rows, lam_rows = list(h_shift), list(h_lam)
+    owner = np.zeros((_DUAL_CHUNK + 1, m + 1), dtype=np.intp)
+    cols = np.arange(m)
 
-    def record(lo, size):
+    def record(lo, size, full):
+        end = size + 1
+        if len(full) < size:
+            held = owner[:end]
+            held[full] = np.array(full, dtype=np.intp)[:, None]
+            np.maximum.accumulate(held, axis=0, out=held)
+            h_lam[:end] = h_lam[held[:, m]]
+            for h in (h_shift, h_z, h_pbar):
+                h[:end] = h[held[:, :m], cols]
+            held.fill(0)
         log_z = h_log[:size]
-        np.log(h_z[:size], out=log_z)
-        np.add(log_z, h_shift[:size], out=log_z)
-        np.multiply(h_pbar[:size], log_z, out=log_z)
+        np.log(h_z[1:end], out=log_z)
+        np.add(log_z, h_shift[1:end], out=log_z)
+        np.multiply(h_pbar[1:end], log_z, out=log_z)
         mix = np.matmul(phi[lo:lo + size, None, :], log_z[:, :, None])
-        spent = np.matmul(h_lam[:size, None, :], fin_budgets[:, None])
+        spent = np.matmul(h_lam[1:end, None, :], fin_budgets[:, None])
         f_vals[lo:lo + size] = mu * mix[:, 0, 0] + s_budget * spent[:, 0, 0]
+        # the chunk's last row is the next chunk's row 0
+        for h in (h_shift, h_z, h_pbar, h_lam):
+            h[0] = h[size]
 
     state_lam = lam
-    _softmax_rows(rl, p_hat, div, E, W, np.empty(m), Z)
+    _softmax_rows(rl, p_hat, div, E, W, h_shift[0], Z)
     # Set only by this call's own projected step, so a call's first arrival
-    # always steps and chained calls match one call bit for bit.
+    # always steps (and the first chunk never reads row 0) and chained calls
+    # match one call bit for bit.
     pinned = False
     for lo in range(0, T, _DUAL_CHUNK):
         size = min(_DUAL_CHUNK, T - lo)
         # the chunk's per-arrival inputs as Python scalars
         types_c, u_select_c, u_purchase_c, etas_c = (
             a[lo:lo + size].tolist() for a in (types, u_select, u_purchase, etas))
+        sels, buys, full = [], [], []
         for k in range(size):
-            t = lo + k
-            j = types_c[k]
+            j, k1 = types_c[k], k + 1
             rounds_l[j] += 1
 
             sel = -1
@@ -412,7 +428,7 @@ def _integrated_numpy(
                     total = cum[-1]
                     if total < _SELECT_UNDERFLOW:
                         np.multiply(rl, p_rows[j], out=wts)
-                        np.divide(wts, scale_l[j], out=wts)
+                        np.divide(wts, div_rows[j], out=wts)
                         np.minimum(wts, cap, out=wts)
                         np.exp(wts - np.maximum.reduce(wts), out=wts)
                         np.add.accumulate(wts, out=cum)
@@ -421,74 +437,93 @@ def _integrated_numpy(
                     if sel >= n:
                         sel = int(np.flatnonzero(wts > 0.0)[-1])
 
-            assigned[t] = sel
+            bought_now = sel >= 0 and u_purchase_c[k] < p_true_l[j][sel]
+            sels.append(sel)
+            buys.append(bought_now)
             if sel >= 0:
-                if u_purchase_c[k] < p_true_l[j][sel]:
-                    bought[t] = 1
-                    purchases[j, sel] += 1
+                purch_row, p_hat_row = purch_l[j], p_hat_l[j]
+                if bought_now:
+                    purch_row[sel] += 1
                 if not infinite_l[sel]:
-                    remaining[sel] -= 1.0
-                    if remaining[sel] < 1.0:
+                    rem_l[sel] -= 1.0
+                    if rem_l[sel] < 1.0:
                         mask[sel] = 0.0
                         cap[sel] = -np.inf
                         n_avail -= 1
-                visits = counts[j, sel] + 1
-                counts[j, sel] = visits
+                visits = counts_l[j][sel] = counts_l[j][sel] + 1
+                if learning:
+                    counts[j, sel] = visits
                 if visits == 1:
                     unseen[j] -= 1
-                p_hat[j, sel] = purchases[j, sel] / visits
+                # the int quotient rounds as numpy's int64 division does
+                est = purch_row[sel] / visits
+                old = p_hat_row[sel]
+                p_hat_row[sel] = p_hat[j, sel] = est
 
                 # only row j of the estimate moved: refresh its caches, with
                 # the dual.py softmax written out for one row (cheaper than a
-                # call)
-                p_row, e_row = p_rows[j], E_rows[j]
-                pbar_j = max(p_row.tolist())
-                if pbar_j != pbar_l[j]:
+                # call). Its maximum is the moved cell or stays, unless the
+                # cell that held it went down.
+                pbar_old = pbar_l[j]
+                pbar_j = (est if est >= pbar_old else pbar_old if old < pbar_old
+                          else max(p_hat_row))
+                if pbar_j != pbar_old:
                     pbar_l[j] = pbar[j] = pbar_j
-                    scale_l[j] = (pbar_j if pbar_j > 0.0 else 1.0) * mu
-                    div_rows[j].fill(scale_l[j])
+                    div_rows[j].fill((pbar_j if pbar_j > 0.0 else 1.0) * mu)
+                p_row, e_row, w_row = p_rows[j], E_rows[j], W_rows[j]
                 np.multiply(rl, p_row, out=e_row)
-                np.divide(e_row, scale_l[j], out=e_row)
+                np.divide(e_row, div_rows[j], out=e_row)
                 shift_j = max(e_row.tolist())
                 np.subtract(e_row, shift_j, out=e_row)
-                np.exp(e_row, out=W_rows[j])
-                Z[j] = np.add.reduce(W_rows[j])
+                np.exp(e_row, out=w_row)
+                Z[j] = z_j = np.add.reduce(w_row)
+                if pinned:
+                    wz[j] = weights_l[j] / z_j
+                    np.multiply(p_row, w_row, out=PW_rows[j])
 
             # gradient of the weighted dual at the pre-step iterate, one
             # matvec; the projected step lands in the arrival's history row
-            np.divide(weights, Z, out=wz)
-            np.multiply(p_hat, W, out=PW)
+            if not pinned:
+                np.divide(weights, Z, out=wz)
+                np.multiply(p_hat, W, out=PW)
             np.matmul(wz, PW, out=grad)
             if pinned and all(np.less_equal(grad, pin_bound, out=within).tolist()):
                 # lam = +0 and no capped item consumes above its floor s b_i:
                 # the step is <= 0 and projects back to +0, so lam and rl
                 # stay, and the caches differ from the full softmax's only in
                 # row j, which the refresh above has recomputed
-                lam_rows[k][...] = lam
-                lam = lam_rows[k]
-                shift_rows[k][...] = shift
                 if sel >= 0:
-                    shift_rows[k][j] = shift_j
+                    h_shift[k1, j] = shift_j
+                    h_z[k1, j] = z_j
+                    h_pbar[k1, j] = pbar_j
+                    owner[k1, j] = k1
             else:
+                full.append(k1)
                 np.subtract(grad_floor, grad, out=grad)
                 np.multiply(grad, etas_c[k], out=grad)
                 np.subtract(lam, grad, out=step)
                 np.minimum(step, lam_hi, out=step)
-                lam = lam_rows[k]
+                lam = h_lam[k1]
                 np.maximum(step, zeros, out=lam)
                 pinned = lam.tobytes() == zero_bytes
 
                 # the full softmax: the recorded dual value's log Z, and the
                 # selection and gradient rows of the next arrival
                 np.subtract(rewards, lam, out=rl)
-                _softmax_rows(rl, p_hat, div, E, W, shift_rows[k], Z)
-            shift = shift_rows[k]
-            h_z[k] = Z
-            h_pbar[k] = pbar
-        record(lo, size)
+                _softmax_rows(rl, p_hat, div, E, W, h_shift[k1], Z)
+                h_z[k1] = Z
+                h_pbar[k1] = pbar
+                if pinned:
+                    np.divide(weights, Z, out=wz)
+                    np.multiply(p_hat, W, out=PW)
+        assigned[lo:lo + size] = sels
+        bought[lo:lo + size] = buys
+        record(lo, size, full)
+        lam = h_lam[0]
 
-    state_lam[...] = lam
-    type_rounds[...] = rounds_l
+    for state, now in ((state_lam, lam), (type_rounds, rounds_l), (remaining, rem_l),
+                       (counts, counts_l), (purchases, purch_l)):
+        state[...] = now
 
     return assigned, bought, f_vals
 

@@ -5,6 +5,7 @@ lookup and expected counts live in `model`."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,22 +86,29 @@ def sample_stationary_stream(rates: np.ndarray, count: int, seed: int) -> Arriva
 def _thin_one_type(fn: RateFunction, rng: np.random.Generator, grid_dt: float) -> np.ndarray:
     """Thinning sampler for one type, piece by piece.
 
-    The proposal rate per piece is the grid maximum; acceptance compares
-    u·λ̄ ≤ λ(t) so a rate marginally above the grid max is still accepted.
+    The proposal rate per piece is the grid maximum λ̄. Each proposal draws
+    its gap, then its uniform u; a piece's proposals are accepted at once
+    where u·λ̄ ≤ λ(t), so a rate marginally above the grid max still is.
     """
-    out: list[float] = []
+    exponential, uniform = rng.exponential, rng.random
+    out = []
     for piece in fn.pieces:
         lam_bar = piece.grid_max(grid_dt)
         if lam_bar <= 0.0:
             continue
+        gap, t_to = 1.0 / lam_bar, piece.t_to
+        ts, us = array("d"), array("d")
         t = piece.t_from
         while True:
-            t += rng.exponential(1.0 / lam_bar)
-            if t >= piece.t_to:
+            t += exponential(gap)
+            if t >= t_to:
                 break
-            if rng.random() * lam_bar <= piece.value(t):
-                out.append(t)
-    return np.asarray(out, dtype=float)
+            ts.append(t)
+            us.append(uniform())
+        if ts:
+            times = np.frombuffer(ts)
+            out.append(times[np.frombuffer(us) * lam_bar <= piece.value(times)])
+    return np.concatenate(out) if out else np.empty(0)
 
 
 def sample_nonstationary_stream(

@@ -18,6 +18,7 @@ from allocsim import (
     type_probability_matrix,
 )
 from allocsim.errors import NegativeRate, ZeroTotalRate
+from allocsim.model import GRID_DT_DEFAULT, substream
 
 
 def constant_fn(c, t0=0.0, t_end=10.0):
@@ -106,6 +107,52 @@ class TestNonstationarySampler:
                            RatePiece(1.0, 2.0, "linear", (-1.0, 1.5))))
         with pytest.raises(NegativeRate, match=r"t=2 \(-0\.5\)"):
             sample_nonstationary_stream((constant_fn(1.0, 0.0, 2.0), fn), 0.0, 2.0, seed=0)
+
+    def test_matches_one_draw_pair_per_proposal(self):
+        # The sampler collects a piece's proposals and accepts them at once;
+        # its times must be those of the per-proposal loop below, byte for
+        # byte. The pieces: a sinusoid, a linear ramp, a zero rate (skipped,
+        # no draws), a quadratic dip that proposes at every seed here but
+        # accepts nothing, and a constant.
+        fn = RateFunction((
+            RatePiece(0.0, 3.0, "sinusoid", (2.0, 1.5, 0.3, 3.0)),
+            RatePiece(3.0, 5.0, "linear", (4.0, -10.0)),
+            RatePiece(5.0, 6.0, "constant", (0.0,)),
+            RatePiece(6.0, 7.0, "quadratic", (16.0, -208.0, 676.000001)),
+            RatePiece(7.0, 10.0, "constant", (1.5,)),
+        ))
+        for seed in (6, 7, 10):
+            accepted, proposed = thin_per_proposal(
+                fn, substream(seed, "stream", 0), GRID_DT_DEFAULT)
+            seq = sample_nonstationary_stream((fn,), 0.0, 10.0, seed=seed)
+            expected = np.array([t for kept in accepted for t in kept])
+            assert seq.times.tobytes() == expected.tobytes()
+            assert proposed[2] == 0
+            assert proposed[3] >= 2 and not accepted[3]
+            assert all(accepted[i] for i in (0, 1, 4))
+
+
+def thin_per_proposal(fn, rng, grid_dt):
+    """Thinning of one type as one loop per proposal: per piece with a
+    positive grid maximum lam_bar, an exponential gap, then (unless the
+    proposal left the piece) a uniform u, keeping the time where
+    u lam_bar <= rate. Returns the kept times and proposal count per piece."""
+    accepted, proposed = [], []
+    for piece in fn.pieces:
+        lam_bar = piece.grid_max(grid_dt)
+        kept, tried = [], 0
+        if lam_bar > 0.0:
+            t = piece.t_from
+            while True:
+                t += rng.exponential(1.0 / lam_bar)
+                if t >= piece.t_to:
+                    break
+                tried += 1
+                if rng.random() * lam_bar <= piece.value(t):
+                    kept.append(t)
+        accepted.append(kept)
+        proposed.append(tried)
+    return accepted, proposed
 
 
 def phi_row(model, t):

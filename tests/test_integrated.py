@@ -654,6 +654,86 @@ class TestPinnedIterate:
         assert_bit_identical(whole, stepped)
         assert np.isnan(whole.lam_final).all()
 
+    # The numpy twin defers its dual values a chunk at a time: a pinned
+    # arrival writes only the history column of the estimate row it moved,
+    # and the end of each chunk fills the rest from the rows above, row 0
+    # carrying the state from before the chunk. The cases below run one
+    # call (K > T) over several chunk edges.
+
+    def test_pinned_call_over_several_chunks(self, monkeypatch):
+        # The budgets never bind, so every arrival after the first is pinned
+        # while the arrivals move estimate rows of three types.
+        chunk = _kernels._DUAL_CHUNK
+        T = 3 * chunk + 50
+        rng = np.random.default_rng(3)
+        config = loop_config(n=3, m=3, budgets=[1e6, 1e6, np.inf],
+                             p=rng.uniform(0.2, 0.9, (3, 3)), r_max=0,
+                             k_interval=T + 1)
+        types, u_select, u_purchase = rng.integers(0, 3, T), rng.random(T), rng.random(T)
+        phi = rng.random((T, 3))
+        phi /= phi.sum(axis=1, keepdims=True)
+
+        def run():
+            return run_arrivals(config, hand_state(config), types,
+                                u_select=u_select, u_purchase=u_purchase,
+                                phi=phi, backend="numpy")
+
+        whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
+        assert_bit_identical(whole, stepped)
+        assert not lams.any()
+        assert np.all(whole.assigned >= 0)
+
+    def test_pinned_null_assignments(self, monkeypatch):
+        # Every item is capped with 4 units in stock, and each floor s*b_i = 2
+        # lies above any consumption, so lam stays pinned; once the 12 units
+        # are gone, every arrival is a null assignment that writes nothing.
+        chunk = _kernels._DUAL_CHUNK
+        T = 2 * chunk + 40
+        config = loop_config(n=3, m=2, budgets=2.0 * T, p=[[0.5, 0.2, 0.9],
+                                                           [0.3, 0.8, 0.6]],
+                             r_max=0, k_interval=T + 1)
+        rng = np.random.default_rng(5)
+        types, u_select = rng.integers(0, 2, T), rng.random(T)
+
+        def run():
+            state = hand_state(config, remaining=[4.0, 4.0, 4.0])
+            return run_arrivals(config, state, types, u_select=u_select,
+                                u_purchase=0.4,
+                                backend="numpy")
+
+        whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
+        assert_bit_identical(whole, stepped)
+        assert not lams.any()
+        assert np.all(whole.assigned[:12] >= 0) and np.all(whole.assigned[12:] == -1)
+
+    def test_full_and_pinned_rows_across_chunk_edges(self, monkeypatch):
+        # As in test_iterate_leaves_zero_and_returns, sales of item 0 lift lam
+        # off zero and no-sales bring it back, here with two types: the first
+        # three chunks each hold full and pinned rows, lam moves across the
+        # first two chunk edges and is pinned across the third.
+        chunk = _kernels._DUAL_CHUNK
+        T = 4 * chunk
+        config = loop_config(n=2, m=2, budgets=[0.3 * T, np.inf], p=0.5,
+                             r_max=0, k_interval=T + 1)
+        u_purchase = np.full(T, 0.99)
+        u_purchase[20:220] = u_purchase[330:500] = 0.0
+
+        def run():
+            state = hand_state(config, remaining=[1e6, np.inf],
+                               p_hat=[[0.1, 0.5], [0.05, 0.5]],
+                               counts=[[30, 10**6], [10**6, 10**6]],
+                               purchases=[[3, 5 * 10**5], [5 * 10**4, 5 * 10**5]])
+            return run_arrivals(config, state, np.arange(T) % 2, u_select=0.0,
+                                u_purchase=u_purchase, backend="numpy")
+
+        whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
+        assert_bit_identical(whole, stepped)
+        moved = lams.any(axis=1)
+        for c in range(3):
+            assert 0 < moved[c * chunk:(c + 1) * chunk].mean() < 1
+        assert moved[[chunk - 1, chunk, 2 * chunk - 1, 2 * chunk]].all()
+        assert not moved[[3 * chunk - 1, 3 * chunk]].any()
+
 
 class TestTraceExport:
     def test_trace_csv_layout(self, tmp_path):
