@@ -58,7 +58,6 @@ from .model import (
     scenario_nonstationary,
     scenario_stationary,
     substream,
-    validate_instance,
 )
 from .segmentation import (
     Segment,

@@ -54,8 +54,9 @@ per-row ones. A chunk's per-arrival inputs are read as Python scalars when
 it starts. The caches are rebuilt at call start from the state with the
 expressions the loop uses, so chained calls match one call bit for bit.
 
-The default backend, `BACKEND`, is read at import from ALLOCSIM_BACKEND
-("numba" or "numpy"; default numba when importable) but checked only when a
+Only this module picks the backend: `BACKEND`, read at import from
+ALLOCSIM_BACKEND ("numba" or "numpy"; default numba when importable), which
+`run_integrated(backend=)` overrides for one call. It is checked only when a
 loop runs: an unknown name raises ValueError, and numba where numba does not
 import raises BackendUnavailable, so a bad setting never breaks the import.
 All randomness is pre-drawn by the caller (`u_select`, `u_purchase`), so a

@@ -1,15 +1,15 @@
 """Command-line entry point.
 
     allocsim <mode> --config cfg.json --out results/ [--seed N] [--trace]
-                    [--grid T=1e3,1e4,1e5] [--backend numba|numpy]
+                    [--grid T=1e3,1e4,1e5]
 
 Modes: offline, stationary, nonstationary, greedy, segment-plan. A grid
 run rebuilds the config's scenario at each requested T and writes one
 subdirectory per value. Exit codes: 0 success, 2 configuration problem
-(including a backend, by flag or ALLOCSIM_BACKEND, that cannot run here),
-3 offline solve failed to converge, 4 I/O failure. Only stationary and
-nonstationary run the integrated loop, so offline, greedy and segment-plan
-never check the backend.
+(including an ALLOCSIM_BACKEND that cannot run here), 3 offline solve
+failed to converge, 4 I/O failure. Only stationary and nonstationary run
+the integrated loop, so offline, greedy and segment-plan never check the
+backend.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-from ._kernels import BACKENDS
 from .errors import AllocSimError, NonConvergence, ParseError
 from .harness import MODES, run_experiment, write_plan_csv
 from .model import (
@@ -55,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write per-arrival trace.csv and lambda.csv")
         s.add_argument("--grid", default=None, metavar="T=V1,V2,...",
                        help="rerun the config's scenario at several horizons")
-        s.add_argument("--backend", choices=BACKENDS, default=None,
-                       help="force a compute backend for this run")
     return parser
 
 
@@ -104,13 +101,11 @@ def _emit_plan_only(config: SimConfig, out_dir: Path) -> None:
 
 
 def _run_one(config: SimConfig, command: str, out_dir: Path,
-             trace_flag: bool, backend: str | None) -> None:
+             trace_flag: bool) -> None:
     if command == "segment-plan":
         _emit_plan_only(config, out_dir)
         return
-    run_experiment(
-        config, command, out_dir=out_dir, trace_flag=trace_flag, backend=backend
-    )
+    run_experiment(config, command, out_dir=out_dir, trace_flag=trace_flag)
 
 
 def main(argv=None) -> int:
@@ -141,10 +136,9 @@ def main(argv=None) -> int:
         if args.grid:
             for horizon in _parse_grid(args.grid):
                 cfg = _rebuild_scenario(config, horizon)
-                _run_one(cfg, args.command, out_root / f"T_{horizon}",
-                         args.trace, args.backend)
+                _run_one(cfg, args.command, out_root / f"T_{horizon}", args.trace)
         else:
-            _run_one(config, args.command, out_root, args.trace, args.backend)
+            _run_one(config, args.command, out_root, args.trace)
     except NonConvergence as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

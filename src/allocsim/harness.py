@@ -301,7 +301,6 @@ def run_experiment(
     *,
     out_dir: str | Path | None = None,
     trace_flag: bool = False,
-    backend: str | None = None,
 ) -> MetricsReport:
     """Run one experiment cell and optionally write its report files.
 
@@ -337,11 +336,11 @@ def run_experiment(
     elif mode == "stationary":
         stream = _sample_for(config)
         weights = expected_type_weights(config)
-        trace = run_integrated(config, stream, weights, backend=backend)
+        trace = run_integrated(config, stream, weights)
         gtrace = greedy_baseline(inst, stream, config.seed)
         _fill_online_metrics(report, config, trace, gtrace, weights, len(stream))
     else:
-        trace, plan = run_nonstationary(config, backend=backend)
+        trace, plan = run_nonstationary(config)
         stream = ArrivalSequence(trace.times, trace.types, config.seed)
         gtrace = greedy_baseline(inst, stream, config.seed)
         report.plan = plan

@@ -11,11 +11,9 @@ Defaults documented here and filled by :func:`config_from_document`:
 
 from __future__ import annotations
 
-import bisect
 import json
 import zlib
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +42,6 @@ __all__ = [
     "SimConfig",
     "default_ucb_rounds",
     "substream",
-    "validate_instance",
     "save_config",
     "config_document",
     "config_from_document",
@@ -56,6 +53,9 @@ __all__ = [
 MU_DEFAULT = 0.1
 K_DEFAULT = 1000
 GRID_DT_DEFAULT = 0.001
+# Most scan points of grid_dt a non-stationary horizon may hold; SimConfig
+# checks it before any scan allocates a grid.
+SCAN_POINTS_MAX = 10**6
 
 # Number of expected params per piece kind.
 RATE_KINDS = {"constant": 1, "linear": 2, "quadratic": 3, "sinusoid": 4}
@@ -153,6 +153,8 @@ class RateFunction:
     """Piecewise arrival-rate function covering a contiguous span."""
 
     pieces: tuple[RatePiece, ...]
+    # all piece endpoints, sorted ascending (derived)
+    boundaries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.pieces:
@@ -164,7 +166,8 @@ class RateFunction:
                     f"coverage gap between pieces at t={prev.t_to} and t={piece.t_from}"
                 )
             prev = piece
-        object.__setattr__(self, "_starts", [p.t_from for p in self.pieces])
+        edges = [p.t_from for p in self.pieces] + [self.t_end]
+        object.__setattr__(self, "boundaries", np.array(edges, dtype=float))
 
     @property
     def t0(self) -> float:
@@ -174,21 +177,14 @@ class RateFunction:
     def t_end(self) -> float:
         return self.pieces[-1].t_to
 
-    @cached_property
-    def boundaries(self) -> np.ndarray:
-        """All piece endpoints, sorted ascending."""
-        return np.array(self._starts + [self.t_end], dtype=float)
-
     def value(self, t):
-        """Evaluate at scalar or array t; pieces are [from, to), last closed."""
-        if np.ndim(t) == 0:
-            k = max(bisect.bisect_right(self._starts, float(t)) - 1, 0)
-            return float(self.pieces[k].value(float(t)))
-        ts = np.asarray(t, dtype=float)
+        """Evaluate at scalar or array t; pieces are [from, to), last closed.
+        A scalar t gives a float."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
         out = self.pieces[0].value(ts)
         for piece in self.pieces[1:]:
             np.copyto(out, piece.value(ts), where=ts >= piece.t_from)
-        return out
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def integral(self, a: float | None = None, b: float | None = None) -> float:
         """Closed-form integral over [a, b] (defaults to the full span)."""
@@ -286,7 +282,7 @@ ArrivalModel = StationaryArrivals | NonstationaryArrivals
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """Static problem data.
+    """Static problem data, checked when built.
 
     Attributes:
         rewards: per-item reward r_i, length n.
@@ -294,6 +290,11 @@ class ProblemInstance:
         mu: entropy regularization weight (> 0).
         preferences: ground-truth purchase probabilities P*, shape (m, n).
         horizon: total expected number of arrivals T.
+        r_star: the largest reward (derived).
+        infinite_items: boolean mask of uncapped items (derived).
+
+    An inconsistent instance raises the subclass of InvalidInstance matching
+    the first violation; the exception carries the full violation list.
     """
 
     rewards: np.ndarray
@@ -301,11 +302,47 @@ class ProblemInstance:
     mu: float
     preferences: np.ndarray
     horizon: int
+    r_star: float = field(init=False)
+    infinite_items: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=float))
-        object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=float))
-        object.__setattr__(self, "preferences", np.asarray(self.preferences, dtype=float))
+        for name in ("rewards", "budgets", "preferences"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        violations: list[tuple[type, str]] = []
+        if self.n == 0 or self.m == 0:
+            violations.append((EmptyDimension, f"empty dimension n={self.n}, m={self.m}"))
+        if self.preferences.ndim != 2 or (
+            self.m and self.preferences.shape != (self.m, self.n)
+        ):
+            violations.append(
+                (EmptyDimension, f"preferences shape {self.preferences.shape} != (m, n)")
+            )
+        elif not np.all((self.preferences >= 0.0) & (self.preferences <= 1.0)):
+            violations.append(
+                (PreferenceOutOfRange, "preference entries must lie in [0, 1]")
+            )
+        if not np.all(np.isfinite(self.rewards) & (self.rewards > 0.0)):
+            violations.append(
+                (NonpositiveReward, "rewards must be finite and strictly positive")
+            )
+        if self.budgets.size != self.rewards.size:
+            violations.append(
+                (EmptyDimension, f"budgets length {self.budgets.size} != n={self.n}")
+            )
+        elif not np.all(self.budgets >= 0.0):
+            violations.append((InvalidInstance, "budgets must be nonnegative"))
+        if not 0.0 < self.mu < np.inf:
+            violations.append(
+                (NonpositiveMu, f"mu must be positive and finite, got {self.mu}")
+            )
+        if self.horizon < 1:
+            violations.append((InvalidInstance, f"horizon must be >= 1, got {self.horizon}"))
+
+        if violations:
+            cls, first = violations[0]
+            raise cls(first, violations=[msg for _, msg in violations])
+        object.__setattr__(self, "r_star", float(self.rewards.max()))
+        object.__setattr__(self, "infinite_items", np.isinf(self.budgets))
 
     @property
     def n(self) -> int:
@@ -314,61 +351,6 @@ class ProblemInstance:
     @property
     def m(self) -> int:
         return self.preferences.shape[0] if self.preferences.ndim == 2 else 0
-
-    @cached_property
-    def r_star(self) -> float:
-        return float(self.rewards.max())
-
-    @cached_property
-    def infinite_items(self) -> np.ndarray:
-        """Boolean mask of uncapped items."""
-        return np.isinf(self.budgets)
-
-
-def validate_instance(inst: ProblemInstance) -> ProblemInstance:
-    """Check instance consistency and cache derived fields.
-
-    Returns the instance itself with r_star populated. On failure
-    raises the subclass of InvalidInstance matching the first violation; the
-    exception carries the full violation list.
-    """
-    violations: list[tuple[type, str]] = []
-    if inst.n == 0 or inst.m == 0:
-        violations.append((EmptyDimension, f"empty dimension n={inst.n}, m={inst.m}"))
-    if inst.preferences.ndim != 2 or (
-        inst.m and inst.preferences.shape != (inst.m, inst.n)
-    ):
-        violations.append(
-            (EmptyDimension, f"preferences shape {inst.preferences.shape} != (m, n)")
-        )
-    elif not np.all((inst.preferences >= 0.0) & (inst.preferences <= 1.0)):
-        violations.append(
-            (PreferenceOutOfRange, "preference entries must lie in [0, 1]")
-        )
-    if not np.all(np.isfinite(inst.rewards) & (inst.rewards > 0.0)):
-        violations.append(
-            (NonpositiveReward, "rewards must be finite and strictly positive")
-        )
-    if inst.budgets.size != inst.rewards.size:
-        violations.append(
-            (EmptyDimension, f"budgets length {inst.budgets.size} != n={inst.n}")
-        )
-    elif not np.all(inst.budgets >= 0.0):
-        violations.append((InvalidInstance, "budgets must be nonnegative"))
-    if not 0.0 < inst.mu < np.inf:
-        violations.append(
-            (NonpositiveMu, f"mu must be positive and finite, got {inst.mu}")
-        )
-    if inst.horizon < 1:
-        violations.append((InvalidInstance, f"horizon must be >= 1, got {inst.horizon}"))
-
-    if violations:
-        cls, first = violations[0]
-        raise cls(first, violations=[msg for _, msg in violations])
-
-    # touch cached fields so later hot paths never recompute under surprise
-    _ = inst.r_star, inst.infinite_items
-    return inst
 
 
 # ============================================================
@@ -446,6 +428,16 @@ class SimConfig:
     # the resolved preference matrix.
     pref_generator: dict | None = None
     scenario: dict | None = None
+
+    def __post_init__(self):
+        model = self.arrivals
+        if isinstance(model, NonstationaryArrivals):
+            points = (model.t_end - model.t0) / self.params.grid_dt
+            if not points <= SCAN_POINTS_MAX:
+                raise InvalidInstance(
+                    f"grid_dt={self.params.grid_dt:g} puts {points:.3g} scan points "
+                    f"on the horizon (at most {SCAN_POINTS_MAX:.0e})"
+                )
 
     def lambda_max(self) -> float:
         return self.params.lambda_max if self.params.lambda_max is not None else self.instance.r_star
@@ -651,24 +643,22 @@ def config_from_document(doc: dict) -> SimConfig:
         fields[name] = _convert(convert, value, f"params.{key}")
     params = AlgoParams(**fields)
 
-    instance = validate_instance(
-        ProblemInstance(
+    config = SimConfig(
+        instance=ProblemInstance(
             rewards=rewards, budgets=budgets, mu=mu,
             preferences=preferences, horizon=horizon,
-        )
-    )
-    if isinstance(arrivals, NonstationaryArrivals):
-        for j, fn in enumerate(arrivals.rate_fns):
-            _convert(fn.check_nonnegative, params.grid_dt,
-                     f"arrivals.nonstationary.rate_fns[{j}]")
-    return SimConfig(
-        instance=instance,
+        ),
         arrivals=arrivals,
         seed=seed,
         params=params,
         pref_generator=pref_generator,
         scenario=doc.get("scenario"),
     )
+    if isinstance(arrivals, NonstationaryArrivals):
+        for j, fn in enumerate(arrivals.rate_fns):
+            _convert(fn.check_nonnegative, params.grid_dt,
+                     f"arrivals.nonstationary.rate_fns[{j}]")
+    return config
 
 
 def config_document(config: SimConfig) -> dict:
@@ -757,14 +747,11 @@ def scenario_stationary(T: int, seed: int) -> SimConfig:
     budgets = np.linspace(0.30 * T, 0.10 * T, n)
     pref_generator = {"generator": "beta", "params": [2.0, 5.0]}
     preferences = _draw_preferences(pref_generator, m, n, seed)
-    instance = validate_instance(
-        ProblemInstance(
+    return SimConfig(
+        instance=ProblemInstance(
             rewards=rewards, budgets=budgets, mu=MU_DEFAULT,
             preferences=preferences, horizon=int(T),
-        )
-    )
-    return SimConfig(
-        instance=instance,
+        ),
         arrivals=StationaryArrivals(rates),
         seed=int(seed),
         params=AlgoParams(r_max=default_ucb_rounds(T)),
@@ -825,12 +812,6 @@ def scenario_nonstationary(kind: str, T: int, horizon_hours: float, seed: int) -
 
     pref_generator = {"generator": "gaussian", "params": [0.1, 0.03]}
     preferences = _draw_preferences(pref_generator, m, n, seed)
-    instance = validate_instance(
-        ProblemInstance(
-            rewards=rewards, budgets=budgets, mu=MU_DEFAULT,
-            preferences=preferences, horizon=int(T),
-        )
-    )
     # Segmentation knobs sized to the scenario: epsilon at 1% of the mean
     # total rate, minimum type-A span at 2% of the horizon.
     params = AlgoParams(
@@ -841,7 +822,10 @@ def scenario_nonstationary(kind: str, T: int, horizon_hours: float, seed: int) -
         grid_dt=GRID_DT_DEFAULT,
     )
     return SimConfig(
-        instance=instance,
+        instance=ProblemInstance(
+            rewards=rewards, budgets=budgets, mu=MU_DEFAULT,
+            preferences=preferences, horizon=int(T),
+        ),
         arrivals=NonstationaryArrivals(rate_fns, 0.0, h),
         seed=int(seed),
         params=params,

@@ -311,11 +311,7 @@ def segment_weights(segment: Segment, rate_fns, rng: np.random.Generator) -> np.
 # Non-stationary driver
 # ============================================================
 
-def run_nonstationary(
-    config: SimConfig,
-    *,
-    backend: str | None = None,
-) -> tuple[Trace, SegmentPlan]:
+def run_nonstationary(config: SimConfig) -> tuple[Trace, SegmentPlan]:
     """Plan segments, sample the stream once, and run the online loop
     segment by segment with shared state.
 
@@ -363,7 +359,6 @@ def run_nonstationary(
             config, batch, seg.weights,
             loop_state=state, rng=loop_rng,
             expected_count=expected, phi=phi,
-            step_rule="fixed", backend=backend,
         )
         piece.segment[:] = k
         state = piece.carry

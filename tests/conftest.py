@@ -25,7 +25,6 @@ from allocsim import (
     run_integrated,
     scenario_nonstationary,
     scenario_stationary,
-    validate_instance,
 )
 from allocsim.harness import run_experiment
 
@@ -71,13 +70,13 @@ def loop_config(n=1, m=1, *, rewards=None, budgets=np.inf, p=1.0, mu=0.1,
     matrix is given. The default r_max keeps the loop learning until its
     first checkpoint; r_max=0 starts it pricing."""
     rewards = np.ones(n) if rewards is None else np.asarray(rewards, dtype=float)
-    inst = validate_instance(ProblemInstance(
+    inst = ProblemInstance(
         rewards=rewards,
         budgets=np.broadcast_to(np.asarray(budgets, dtype=float), (n,)).copy(),
         mu=mu,
         preferences=np.broadcast_to(np.asarray(p, dtype=float), (m, n)).copy(),
         horizon=1000,
-    ))
+    )
     return SimConfig(instance=inst, arrivals=StationaryArrivals(np.ones(m)),
                      seed=seed, params=AlgoParams(r_max=r_max, **params))
 

@@ -25,8 +25,8 @@ from allocsim import (
     save_config,
     scenario_nonstationary,
     scenario_stationary,
-    validate_instance,
 )
+from allocsim import _kernels
 from allocsim._kernels import BACKENDS, available_backends
 from allocsim.cli import main
 from allocsim.dual import dual_objective
@@ -44,14 +44,12 @@ from allocsim.model import AlgoParams, SimConfig, config_document
 def tiny_instance(rewards, budgets, p=1.0):
     rewards = np.asarray(rewards, dtype=float)
     prefs = np.full((1, rewards.size), p)
-    return validate_instance(
-        ProblemInstance(
-            rewards=rewards,
-            budgets=np.asarray(budgets, dtype=float),
-            mu=0.1,
-            preferences=prefs,
-            horizon=10,
-        )
+    return ProblemInstance(
+        rewards=rewards,
+        budgets=np.asarray(budgets, dtype=float),
+        mu=0.1,
+        preferences=prefs,
+        horizon=10,
     )
 
 
@@ -417,6 +415,26 @@ class TestCli:
         assert key in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, value, extra, named", [
+        ("nonstationary", ("params", "grid_dt"), 1e-12, [],
+         "grid_dt=1e-12 puts 2.4e+13 scan points"),
+        ("segment-plan", ("scenario", "horizon_hours"), 1e9, ["--grid", "T=2000"],
+         "grid_dt=0.001 puts 1e+12 scan points"),
+    ], ids=["grid_dt", "grid-horizon_hours"])
+    def test_scan_grid_too_fine_exits_2(self, tmp_path, capsys, command, key,
+                                        value, extra, named):
+        """A horizon holding more scan points than SCAN_POINTS_MAX is a config
+        error, raised before any scan allocates its grid."""
+        doc = config_document(scenario_nonstationary("varying_reward", 2000, 24.0, seed=2))
+        doc[key[0]][key[1]] = value
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {named} ")
+        assert not out.exists()
+
     def test_nonconvergence_exits_3(self, tmp_path):
         config = scenario_stationary(T=300, seed=1)
         doc = config_document(config)
@@ -477,19 +495,20 @@ class TestCli:
             assert code == 0
             assert [p.name for p in out.iterdir()] == [made]
 
-    def test_backend_flag_matches_default(self, tmp_path, capsys):
-        """Every backend that can run here reproduces the default run's
-        selections byte for byte (with numba present this is numba == numpy);
-        one that cannot run exits 2 with a one-line message naming it."""
+    def test_each_backend_matches_default(self, tmp_path, capsys, monkeypatch):
+        """With `_kernels.BACKEND` set to each name, every backend that can
+        run here reproduces the default run's selections byte for byte (with
+        numba present this is numba == numpy); one that cannot run exits 2
+        with a one-line message naming it."""
         cfg = self._write_config(tmp_path, scenario_stationary(T=400, seed=3))
         out_default = tmp_path / "default"
         assert main(["stationary", "--config", cfg, "--out", str(out_default)]) == 0
         expected = (out_default / "selections.csv").read_bytes()
         capsys.readouterr()
         for backend in BACKENDS:
+            monkeypatch.setattr(_kernels, "BACKEND", backend)
             out = tmp_path / backend
-            code = main(["stationary", "--config", cfg, "--out", str(out),
-                         "--backend", backend])
+            code = main(["stationary", "--config", cfg, "--out", str(out)])
             err = capsys.readouterr().err
             if backend in available_backends():
                 assert code == 0

@@ -33,7 +33,6 @@ from allocsim import (
     solve_offline,
     step_sizes,
     substream,
-    validate_instance,
 )
 from allocsim import _kernels
 from allocsim.dual import default_grad_bound
@@ -342,9 +341,15 @@ class TestBackendEquivalence:
         # Per-arrival phi rows, an uncapped item, state carried across
         # segments, and capped items selling out while arrivals remain.
         config = scenario_nonstationary("extreme_budget", 2000, 24.0, seed=3)
-        fast, plan = on_reference_backend(
-            monkeypatch, lambda b: run_nonstationary(config, backend=b))
-        plain, _ = run_nonstationary(config, backend="numpy")
+
+        def run(backend):
+            # run_nonstationary takes its backend from _kernels.BACKEND
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "BACKEND", backend or "numpy")
+                return run_nonstationary(config)
+
+        fast, plan = on_reference_backend(monkeypatch, run)
+        plain, _ = run("numpy")
         assert len(plan) > 1
         assert np.unique(plain.segment).size > 1
         assert config.instance.infinite_items.any()
@@ -359,10 +364,10 @@ class TestBackendEquivalence:
         # With mu this small a sold-out item's exponent exceeds the uncapped
         # one's by thousands, so the unmasked row underflows on every
         # available item; the selection must still draw from what is left.
-        inst = validate_instance(ProblemInstance(
+        inst = ProblemInstance(
             rewards=np.array([10.0, 1.0]), budgets=np.array([1.0, np.inf]),
             mu=1e-3, preferences=np.ones((1, 2)), horizon=20,
-        ))
+        )
         config = SimConfig(instance=inst, arrivals=StationaryArrivals(np.ones(1)),
                            seed=0, params=AlgoParams(r_max=0))
         stream = sample_stationary_stream(np.array([1.0]), 20, seed=0)
@@ -592,8 +597,9 @@ class TestPinnedIterate:
     def test_pinned_run_matches_stepping_every_arrival(self, kind, seed,
                                                        monkeypatch):
         config = scenario_nonstationary(kind, 2000, 24.0, seed=seed)
+        monkeypatch.setattr(_kernels, "BACKEND", "numpy")
         whole, stepped, lams = one_call_and_per_arrival(
-            monkeypatch, lambda: run_nonstationary(config, backend="numpy")[0])
+            monkeypatch, lambda: run_nonstationary(config)[0])
         assert_bit_identical(whole, stepped)
         assert np.mean(~lams.any(axis=1)) >= 0.9
         assert np.mean(~whole.checkpoints.lam.any(axis=1)) >= 0.9

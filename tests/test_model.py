@@ -19,7 +19,6 @@ from allocsim import (
     scenario_nonstationary,
     scenario_stationary,
     substream,
-    validate_instance,
 )
 from allocsim.errors import (
     InvalidInstance,
@@ -52,39 +51,34 @@ def minimal_doc(**overrides):
 
 class TestValidateInstance:
     def test_accepts_single_cell(self):
-        inst = validate_instance(
+        inst = ProblemInstance(
+            rewards=np.array([1.0]),
+            budgets=np.array([1.0]),
+            mu=1.0,
+            preferences=np.array([[0.5]]),
+            horizon=10,
+        )
+        assert inst.r_star == 1.0
+        assert inst.infinite_items.tolist() == [False]
+
+    def test_rejects_preference_above_one(self):
+        with pytest.raises(PreferenceOutOfRange):
             ProblemInstance(
                 rewards=np.array([1.0]),
                 budgets=np.array([1.0]),
                 mu=1.0,
-                preferences=np.array([[0.5]]),
+                preferences=np.array([[1.2]]),
                 horizon=10,
-            )
-        )
-        assert inst.r_star == 1.0
-
-    def test_rejects_preference_above_one(self):
-        with pytest.raises(PreferenceOutOfRange):
-            validate_instance(
-                ProblemInstance(
-                    rewards=np.array([1.0]),
-                    budgets=np.array([1.0]),
-                    mu=1.0,
-                    preferences=np.array([[1.2]]),
-                    horizon=10,
-                )
             )
 
     def test_rejects_zero_mu(self):
         with pytest.raises(NonpositiveMu):
-            validate_instance(
-                ProblemInstance(
-                    rewards=np.array([1.0]),
-                    budgets=np.array([1.0]),
-                    mu=0.0,
-                    preferences=np.array([[0.5]]),
-                    horizon=10,
-                )
+            ProblemInstance(
+                rewards=np.array([1.0]),
+                budgets=np.array([1.0]),
+                mu=0.0,
+                preferences=np.array([[0.5]]),
+                horizon=10,
             )
 
     @pytest.mark.parametrize("field, value, error", [
@@ -101,11 +95,24 @@ class TestValidateInstance:
                       preferences=[[0.5]], horizon=10)
         fields[field] = value
         with pytest.raises(error):
-            validate_instance(ProblemInstance(**fields))
+            ProblemInstance(**fields)
+
+    def test_violations_list_every_failure(self):
+        # the first violation picks the class; the list holds all of them
+        with pytest.raises(PreferenceOutOfRange) as caught:
+            ProblemInstance(rewards=[0.0, 1.0], budgets=[-1.0, 1.0], mu=0.0,
+                            preferences=[[1.5, 0.5]], horizon=0)
+        assert caught.value.violations == [
+            "preference entries must lie in [0, 1]",
+            "rewards must be finite and strictly positive",
+            "budgets must be nonnegative",
+            "mu must be positive and finite, got 0.0",
+            "horizon must be >= 1, got 0",
+        ]
 
     def test_infinite_budget_is_uncapped(self):
-        inst = validate_instance(ProblemInstance(
-            rewards=[1.0], budgets=[np.inf], mu=1.0, preferences=[[0.5]], horizon=10))
+        inst = ProblemInstance(
+            rewards=[1.0], budgets=[np.inf], mu=1.0, preferences=[[0.5]], horizon=10)
         assert inst.infinite_items.tolist() == [True]
 
     @pytest.mark.parametrize("rate", [np.nan, np.inf])

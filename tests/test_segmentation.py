@@ -26,7 +26,6 @@ from allocsim.model import (
     ProblemInstance,
     NonstationaryArrivals,
     SimConfig,
-    validate_instance,
 )
 from allocsim import segmentation
 from allocsim.segmentation import _scan_window
@@ -309,14 +308,12 @@ class TestDriver:
         h = T / rates.sum()
         fns = tuple(constant_fn(c, 0.0, h) for c in rates)
         prefs = substream(seed, "preferences").beta(2.0, 5.0, size=(3, 3))
-        inst = validate_instance(
-            ProblemInstance(
-                rewards=np.array([0.5, 0.75, 1.0]),
-                budgets=np.full(3, 0.5 * T),
-                mu=0.1,
-                preferences=prefs,
-                horizon=T,
-            )
+        inst = ProblemInstance(
+            rewards=np.array([0.5, 0.75, 1.0]),
+            budgets=np.full(3, 0.5 * T),
+            mu=0.1,
+            preferences=prefs,
+            horizon=T,
         )
         params = AlgoParams(r_max=750, epsilon=0.5, delta=0.05, d=0.1)
         return SimConfig(
