@@ -43,6 +43,25 @@ consumption test is written so that NaN fails it. The pinned flag is set
 only by the call's own projected step, never from the incoming state, so
 it resets at each piece: a piece's first arrival takes the full step.
 
+While pinned with one item i in stock, an arrival's choice is fixed (the
+selection row's cumulative sum, and its underflow recompute, return i for
+every u) and it moves one estimate cell, so the rest of the chunk is taken
+as one vectorized step, the one-item run. Per-type running visits and
+sales give each arrival's estimate, exactly the int quotient; each
+arrival's estimate row goes through `_softmax_rows` as a block, which
+rounds as the row refresh does. A capped i ends the run at the arrival
+that takes its last unit (stock minus k is exact, as each step of -1 is).
+The pinned test gathers every type's row as it stands after each arrival,
+with the owner idiom of the deferred dual values, and takes one stacked
+matvec. Every term w_j / Z_j p_ji W_ji is >= 0 (`run_integrated` refuses
+negative weights), so any summation order, fused or not, lies within
+about m 2^-53 of the exact sum, relative, and two orders within about
+twice that of each other; the run counts an arrival as pinned only if
+consumption (1 + 4 m 2^-53) <= s b_i for every capped item. The first
+arrival that fails goes the per-arrival way, which makes the exact test;
+the run writes the history cells and each moved type's state and caches
+as its last arrival left them.
+
 The recorded dual values are deferred: the loop runs in chunks of
 `_DUAL_CHUNK` arrivals. A full step writes its post-step shift, Z, p_bar
 and lambda into a row of history buffers; a pinned arrival writes only
@@ -301,6 +320,13 @@ _SELECT_UNDERFLOW = 1e-200
 _DUAL_CHUNK = 256
 
 
+def _stacked_consumption(wz, PW):
+    """Row k is wz[k] @ PW[k]: the consumption at each arrival of a one-item
+    run, in one stacked matmul whose summation order may differ from the
+    per-arrival matvec's."""
+    return np.matmul(wz[:, None, :], PW)[:, 0]
+
+
 def _integrated_numpy(
     types, weights, phi, s_budget, p_true, rewards, budgets, infinite, mu,
     lam, remaining, counts, purchases, p_hat, type_rounds, learning, lam_max,
@@ -387,6 +413,82 @@ def _integrated_numpy(
         for h in (h_shift, h_z, h_pbar, h_lam):
             h[0] = h[size]
 
+    # a pinned test with room for any summation order of m products >= 0
+    pin_margin = 1.0 + 4 * m * 2.0**-53
+
+    def one_item_run(lo, k, size, sels, buys):
+        """Arrivals k, k + 1, ... of the chunk at `lo` while lam is pinned and
+        one item is in stock, as one vectorized step; returns how many it
+        took. It stops at the chunk end, at the arrival that takes the
+        item's last unit, or before the first arrival whose consumption
+        does not clear the floors with `pin_margin` to spare."""
+        nonlocal n_avail
+        i = int(mask.argmax())
+        stop = size if infinite_l[i] else min(size, k + int(rem_l[i]))
+        K, t = stop - k, types[lo + k:lo + stop]
+        at = np.arange(K)
+        # each arrival's running visits and sales of item i by its type
+        hot = np.zeros((K, m), dtype=np.int64)
+        hot[at, t] = 1
+        visits = hot.cumsum(axis=0)[at, t] + np.array([c[i] for c in counts_l])[t]
+        sold_now = u_purchase[lo + k:lo + stop] < p_true[t, i]
+        hot[at, t] = sold_now
+        sold = hot.cumsum(axis=0)[at, t] + np.array([b[i] for b in purch_l])[t]
+        est = sold / visits
+        # each arrival's refreshed estimate row and its softmax
+        rows = p_hat[t]
+        rows[:, i] = est
+        pb, scale = _row_scale(rows, mu)
+        E_r, W_r = np.empty((2, K, n))
+        shift_r, Z_r = np.empty((2, K))
+        _softmax_rows(rl, rows, scale[:, None], E_r, W_r, shift_r, Z_r)
+        wz_r = weights[t] / Z_r
+        PW_r = rows * W_r
+        # each arrival's gradient operands, every type's row as it stands
+        # after the arrival: `pos` holds the last arrival (1-based, 0 for
+        # the call's rows) that moved each type's row
+        pos = np.zeros((K + 1, m), dtype=np.intp)
+        pos[at + 1, t] = at + 1
+        np.maximum.accumulate(pos, axis=0, out=pos)
+        src = np.where(pos[1:] > 0, pos[1:] + (m - 1), cols)
+        use = _stacked_consumption(np.concatenate((wz, wz_r))[src],
+                                   np.concatenate((PW, PW_r))[src])
+        broke = np.flatnonzero(~(use * pin_margin <= pin_bound).all(axis=1))
+        K = int(broke[0]) if broke.size else K
+        if K == 0:
+            return 0
+
+        t, k1 = t[:K], at[:K] + (k + 1)
+        h_shift[k1, t], h_z[k1, t], h_pbar[k1, t] = shift_r[:K], Z_r[:K], pb[:K]
+        owner[k1, t] = k1
+        sels.extend([i] * K)
+        buys.extend(sold_now[:K].tolist())
+        if not infinite_l[i]:
+            rem_l[i] -= K
+            if rem_l[i] < 1.0:
+                mask[i] = 0.0
+                cap[i] = -np.inf
+                n_avail -= 1
+        # every moved type's state and caches as its last arrival left them
+        last = pos[K]
+        moved = np.flatnonzero(last)
+        a = last[moved] - 1
+        p_hat[moved, i], pbar[moved], div[moved] = est[a], pb[a], scale[a, None]
+        E[moved], W[moved], PW[moved] = E_r[a], W_r[a], PW_r[a]
+        Z[moved], wz[moved] = Z_r[a], wz_r[a]
+        for j, visits_j, sold_j, est_j, pbar_j in zip(
+                moved.tolist(), visits[a].tolist(), sold[a].tolist(),
+                est[a].tolist(), pb[a].tolist()):
+            before = counts_l[j][i]
+            rounds_l[j] += visits_j - before
+            if before == 0:
+                unseen[j] -= 1
+            counts_l[j][i], purch_l[j][i] = visits_j, sold_j
+            p_hat_l[j][i], pbar_l[j] = est_j, pbar_j
+            if learning:
+                counts[j, i] = visits_j
+        return K
+
     state_lam = lam
     _softmax_rows(rl, p_hat, div, E, W, h_shift[0], Z)
     # Set only by this call's own projected step, so a call's first arrival
@@ -399,7 +501,14 @@ def _integrated_numpy(
         types_c, u_select_c, u_purchase_c, etas_c = (
             a[lo:lo + size].tolist() for a in (types, u_select, u_purchase, etas))
         sels, buys, full = [], [], []
-        for k in range(size):
+        k = 0
+        while k < size:
+            if pinned and n_avail == 1:
+                # the arrival that ends a one-item run goes the per-arrival
+                # way below, which makes the exact pinned test
+                k += one_item_run(lo, k, size, sels, buys)
+                if k == size:
+                    break
             j, k1 = types_c[k], k + 1
             rounds_l[j] += 1
 
@@ -517,6 +626,7 @@ def _integrated_numpy(
                 if pinned:
                     np.divide(weights, Z, out=wz)
                     np.multiply(p_hat, W, out=PW)
+            k += 1
         assigned[lo:lo + size] = sels
         bought[lo:lo + size] = buys
         record(lo, size, full)

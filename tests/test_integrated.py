@@ -246,6 +246,23 @@ class TestRunIntegrated:
         spent = config.instance.budgets - trace.remaining_final
         np.testing.assert_allclose(spent, trace.assignment_counts)
 
+    @pytest.mark.parametrize("backend", _kernels.available_backends())
+    def test_budget_ledger_balances_on_a_segmented_run(self, backend,
+                                                       monkeypatch):
+        # The same ledger at every checkpoint of a run that carries stock
+        # across segments and sells out every capped item, exactly.
+        monkeypatch.setattr(_kernels, "BACKEND", backend)
+        config = scenario_nonstationary("extreme_budget", 6000, 24.0, seed=1)
+        trace, _ = run_nonstationary(config)
+        capped = ~config.instance.infinite_items
+        budgets = config.instance.budgets[capped]
+        for t, remaining in zip(trace.checkpoints.t, trace.checkpoints.remaining):
+            taken = np.bincount(trace.assigned[:t][trace.assigned[:t] >= 0],
+                                minlength=capped.size)
+            np.testing.assert_array_equal(budgets - remaining[capped],
+                                          taken[capped])
+        assert np.all(trace.remaining_final[capped] == 0.0)
+
     def test_null_only_when_everything_is_gone(self):
         config = loop_config(n=2, rewards=[0.5, 1.0], budgets=10.0, r_max=0)
         stream = sample_stationary_stream(np.array([1.0]), 60, seed=2)
@@ -583,6 +600,9 @@ def assert_bit_identical(a, b):
     for name in ("t", "pref_error", "change", "lam", "remaining"):
         np.testing.assert_array_equal(getattr(a.checkpoints, name),
                                       getattr(b.checkpoints, name))
+    for name in ("counts", "purchases", "p_hat", "type_rounds"):
+        np.testing.assert_array_equal(getattr(a.carry, name),
+                                      getattr(b.carry, name))
 
 
 class TestPinnedIterate:
@@ -739,6 +759,111 @@ class TestPinnedIterate:
             assert 0 < moved[c * chunk:(c + 1) * chunk].mean() < 1
         assert moved[[chunk - 1, chunk, 2 * chunk - 1, 2 * chunk]].all()
         assert not moved[[3 * chunk - 1, 3 * chunk]].any()
+
+    # Once lam is pinned and one item is left in stock, the numpy twin takes
+    # the rest of the chunk as one vectorized step, up to the chunk end, the
+    # sale of the item's last unit, or the first arrival whose consumption
+    # does not clear the floors with a margin; that arrival goes the
+    # per-arrival way. The oracle, one call per arrival, never takes it.
+
+    def test_one_item_sells_out_across_a_chunk_edge(self, monkeypatch):
+        # Item 0 is sold out and item 1 holds 300.5 units, so the run from
+        # arrival 1 crosses the first chunk edge and ends at the 300th sale;
+        # every arrival after it is a null assignment. The floors s*b_i = 2
+        # lie above any consumption.
+        chunk = _kernels._DUAL_CHUNK
+        T = 2 * chunk + 40
+        rng = np.random.default_rng(11)
+        config = loop_config(n=2, m=2, budgets=2.0 * T,
+                             p=rng.uniform(0.2, 0.9, (2, 2)), r_max=0,
+                             k_interval=T + 1)
+        types, u_purchase = rng.integers(0, 2, T), rng.random(T)
+
+        def run():
+            state = hand_state(config, remaining=[0.0, 300.5])
+            return run_arrivals(config, state, types, u_purchase=u_purchase,
+                                backend="numpy")
+
+        whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
+        assert_bit_identical(whole, stepped)
+        assert not lams.any()
+        assert np.all(whole.assigned[:300] == 1)
+        assert np.all(whole.assigned[300:] == -1)
+        assert whole.remaining_final.tolist() == [0.0, 0.5]
+
+    @staticmethod
+    def _rising_consumption_run(monkeypatch):
+        # Sold-out item 0 has estimate 0.5 in both rows. Types 0 and 1 take
+        # turns at item 1 and never buy, so each type's estimate 10/(10 + k)
+        # after its k-th visit falls below 0.5 and its row's maximum moves
+        # to item 0. Item 0's consumption rises, to exactly 0.25 at arrival
+        # 19 (both rows [0.5, 0.5]), one ulp past its floor
+        # s*b_0 = 0.25 (1 - 2^-53). The checkpoint after arrival 19 shows
+        # whether lam left zero there.
+        T = 40
+        config = loop_config(n=2, m=2, budgets=[1.0 - 2.0**-53, np.inf], p=0.5,
+                             r_max=0, k_interval=20)
+
+        def run():
+            state = hand_state(config, remaining=[0.0, np.inf],
+                               p_hat=[[0.5, 1.0], [0.5, 1.0]],
+                               counts=[[4, 10], [4, 10]],
+                               purchases=[[2, 10], [2, 10]])
+            return run_arrivals(config, state, np.arange(T) % 2,
+                                u_purchase=0.99, expected_count=4,
+                                backend="numpy")
+
+        whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
+        assert_bit_identical(whole, stepped)
+        assert np.flatnonzero(lams[:, 0])[0] == 19
+        assert whole.checkpoints.lam[0, 0] > 0.0
+        assert np.all(whole.assigned == 1)
+
+    def test_one_item_run_stops_where_consumption_passes_its_floor(
+            self, monkeypatch):
+        # The run from arrival 1 stops at arrival 19, whose pinned test must
+        # see the row type 0 moved inside the run.
+        self._rising_consumption_run(monkeypatch)
+
+    def test_pinned_margin_covers_another_summation_order(self, monkeypatch):
+        # The run's stacked matvec may sum in another order than the
+        # per-arrival one, within about m ulps. Here it rounds each sum one
+        # ulp down, so at arrival 19 it reads the floor exactly while the
+        # exact consumption lies one ulp above it: the margin must send
+        # that arrival the per-arrival way, where lam leaves zero.
+        stacked = _kernels._stacked_consumption
+        monkeypatch.setattr(_kernels, "_stacked_consumption",
+                            lambda wz, PW: np.nextafter(stacked(wz, PW), 0.0))
+        self._rising_consumption_run(monkeypatch)
+
+    def test_one_item_run_while_learning(self, monkeypatch):
+        # Items 0 and 1 are sold out, so every arrival of the learning phase
+        # takes item 2; type 2 has not visited it yet. The run's counts,
+        # purchases, estimates and per-type clock reach the carry.
+        T = 300
+        rng = np.random.default_rng(2)
+        config = loop_config(n=3, m=3, budgets=[2.0 * T, 2.0 * T, np.inf],
+                             p=rng.uniform(0.2, 0.9, (3, 3)), k_interval=100)
+        types, u_purchase = rng.integers(0, 3, T), rng.random(T)
+
+        def run():
+            state = hand_state(config, remaining=[0.0, 0.0, np.inf],
+                               counts=[[4, 3, 6], [2, 5, 1], [3, 3, 0]],
+                               purchases=[[1, 2, 3], [1, 1, 0], [2, 1, 0]],
+                               p_hat=[[0.25, 2 / 3, 0.5], [0.5, 0.2, 0.0],
+                                      [2 / 3, 1 / 3, 0.5]],
+                               type_rounds=[13, 8, 6])
+            return run_arrivals(config, state, types, u_purchase=u_purchase,
+                                backend="numpy")
+
+        whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
+        assert_bit_identical(whole, stepped)
+        assert not lams.any()
+        assert np.all(whole.phase == PHASE_NAMES.index("ucb"))
+        assert np.all(whole.assigned == 2)
+        visits = np.bincount(types, minlength=3)
+        np.testing.assert_array_equal(whole.carry.counts[:, 2], [6, 1, 0] + visits)
+        np.testing.assert_array_equal(whole.carry.type_rounds, [13, 8, 6] + visits)
 
 
 class TestTraceExport:
