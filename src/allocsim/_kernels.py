@@ -31,47 +31,63 @@ score cap (-inf on sold-out items) and a per-type count of unvisited items
 are updated per arrival the same way; counts, purchases and remaining
 stock are Python numbers within a call, and the gradient is one matvec.
 
-A dual step is followed by one full softmax at the new iterate, except
-while lambda is pinned at zero. When every entry of lambda is +0.0 and no
-capped item's consumption (the gradient's matvec) exceeds its floor s b_i,
-floor - consumption >= 0 holds in floating point, so the step lands at or
-below 0 and projects back to +0.0; lambda and r - lambda stay as they are,
-and the cache differs from the full softmax only in the row already
-refreshed. Such an arrival skips the step and the full softmax, and the
-matvec's operands w / Z and p_hat W are updated in that row only. The
-consumption test is written so that NaN fails it. The pinned flag is set
-only by the call's own projected step, never from the incoming state, so
-it resets at each piece: a piece's first arrival takes the full step.
+Every arrival the loop takes one at a time makes the full dual step and
+is followed by one full softmax at the new iterate; its gradient operands
+w / Z and p_hat W are recomputed from Z, W and p_hat before the matvec.
 
-While pinned with one item i in stock, an arrival's choice is fixed (the
-selection row's cumulative sum, and its underflow recompute, return i for
-every u) and it moves one estimate cell, so the rest of the chunk is taken
-as one vectorized step, the one-item run. Per-type running visits and
-sales give each arrival's estimate, exactly the int quotient; each
-arrival's estimate row goes through `_softmax_rows` as a block, which
-rounds as the row refresh does. A capped i ends the run at the arrival
-that takes its last unit (stock minus k is exact, as each step of -1 is).
-The pinned test gathers every type's row as it stands after each arrival,
-with the owner idiom of the deferred dual values, and takes one stacked
-matvec. Every term w_j / Z_j p_ji W_ji is >= 0 (`run_integrated` refuses
-negative weights), so any summation order, fused or not, lies within
-about m 2^-53 of the exact sum, relative, and two orders within about
-twice that of each other; the run counts an arrival as pinned only if
-consumption (1 + 4 m 2^-53) <= s b_i for every capped item. The first
-arrival that fails goes the per-arrival way, which makes the exact test;
-the run writes the history cells and each moved type's state and caches
-as its last arrival left them.
+While lambda is pinned at zero, arrivals are taken a run at once. When
+every entry of lambda is +0.0 (the call's own last step landed there) and
+no capped item's consumption (the gradient's matvec) exceeds its floor
+s b_i, floor - consumption >= 0 holds in floating point, so a step lands at
+or below 0 and projects back to +0.0: lambda and r - lambda stay, and the
+cache differs from the full softmax only in the rows the arrivals moved.
+An arrival's choice then depends only on its own type's estimate row (and,
+while learning, that type's counts and clock), the availability mask and
+its pre-drawn uniforms, so arrivals of different types are independent
+until a capped item sells out. The pinned run takes the rest of the chunk
+in one of two ways:
+
+* with one item i in stock, every choice is i (the selection row's
+  cumulative sum, and its underflow recompute, return i for every u), and
+  one closed form gives each arrival's estimate from per-type running
+  visits and sales, exactly the int quotient;
+* with more, in rounds: round r takes the r-th arrival of every type (its
+  rank by a stable sort) as one (<= m, n) block, selecting by UCB scores
+  or by the masked cumulative softmax weights, with the `_SELECT_UNDERFLOW`
+  recompute done in-block for the rows that need it, then draws the
+  purchases and moves one count and estimate cell per row. Pricing rounds
+  refresh their rows' softmax, which the next round selects from; learning
+  rounds only record each arrival's estimate row.
+
+The closed form and the learning rounds take the softmax of all their rows
+in one stacked `_row_scale` / `_softmax_rows` pass, which rounds as the
+per-arrival row refresh does. A shared tail then cuts the run after the
+arrival that takes a capped item's last unit (stock minus k is exact, as
+each step of -1 is) and before the first arrival that fails the pinned
+test. That test gathers every type's row as it stands after each arrival
+and takes one stacked matvec. Every term w_j / Z_j p_ji W_ji is >= 0
+(`run_integrated` refuses negative weights), so any summation order, fused
+or not, lies within about m 2^-53 of the exact sum, relative, and two
+orders within about twice that of each other; the run counts an arrival
+as pinned only if consumption (1 + 4 m 2^-53) <= s b_i for every capped
+item. The arrival that ends a run goes the per-arrival way, whose step
+from +0.0 lands on +0.0 bit for bit when the exact test would pass. The
+tail writes the history cells and commits each moved type's state and
+caches as its last included arrival left them. The pinned flag is set
+only by the call's own projected step, never from the incoming state, so
+a piece's first arrival takes the full step.
 
 The recorded dual values are deferred: the loop runs in chunks of
 `_DUAL_CHUNK` arrivals. A full step writes its post-step shift, Z, p_bar
-and lambda into a row of history buffers; a pinned arrival writes only
-column j of shift, Z and p_bar (nothing on a null assignment). At the end
-of each chunk every unwritten cell is copied from the last row above that
-wrote its column, row 0 carrying the state from before the chunk, and one
-stacked pass turns the rows into f_vals, with products that round like the
-per-row ones. A chunk's per-arrival inputs are read as Python scalars when
-it starts. The caches are rebuilt at call start from the state with the
-expressions the loop uses, so chained calls match one call bit for bit.
+and lambda into a row of history buffers; an arrival of a pinned run
+writes only column j of shift, Z and p_bar (nothing on a null
+assignment). At the end of each chunk every unwritten cell is copied from
+the last row above that wrote its column, row 0 carrying the state from
+before the chunk, and one stacked pass turns the rows into f_vals, with
+products that round like the per-row ones. A chunk's per-arrival inputs
+are read as Python scalars when it starts. The caches are rebuilt at call
+start from the state with the expressions the loop uses, so chained calls
+match one call bit for bit.
 
 Only this module picks the backend: `BACKEND`, read at import from
 ALLOCSIM_BACKEND ("numba" or "numpy"; default numba when importable), which
@@ -321,7 +337,7 @@ _DUAL_CHUNK = 256
 
 
 def _stacked_consumption(wz, PW):
-    """Row k is wz[k] @ PW[k]: the consumption at each arrival of a one-item
+    """Row k is wz[k] @ PW[k]: the consumption at each arrival of a pinned
     run, in one stacked matmul whose summation order may differ from the
     per-arrival matvec's."""
     return np.matmul(wz[:, None, :], PW)[:, 0]
@@ -340,9 +356,9 @@ def _integrated_numpy(
 
     # small and integer state read as Python numbers; the integer state is
     # written back at the end (counts also per arrival while learning)
-    (p_true_l, infinite_l, rounds_l, weights_l, rem_l, counts_l, purch_l,
-     p_hat_l) = (a.tolist() for a in (p_true, infinite, type_rounds, weights,
-                                      remaining, counts, purchases, p_hat))
+    (p_true_l, infinite_l, rounds_l, rem_l, counts_l, purch_l, p_hat_l) = (
+        a.tolist() for a in (p_true, infinite, type_rounds, remaining, counts,
+                             purchases, p_hat))
 
     fin_budgets = np.where(infinite, 0.0, budgets)
     grad_floor = s_budget * fin_budgets
@@ -353,7 +369,6 @@ def _integrated_numpy(
     # consumption bound under which a step from lam = +0 projects back to +0;
     # the test against it is written so that NaN (which compares False) fails
     pin_bound = np.where(infinite, np.inf, grad_floor)
-    within = np.empty(n, dtype=bool)
     # lam's bytes when every entry is +0.0 (not -0.0, which a step may flip)
     zero_bytes = zeros.tobytes()
     available = infinite | (remaining >= 1.0)
@@ -368,9 +383,8 @@ def _integrated_numpy(
     # bit. scale = p_bar mu with p_bar := 1 on an all-zero row, materialized
     # as the (m, n) divisor matrix `div`; W and Z are the shifted
     # exponentials and their row sums at (lam, p_hat), which `_softmax_rows`
-    # fills here and after every dual step that is not skipped as pinned.
-    # While pinned, the gradient operands wz = w / Z and PW = p_hat W are
-    # kept current row by row; otherwise they are recomputed before use.
+    # fills here and after every dual step. The gradient operands
+    # wz = w / Z and PW = p_hat W are recomputed before each step.
     rl = rewards - lam
     pbar, scale = _row_scale(p_hat, mu)
     pbar_l = pbar.tolist()
@@ -378,8 +392,7 @@ def _integrated_numpy(
     E, W, PW = np.empty((3, m, n))
     Z, wz = np.empty((2, m))
     grad, step, wts, cum, scores = np.empty((5, n))
-    p_rows, E_rows, W_rows, PW_rows, div_rows = (
-        list(a) for a in (p_hat, E, W, PW, div))
+    p_rows, E_rows, W_rows, div_rows = (list(a) for a in (p_hat, E, W, div))
 
     # Deferred dual values: row k + 1 of the history buffers holds arrival
     # k's post-step state, row 0 the state before the chunk. `record` fills
@@ -415,78 +428,173 @@ def _integrated_numpy(
 
     # a pinned test with room for any summation order of m products >= 0
     pin_margin = 1.0 + 4 * m * 2.0**-53
+    # A pinned run's estimate rows and their softmax: row j < m is type j's
+    # row as the run found it, row m + q the q-th row the run produced.
+    P_s, E_s, W_s = np.empty((3, m + _DUAL_CHUNK, n))
+    shift_s, Z_s, pbar_s, scale_s = np.empty((4, m + _DUAL_CHUNK))
 
-    def one_item_run(lo, k, size, sels, buys):
-        """Arrivals k, k + 1, ... of the chunk at `lo` while lam is pinned and
-        one item is in stock, as one vectorized step; returns how many it
-        took. It stops at the chunk end, at the arrival that takes the
-        item's last unit, or before the first arrival whose consumption
-        does not clear the floors with `pin_margin` to spare."""
+    def refresh(q):
+        """The softmax of the run's rows in slice `q`, rounded as the
+        per-arrival row refresh rounds it."""
+        pbar_s[q], scale_s[q] = _row_scale(P_s[q], mu)
+        _softmax_rows(rl, P_s[q], scale_s[q, None], E_s[q], W_s[q], shift_s[q],
+                      Z_s[q])
+
+    def rounds(t, lo, counts0, purch0):
+        """Each arrival's choice and purchase, for arrivals of types `t`
+        from `lo` on with lam pinned and the stock mask fixed. Round r takes
+        the r-th arrival of every type as one block and writes its rows at
+        m + q, q in round order; returns (sel, bought, row) per arrival."""
+        K = t.size
+        # each arrival's rank among its type's arrivals, and the row it
+        # selects from: its type's row before the run, or its last run row
+        by_type = np.argsort(t, kind="stable")
+        n_of = np.bincount(t, minlength=m)
+        rank = np.arange(K) - np.repeat(np.cumsum(n_of) - n_of, n_of)
+        order = np.argsort(rank, kind="stable")
+        row = np.empty(K, dtype=np.intp)
+        row[by_type[order]] = qs = np.arange(m, m + K)
+        prev = np.concatenate(([0], row[by_type[:-1]]))
+        first = rank == 0
+        prev[first] = t[by_type[first]]
+        ranks, prev, arr = rank[order], prev[order], by_type[order]
+        tq, u_sel, u_buy = t[arr], u_select[lo + arr], u_purchase[lo + arr]
+        if learning:
+            bonus = 1.5 * np.log(np.array(rounds_l)[tq] + ranks + 1)
+        counts_w, purch_w = counts0.copy(), purch0.copy()
+        sel, bought = [], []
+        a = 0
+        for b in np.cumsum(np.bincount(ranks)).tolist():
+            j, rows, q = tq[a:b], prev[a:b], slice(m + a, m + b)
+            P_s[q] = P_s[rows]
+            if learning:
+                visits = counts_w[j]
+                s = bonus[a:b, None] / np.maximum(visits, 1)
+                np.sqrt(s, out=s)
+                np.add(P_s[q], s, out=s)
+                s[visits == 0] = np.inf
+                np.minimum(s, cap, out=s)
+                s = s.argmax(axis=1)
+            else:
+                w = W_s[rows] * mask
+                c = np.add.accumulate(w, axis=1)
+                total = c[:, -1]
+                if total.min() < _SELECT_UNDERFLOW:
+                    low = np.flatnonzero(total < _SELECT_UNDERFLOW)
+                    x = rl * P_s[rows[low]] / scale_s[rows[low], None]
+                    np.minimum(x, cap, out=x)
+                    x = np.exp(x - np.maximum.reduce(x, axis=1)[:, None])
+                    w[low] = x
+                    c[low] = np.add.accumulate(x, axis=1)
+                s = np.add.reduce(c <= (u_sel[a:b] * total)[:, None], axis=1)
+                if s.max() >= n:
+                    for r in np.flatnonzero(s >= n).tolist():
+                        s[r] = np.flatnonzero(w[r] > 0.0)[-1]
+            buy = u_buy[a:b] < p_true[j, s]
+            visits = counts_w[j, s] + 1
+            sold = purch_w[j, s] + buy
+            counts_w[j, s], purch_w[j, s] = visits, sold
+            # the int quotient rounds as numpy's int64 division does
+            P_s[qs[a:b], s] = sold / visits
+            if not learning:
+                refresh(q)
+            sel.append(s)
+            bought.append(buy)
+            a = b
+        if learning:
+            refresh(slice(m, m + K))
+        back = row - m
+        return np.concatenate(sel)[back], np.concatenate(bought)[back], row
+
+    def pinned_run(lo, k, size, sels, buys):
+        """Arrivals k, k + 1, ... of the chunk at `lo` while lam is pinned,
+        without a dual step; returns how many it took. With one item in
+        stock every choice is fixed and the run is one closed form; with
+        more, it goes by rounds. It stops at the chunk end, after the
+        arrival that takes a capped item's last unit, or before the first
+        arrival whose consumption does not clear the floors with
+        `pin_margin` to spare."""
         nonlocal n_avail
-        i = int(mask.argmax())
-        stop = size if infinite_l[i] else min(size, k + int(rem_l[i]))
-        K, t = stop - k, types[lo + k:lo + stop]
+        K, t = size - k, types[lo + k:lo + size]
         at = np.arange(K)
-        # each arrival's running visits and sales of item i by its type
-        hot = np.zeros((K, m), dtype=np.int64)
-        hot[at, t] = 1
-        visits = hot.cumsum(axis=0)[at, t] + np.array([c[i] for c in counts_l])[t]
-        sold_now = u_purchase[lo + k:lo + stop] < p_true[t, i]
-        hot[at, t] = sold_now
-        sold = hot.cumsum(axis=0)[at, t] + np.array([b[i] for b in purch_l])[t]
-        est = sold / visits
-        # each arrival's refreshed estimate row and its softmax
-        rows = p_hat[t]
-        rows[:, i] = est
-        pb, scale = _row_scale(rows, mu)
-        E_r, W_r = np.empty((2, K, n))
-        shift_r, Z_r = np.empty((2, K))
-        _softmax_rows(rl, rows, scale[:, None], E_r, W_r, shift_r, Z_r)
-        wz_r = weights[t] / Z_r
-        PW_r = rows * W_r
-        # each arrival's gradient operands, every type's row as it stands
-        # after the arrival: `pos` holds the last arrival (1-based, 0 for
-        # the call's rows) that moved each type's row
-        pos = np.zeros((K + 1, m), dtype=np.intp)
-        pos[at + 1, t] = at + 1
-        np.maximum.accumulate(pos, axis=0, out=pos)
-        src = np.where(pos[1:] > 0, pos[1:] + (m - 1), cols)
-        use = _stacked_consumption(np.concatenate((wz, wz_r))[src],
-                                   np.concatenate((PW, PW_r))[src])
+        P_s[:m], W_s[:m], Z_s[:m], scale_s[:m] = p_hat, W, Z, div[:, 0]
+        counts0, purch0 = np.array(counts_l), np.array(purch_l)
+        if n_avail == 0:
+            sel, bought, row = np.full(K, -1), np.zeros(K, dtype=bool), None
+        elif n_avail == 1:
+            # each arrival's running visits and sales of item i by its type
+            i = int(mask.argmax())
+            sel, row = np.full(K, i), at + m
+            hot = np.zeros((K, m), dtype=np.int64)
+            hot[at, t] = 1
+            visits = hot.cumsum(axis=0)[at, t] + counts0[t, i]
+            bought = u_purchase[lo + k:lo + size] < p_true[t, i]
+            hot[at, t] = bought
+            sold = hot.cumsum(axis=0)[at, t] + purch0[t, i]
+            P_s[m:m + K] = p_hat[t]
+            P_s[m:m + K, i] = sold / visits
+            refresh(slice(m, m + K))
+        else:
+            sel, bought, row = rounds(t, lo + k, counts0, purch0)
+
+        # Each arrival's gradient operands, every type's row as it stands
+        # after the arrival. A type's rows grow along its arrivals and start
+        # at its own index, so a running maximum finds the latest.
+        src = np.zeros((K + 1, m), dtype=np.intp)
+        src[0] = cols
+        if row is not None:
+            src[at + 1, t] = row
+        np.maximum.accumulate(src, axis=0, out=src)
+        src = src[1:]
+        used = src.max() + 1
+        use = _stacked_consumption(weights / Z_s[src],
+                                   (P_s[:used] * W_s[:used])[src])
         broke = np.flatnonzero(~(use * pin_margin <= pin_bound).all(axis=1))
         K = int(broke[0]) if broke.size else K
+        if row is not None:
+            # the arrival that takes a capped item's last unit ends the run;
+            # rem - c is exact, as each step of -1 is
+            for i, c in enumerate(np.bincount(sel, minlength=n).tolist()):
+                if c and not infinite_l[i] and rem_l[i] - c < 1.0:
+                    K = min(K, int(np.flatnonzero(sel == i)[int(rem_l[i]) - 1]) + 1)
         if K == 0:
             return 0
 
-        t, k1 = t[:K], at[:K] + (k + 1)
-        h_shift[k1, t], h_z[k1, t], h_pbar[k1, t] = shift_r[:K], Z_r[:K], pb[:K]
+        t, sel = t[:K], sel[:K]
+        sels.extend(sel.tolist())
+        buys.extend(bought[:K].tolist())
+        for j, c in enumerate(np.bincount(t, minlength=m).tolist()):
+            rounds_l[j] += c
+        if row is None:
+            return K
+        k1, row = at[:K] + (k + 1), row[:K]
+        h_shift[k1, t], h_z[k1, t], h_pbar[k1, t] = shift_s[row], Z_s[row], pbar_s[row]
         owner[k1, t] = k1
-        sels.extend([i] * K)
-        buys.extend(sold_now[:K].tolist())
-        if not infinite_l[i]:
-            rem_l[i] -= K
-            if rem_l[i] < 1.0:
-                mask[i] = 0.0
-                cap[i] = -np.inf
-                n_avail -= 1
+        for i, c in enumerate(np.bincount(sel, minlength=n).tolist()):
+            if c and not infinite_l[i]:
+                rem_l[i] -= c
+                if rem_l[i] < 1.0:
+                    mask[i] = 0.0
+                    cap[i] = -np.inf
+                    n_avail -= 1
         # every moved type's state and caches as its last arrival left them
-        last = pos[K]
-        moved = np.flatnonzero(last)
-        a = last[moved] - 1
-        p_hat[moved, i], pbar[moved], div[moved] = est[a], pb[a], scale[a, None]
-        E[moved], W[moved], PW[moved] = E_r[a], W_r[a], PW_r[a]
-        Z[moved], wz[moved] = Z_r[a], wz_r[a]
-        for j, visits_j, sold_j, est_j, pbar_j in zip(
-                moved.tolist(), visits[a].tolist(), sold[a].tolist(),
-                est[a].tolist(), pb[a].tolist()):
-            before = counts_l[j][i]
-            rounds_l[j] += visits_j - before
-            if before == 0:
-                unseen[j] -= 1
-            counts_l[j][i], purch_l[j][i] = visits_j, sold_j
-            p_hat_l[j][i], pbar_l[j] = est_j, pbar_j
-            if learning:
-                counts[j, i] = visits_j
+        cell = t * n + sel
+        counts1 = counts0 + np.bincount(cell, minlength=m * n).reshape(m, n)
+        purch1 = purch0 + np.bincount(cell[bought[:K]], minlength=m * n).reshape(m, n)
+        last = src[K - 1]
+        moved = np.flatnonzero(last >= m)
+        row = last[moved]
+        p_hat[moved], pbar[moved], div[moved] = P_s[row], pbar_s[row], scale_s[row, None]
+        W[moved], Z[moved] = W_s[row], Z_s[row]
+        counts1, purch1 = counts1[moved], purch1[moved]
+        if learning:
+            counts[moved] = counts1
+        for j, counts_j, purch_j, p_j, pbar_j, unseen_j in zip(
+                moved.tolist(), counts1.tolist(), purch1.tolist(),
+                p_hat[moved].tolist(), pbar_s[row].tolist(),
+                np.count_nonzero(counts1 == 0, axis=1).tolist()):
+            counts_l[j], purch_l[j], p_hat_l[j] = counts_j, purch_j, p_j
+            pbar_l[j], unseen[j] = pbar_j, unseen_j
         return K
 
     state_lam = lam
@@ -503,10 +611,9 @@ def _integrated_numpy(
         sels, buys, full = [], [], []
         k = 0
         while k < size:
-            if pinned and n_avail == 1:
-                # the arrival that ends a one-item run goes the per-arrival
-                # way below, which makes the exact pinned test
-                k += one_item_run(lo, k, size, sels, buys)
+            if pinned:
+                # the arrival that ends a run goes the per-arrival way below
+                k += pinned_run(lo, k, size, sels, buys)
                 if k == size:
                     break
             j, k1 = types_c[k], k + 1
@@ -580,52 +687,33 @@ def _integrated_numpy(
                 if pbar_j != pbar_old:
                     pbar_l[j] = pbar[j] = pbar_j
                     div_rows[j].fill((pbar_j if pbar_j > 0.0 else 1.0) * mu)
-                p_row, e_row, w_row = p_rows[j], E_rows[j], W_rows[j]
-                np.multiply(rl, p_row, out=e_row)
+                e_row, w_row = E_rows[j], W_rows[j]
+                np.multiply(rl, p_rows[j], out=e_row)
                 np.divide(e_row, div_rows[j], out=e_row)
-                shift_j = max(e_row.tolist())
-                np.subtract(e_row, shift_j, out=e_row)
+                np.subtract(e_row, max(e_row.tolist()), out=e_row)
                 np.exp(e_row, out=w_row)
-                Z[j] = z_j = np.add.reduce(w_row)
-                if pinned:
-                    wz[j] = weights_l[j] / z_j
-                    np.multiply(p_row, w_row, out=PW_rows[j])
+                Z[j] = np.add.reduce(w_row)
 
             # gradient of the weighted dual at the pre-step iterate, one
-            # matvec; the projected step lands in the arrival's history row
-            if not pinned:
-                np.divide(weights, Z, out=wz)
-                np.multiply(p_hat, W, out=PW)
+            # matvec, and the projected step into the arrival's history row
+            full.append(k1)
+            np.divide(weights, Z, out=wz)
+            np.multiply(p_hat, W, out=PW)
             np.matmul(wz, PW, out=grad)
-            if pinned and all(np.less_equal(grad, pin_bound, out=within).tolist()):
-                # lam = +0 and no capped item consumes above its floor s b_i:
-                # the step is <= 0 and projects back to +0, so lam and rl
-                # stay, and the caches differ from the full softmax's only in
-                # row j, which the refresh above has recomputed
-                if sel >= 0:
-                    h_shift[k1, j] = shift_j
-                    h_z[k1, j] = z_j
-                    h_pbar[k1, j] = pbar_j
-                    owner[k1, j] = k1
-            else:
-                full.append(k1)
-                np.subtract(grad_floor, grad, out=grad)
-                np.multiply(grad, etas_c[k], out=grad)
-                np.subtract(lam, grad, out=step)
-                np.minimum(step, lam_hi, out=step)
-                lam = h_lam[k1]
-                np.maximum(step, zeros, out=lam)
-                pinned = lam.tobytes() == zero_bytes
+            np.subtract(grad_floor, grad, out=grad)
+            np.multiply(grad, etas_c[k], out=grad)
+            np.subtract(lam, grad, out=step)
+            np.minimum(step, lam_hi, out=step)
+            lam = h_lam[k1]
+            np.maximum(step, zeros, out=lam)
+            pinned = lam.tobytes() == zero_bytes
 
-                # the full softmax: the recorded dual value's log Z, and the
-                # selection and gradient rows of the next arrival
-                np.subtract(rewards, lam, out=rl)
-                _softmax_rows(rl, p_hat, div, E, W, h_shift[k1], Z)
-                h_z[k1] = Z
-                h_pbar[k1] = pbar
-                if pinned:
-                    np.divide(weights, Z, out=wz)
-                    np.multiply(p_hat, W, out=PW)
+            # the full softmax: the recorded dual value's log Z, and the
+            # selection and gradient rows of the next arrival
+            np.subtract(rewards, lam, out=rl)
+            _softmax_rows(rl, p_hat, div, E, W, h_shift[k1], Z)
+            h_z[k1] = Z
+            h_pbar[k1] = pbar
             k += 1
         assigned[lo:lo + size] = sels
         bought[lo:lo + size] = buys

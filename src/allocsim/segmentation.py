@@ -11,10 +11,10 @@ re-derives both bounds from grid extrema over each finished segment.
 
 The window scans and the certification step build their grids with
 `model.scan_grid` (uniform grid_dt steps anchored at the segment start, plus
-piece boundaries, plus the right endpoint): the scan puts every type's
-boundaries on one grid, certification scans each type on its own. Rates are
-looked up through `RateFunction.value`, and the driver takes each segment's
-expected arrival count from `NonstationaryArrivals.expected_arrivals`.
+piece boundaries, plus the right endpoint): both put every type's boundaries
+on one grid, so certification sees each rate on the points the search saw.
+Rates are looked up through `RateFunction.value`, and the driver takes each
+segment's expected arrival count from `NonstationaryArrivals.expected_arrivals`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrivals import (
-    rate_extrema,
     sample_nonstationary_stream,
     scan_grid,
     type_probability_matrix,
@@ -264,7 +263,9 @@ def segment_time_span(
 
 
 def certify_plan(plan: SegmentPlan, rate_fns, tol: float = 1e-9):
-    """Re-derive every segment's bound from its own grid extrema.
+    """Re-derive every segment's bound from rate extrema on the grid the
+    search scanned: `scan_grid` over the segment, which holds every type's
+    piece boundaries.
 
     Returns a boolean array, one entry per segment: type A passes when all
     per-type variations are within epsilon + tol, type B when the
@@ -272,10 +273,9 @@ def certify_plan(plan: SegmentPlan, rate_fns, tol: float = 1e-9):
     """
     results = np.zeros(len(plan), dtype=bool)
     for k, seg in enumerate(plan.segments):
-        ext = [
-            rate_extrema(fn, (seg.t_start, seg.t_end), plan.grid_dt)
-            for fn in rate_fns
-        ]
+        grid = scan_grid(rate_fns, seg.t_start, seg.t_end, plan.grid_dt)
+        ext = [(float(v.min()), float(v.max()))
+               for v in (fn.value(grid) for fn in rate_fns)]
         if seg.label == "A":
             variation = max(mx - mn for mn, mx in ext)
             results[k] = variation <= plan.epsilon + tol

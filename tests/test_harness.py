@@ -22,6 +22,7 @@ from allocsim import (
     greedy_baseline,
     run_integrated,
     sample_stationary_stream,
+    sample_stream,
     save_config,
     scenario_nonstationary,
     scenario_stationary,
@@ -102,6 +103,24 @@ class TestGreedyBaseline:
         np.testing.assert_array_equal(trace.purchased, [True] * 3 + [False] * 2)
         np.testing.assert_allclose(trace.remaining_final, [0.7, 0.4, 0.0],
                                    rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["stationary", "extreme_budget"])
+    def test_stock_ledger_counts_every_capped_assignment(self, kind):
+        # an assignment of a capped item takes one unit of its stock, bought
+        # or not, as in the loop
+        config = (scenario_stationary(T=20_000, seed=2) if kind == "stationary"
+                  else scenario_nonstationary(kind, 6000, 24.0, seed=1))
+        stream = sample_stream(config.arrivals, config.instance.horizon,
+                               config.seed)
+        trace = greedy_baseline(config.instance, stream, config.seed)
+        capped = np.flatnonzero(~config.instance.infinite_items)
+        offered = trace.assigned[trace.assigned >= 0]
+        counts = np.bincount(offered, minlength=trace.remaining_final.size)
+        spent = config.instance.budgets[capped] - trace.remaining_final[capped]
+        np.testing.assert_allclose(spent, counts[capped], rtol=0.0, atol=1e-9)
+        assert counts[capped].sum() > 0
+        unbought = np.isin(trace.assigned, capped) & ~trace.purchased
+        assert unbought.any()
 
     def test_items_behind_an_uncapped_item_never_offered(self):
         # reward order is item 1, item 2 (uncapped), item 0: item 0 keeps

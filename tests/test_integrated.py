@@ -607,10 +607,10 @@ def assert_bit_identical(a, b):
 
 class TestPinnedIterate:
     """While λ is +0 and no capped item's consumption exceeds its floor
-    s·b_i, the dual step projects back to +0 and the numpy twin skips it and
-    its full softmax. The skip is armed only by a call's own step, so the
-    same run as one call per arrival steps on every arrival and is the
-    bit-for-bit oracle."""
+    s·b_i, the dual step projects back to +0, and the numpy twin takes the
+    arrivals as a pinned run without steps. A run starts only after a
+    call's own step, so the same run as one call per arrival steps on every
+    arrival and is the bit-for-bit oracle."""
 
     @pytest.mark.parametrize("kind,seed", [("varying_reward", 1),
                                            ("extreme_budget", 4)])
@@ -760,11 +760,11 @@ class TestPinnedIterate:
         assert moved[[chunk - 1, chunk, 2 * chunk - 1, 2 * chunk]].all()
         assert not moved[[3 * chunk - 1, 3 * chunk]].any()
 
-    # Once lam is pinned and one item is left in stock, the numpy twin takes
-    # the rest of the chunk as one vectorized step, up to the chunk end, the
-    # sale of the item's last unit, or the first arrival whose consumption
-    # does not clear the floors with a margin; that arrival goes the
-    # per-arrival way. The oracle, one call per arrival, never takes it.
+    # Once lam is pinned and one item is left in stock, the pinned run is one
+    # closed form, up to the chunk end, the sale of the item's last unit, or
+    # the first arrival whose consumption does not clear the floors with a
+    # margin; that arrival goes the per-arrival way. The oracle, one call
+    # per arrival, never takes a run.
 
     def test_one_item_sells_out_across_a_chunk_edge(self, monkeypatch):
         # Item 0 is sold out and item 1 holds 300.5 units, so the run from
@@ -792,24 +792,32 @@ class TestPinnedIterate:
         assert whole.remaining_final.tolist() == [0.0, 0.5]
 
     @staticmethod
-    def _rising_consumption_run(monkeypatch):
+    def _rising_consumption_run(monkeypatch, n_items=2):
         # Sold-out item 0 has estimate 0.5 in both rows. Types 0 and 1 take
         # turns at item 1 and never buy, so each type's estimate 10/(10 + k)
         # after its k-th visit falls below 0.5 and its row's maximum moves
-        # to item 0. Item 0's consumption rises, to exactly 0.25 at arrival
-        # 19 (both rows [0.5, 0.5]), one ulp past its floor
-        # s*b_0 = 0.25 (1 - 2^-53). The checkpoint after arrival 19 shows
-        # whether lam left zero there.
+        # to item 0. With three items, item 2 is in stock as well, so the
+        # runs go by rounds; it has estimate 0.5 in both rows and is never
+        # taken (u_select = 0 takes the first item in stock). At arrival 19
+        # every estimate is 0.5, and item 0's consumption is
+        # 2 (0.5 / n) 0.5 = 0.5 / n rounded once: 0.25 with two items, one
+        # ulp past its floor s*b_0, which is one ulp below. The checkpoint
+        # after arrival 19 shows whether lam left zero there.
         T = 40
-        config = loop_config(n=2, m=2, budgets=[1.0 - 2.0**-53, np.inf], p=0.5,
-                             r_max=0, k_interval=20)
+        # item 2's estimate, visits and sales, when it is there
+        third = ([0.5], [10**6], [5 * 10**5]) if n_items == 3 else ([], [], [])
+        floor = np.nextafter(0.5 / n_items, 0.0)
+        config = loop_config(n=n_items, m=2,
+                             budgets=[4.0 * floor] + [np.inf] * (n_items - 1),
+                             p=0.5, r_max=0, k_interval=20)
 
         def run():
-            state = hand_state(config, remaining=[0.0, np.inf],
-                               p_hat=[[0.5, 1.0], [0.5, 1.0]],
-                               counts=[[4, 10], [4, 10]],
-                               purchases=[[2, 10], [2, 10]])
-            return run_arrivals(config, state, np.arange(T) % 2,
+            p_row, visits, sold = ([0.5, 1.0] + third[0], [4, 10] + third[1],
+                                   [2, 10] + third[2])
+            state = hand_state(config, remaining=[0.0] + [np.inf] * (n_items - 1),
+                               p_hat=[p_row, p_row], counts=[visits, visits],
+                               purchases=[sold, sold])
+            return run_arrivals(config, state, np.arange(T) % 2, u_select=0.0,
                                 u_purchase=0.99, expected_count=4,
                                 backend="numpy")
 
@@ -864,6 +872,136 @@ class TestPinnedIterate:
         visits = np.bincount(types, minlength=3)
         np.testing.assert_array_equal(whole.carry.counts[:, 2], [6, 1, 0] + visits)
         np.testing.assert_array_equal(whole.carry.type_rounds, [13, 8, 6] + visits)
+
+
+    # With more than one item in stock a pinned run goes by rounds: round r
+    # takes the r-th arrival of every type in the rest of the chunk as one
+    # block. The cases below hold the rounds to the same oracle.
+
+    def test_rounds_stop_where_a_capped_item_sells_out(self, monkeypatch):
+        # Items 0 and 1 are capped with 100 and 150.5 units, item 2 is
+        # uncapped, and each floor s*b_i = 2 lies above any consumption, so
+        # lam stays pinned while the runs cross three chunk edges. Each
+        # capped item's last unit goes to an arrival inside a chunk, so the
+        # run that takes it has already chosen for the arrivals after it,
+        # some in the same round, with the item still in stock.
+        chunk = _kernels._DUAL_CHUNK
+        T = 3 * chunk + 50
+        rng = np.random.default_rng(7)
+        config = loop_config(n=3, m=4, budgets=[2.0 * T, 2.0 * T, np.inf],
+                             p=rng.uniform(0.2, 0.9, (4, 3)), mu=1.0, r_max=0,
+                             k_interval=T + 1)
+        types, u_select, u_purchase = rng.integers(0, 4, T), rng.random(T), rng.random(T)
+
+        def run():
+            state = hand_state(config, remaining=[100.0, 150.5, np.inf])
+            return run_arrivals(config, state, types, u_select=u_select,
+                                u_purchase=u_purchase, backend="numpy")
+
+        whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
+        assert_bit_identical(whole, stepped)
+        assert not lams.any()
+        assert whole.remaining_final.tolist() == [0.0, 0.5, np.inf]
+        for i, units in ((0, 100), (1, 150)):
+            taken = np.flatnonzero(whole.assigned == i)
+            assert taken.size == units
+            assert (taken[-1] + 1) % chunk
+        assert np.all(whole.assigned >= 0)
+
+    def test_learning_rounds_with_unvisited_cells(self, monkeypatch):
+        # Learning with per-arrival phi rows: item 0 is sold out, and several
+        # cells start unvisited, so their UCB scores are inf; each type
+        # visits its unvisited items first, lowest index first.
+        T = 2 * _kernels._DUAL_CHUNK + 30
+        rng = np.random.default_rng(4)
+        config = loop_config(n=4, m=3, budgets=[2.0 * T, 2.0 * T, 2.0 * T, np.inf],
+                             p=rng.uniform(0.2, 0.9, (3, 4)), k_interval=T + 1)
+        types, u_purchase = rng.integers(0, 3, T), rng.random(T)
+        phi = rng.random((T, 3))
+        phi /= phi.sum(axis=1, keepdims=True)
+        counts = [[3, 0, 2, 0], [0, 4, 0, 5], [2, 3, 1, 2]]
+
+        def run():
+            state = hand_state(config, remaining=[0.0, 1e6, 1e6, np.inf],
+                               counts=counts,
+                               purchases=[[1, 0, 1, 0], [0, 2, 0, 1], [1, 1, 0, 1]],
+                               p_hat=[[1 / 3, 0.0, 0.5, 0.0],
+                                      [0.0, 0.5, 0.0, 0.2],
+                                      [0.5, 1 / 3, 0.0, 0.5]],
+                               type_rounds=[5, 9, 8])
+            return run_arrivals(config, state, types, u_purchase=u_purchase,
+                                phi=phi, backend="numpy")
+
+        whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
+        assert_bit_identical(whole, stepped)
+        assert not lams.any()
+        assert np.all(whole.phase == PHASE_NAMES.index("ucb"))
+        assert 0 not in whole.assigned
+        assert np.all(whole.carry.counts[:, 1:] > 0)
+        # type 0's first two arrivals take its unvisited items 1 and 3
+        np.testing.assert_array_equal(whole.assigned[types == 0][:2], [1, 3])
+        np.testing.assert_array_equal(whole.carry.type_rounds,
+                                      [5, 9, 8] + np.bincount(types, minlength=3))
+
+    def test_rounds_recompute_an_underflowing_row(self, monkeypatch):
+        # As in test_sold_out_item_dominating_the_row: with mu = 1e-3,
+        # sold-out item 0's exponent exceeds the others' by 9000, so the
+        # cached rows underflow on both available items, here for two
+        # types in every round. Item 0's floor s*b_0 = 2 lies above its
+        # consumption (at most 1), so lam stays pinned.
+        T = 300
+        inst = ProblemInstance(
+            rewards=np.array([10.0, 1.0, 1.0]),
+            budgets=np.array([2.0 * T, np.inf, np.inf]),
+            mu=1e-3, preferences=np.ones((2, 3)), horizon=T,
+        )
+        config = SimConfig(instance=inst, arrivals=StationaryArrivals(np.ones(2)),
+                           seed=0, params=AlgoParams(r_max=0, k_interval=T + 1))
+        rng = np.random.default_rng(9)
+        types, u_select = rng.integers(0, 2, T), rng.random(T)
+
+        def run():
+            state = hand_state(config, remaining=[0.0, np.inf, np.inf],
+                               p_hat=np.ones((2, 3)), counts=np.full((2, 3), 5),
+                               purchases=np.full((2, 3), 5))
+            return run_arrivals(config, state, types, u_select=u_select,
+                                backend="numpy")
+
+        whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
+        assert_bit_identical(whole, stepped)
+        assert not lams.any()
+        assert set(whole.assigned.tolist()) == {1, 2}
+
+    def test_run_with_nothing_in_stock(self, monkeypatch):
+        # Every item is capped and sold out from the start: each arrival is
+        # a null assignment, and the runs still advance each type's clock.
+        chunk = _kernels._DUAL_CHUNK
+        T = chunk + 30
+        config = loop_config(n=2, m=3, budgets=2.0 * T, p=0.5, r_max=0,
+                             k_interval=T + 1)
+        types = np.random.default_rng(6).integers(0, 3, T)
+
+        def run():
+            state = hand_state(config, remaining=[0.0, 0.5],
+                               type_rounds=[3, 0, 7])
+            return run_arrivals(config, state, types, backend="numpy")
+
+        whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
+        assert_bit_identical(whole, stepped)
+        assert not lams.any()
+        assert np.all(whole.assigned == -1)
+        np.testing.assert_array_equal(whole.carry.type_rounds,
+                                      [3, 0, 7] + np.bincount(types, minlength=3))
+
+    def test_rounds_stop_where_consumption_passes_its_floor(self, monkeypatch):
+        self._rising_consumption_run(monkeypatch, n_items=3)
+
+    def test_rounds_margin_covers_another_summation_order(self, monkeypatch):
+        # As test_pinned_margin_covers_another_summation_order, on rounds.
+        stacked = _kernels._stacked_consumption
+        monkeypatch.setattr(_kernels, "_stacked_consumption",
+                            lambda wz, PW: np.nextafter(stacked(wz, PW), 0.0))
+        self._rising_consumption_run(monkeypatch, n_items=3)
 
 
 class TestTraceExport:

@@ -17,7 +17,7 @@ from allocsim import (
     solve_v_threshold,
     substream,
 )
-from allocsim.arrivals import scan_grid
+from allocsim.arrivals import rate_extrema, scan_grid
 from allocsim.errors import ZeroLowerSum
 from allocsim.harness import write_plan_csv
 from allocsim.integrated import run_integrated
@@ -28,7 +28,7 @@ from allocsim.model import (
     SimConfig,
 )
 from allocsim import segmentation
-from allocsim.segmentation import _scan_window
+from allocsim.segmentation import SegmentPlan, _scan_window
 
 
 def constant_fn(c, t0=0.0, t_end=10.0):
@@ -256,6 +256,25 @@ class TestPlans:
             if seg.label == "B":
                 assert np.all(seg.delta_vec <= 0.3 + 1e-9)
         assert np.all(certify_plan(plan, fns))
+
+    def test_certification_sees_other_types_boundaries(self):
+        # Type 1's rate 500 + 100 sin(1000 pi t) is 500 on every point of
+        # the 0.001 grid but 600 at t = 0.5005, a piece boundary of type 0
+        # only. The search scans every type on one grid that holds that
+        # point, so a type-A segment over [0, 1] with epsilon = 1 must fail
+        # certification, although each type's own grid shows it within.
+        fns = (
+            RateFunction((RatePiece(0.0, 0.5005, "constant", (100.0,)),
+                          RatePiece(0.5005, 1.0, "constant", (100.0,)))),
+            RateFunction((RatePiece(0.0, 1.0, "sinusoid",
+                                    (100.0, 1000 * np.pi, 0.0, 500.0)),)),
+        )
+        plan = SegmentPlan([Segment(0.0, 1.0, "A")], epsilon=1.0, delta=0.05,
+                           d=0.5, grid_dt=0.001)
+        own = [rate_extrema(fn, (0.0, 1.0), 0.001) for fn in fns]
+        assert max(mx - mn for mn, mx in own) < 1e-6
+        assert 0.5005 in scan_grid(fns, 0.0, 1.0, 0.001)
+        assert not certify_plan(plan, fns)[0]
 
     def test_partition_is_exact(self):
         config = scenario_nonstationary("extreme_budget", 20000, 24.0, seed=1)
