@@ -59,10 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_grid(text: str) -> list[int]:
     key, _, values = text.partition("=")
+    values = [v for v in values.split(",") if v.strip()]
     if key.strip() != "T" or not values:
         raise ParseError(f"--grid expects T=V1,V2,... (got {text!r})")
     try:
-        return [_integer(float(v)) for v in values.split(",") if v.strip()]
+        return [_integer(float(v)) for v in values]
     except ValueError as exc:
         raise ParseError(f"bad --grid value in {text!r}: {exc}") from exc
 

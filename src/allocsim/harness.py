@@ -13,7 +13,9 @@ alongside for transparency.
 
 Report files are CSV (one directory per run), and this module writes all
 of them through one block writer: a header line, then rows with `%.9g`
-floats and a blank item for a null assignment. Wall-clock time goes to
+floats and a blank item for a null assignment. A table whose fields are
+all integers is encoded by numpy as byte blocks, not formatted one value
+at a time, with the same bytes `%d` gives. Wall-clock time goes to
 runtime.txt, not the CSVs, so re-running a configuration byte-identically
 reproduces every CSV.
 """
@@ -135,10 +137,11 @@ def greedy_baseline(
     no uncapped item, arrivals past the total stock get the null (-1).
 
     Draws its purchase uniforms as a single stationary `run_integrated`
-    call on the same seed does (a discarded selection block of len(arrivals)
-    draws, then the purchase block), so against that run the two policies
-    face identical purchase randomness per arrival. Against a non-stationary
-    run, which draws per segment, the purchase draws do not line up.
+    call on the same seed does (it skips the selection block of
+    len(arrivals) draws, then takes the purchase block), so against that
+    run the two policies face identical purchase randomness per arrival.
+    Against a non-stationary run, which draws per segment, the purchase
+    draws do not line up.
     """
     n = instance.rewards.size
     m = instance.preferences.shape[0]
@@ -151,12 +154,13 @@ def greedy_baseline(
     k = int(np.argmax(infinite[order])) if infinite.any() else n
     capped = order[:k]
     after_stock = order[k] if k < n else -1
-    stock_ends = np.cumsum(np.floor(instance.budgets[capped]))
-    slot = np.searchsorted(stock_ends, np.arange(T), side="right")
-    assigned = np.append(capped, after_stock)[slot]
+    stock_ends = np.minimum(np.cumsum(np.floor(instance.budgets[capped])), T)
+    lengths = np.diff(np.concatenate(([0], stock_ends, [T]))).astype(np.int64)
+    assigned = np.repeat(np.append(capped, after_stock), lengths)
 
     rng = substream(seed, "loop")
-    rng.random(T)  # discarded: keeps purchase draws aligned with run_integrated
+    # skip the selection block: keeps purchase draws aligned with run_integrated
+    rng.bit_generator.advance(T)
     u_purchase = rng.random(T)
     offered = assigned >= 0
     bought = np.zeros(T, dtype=bool)
@@ -407,23 +411,61 @@ def _fill_online_metrics(
 def _write_csv(path, header: str, row_format: str, columns) -> None:
     """Write `header`, then one `row_format` line per row of `columns`.
 
-    `columns` are equal-length arrays or lists, one per %-field of
-    `row_format`. Rows are formatted from Python scalars a block of
-    _CSV_BLOCK rows at a time, which keeps the memory for formatted text
-    to one block.
+    `columns` are equal-length arrays, lists or ranges, one per %-field of
+    `row_format`, written a block of _CSV_BLOCK rows at a time, which keeps
+    the memory for formatted text to one block. A format of only `%d`
+    fields is encoded by `_integer_rows`; any other is formatted from
+    Python scalars.
     """
     width = len(columns)
     rows = len(columns[0]) if width else 0
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+    integer = width and row_format == ",".join(["%d"] * width) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for lo in range(0, rows, _CSV_BLOCK):
             k = min(_CSV_BLOCK, rows - lo)
+            blocks = [col[lo:lo + k] for col in columns]
+            if integer:
+                fh.write(_integer_rows(blocks))
+                continue
             values = [None] * (k * width)
-            for i, col in enumerate(columns):
-                block = col[lo:lo + k]
+            for i, block in enumerate(blocks):
                 values[i::width] = (
                     block.tolist() if isinstance(block, np.ndarray) else block)
-            fh.write((row_format * k) % tuple(values))
+            fh.write(((row_format * k) % tuple(values)).encode())
+
+
+def _integer_rows(columns) -> bytes:
+    """The bytes of `%d,...,%d\\n` over equal-length integer columns.
+
+    Each column becomes a (width, rows) matrix of ASCII digits, filled from
+    the last digit up by dividing the uint64 magnitudes by 10 (so int64's
+    minimum does not overflow), and, when the column has a negative value,
+    a sign column goes in front. A digit left of a value's first one is a
+    NUL byte: its quotient was already 0. The matrices and the separator
+    columns are joined row by row, and dropping the NULs leaves the rows.
+    """
+    parts = []
+    for col in columns:
+        value = np.asarray(col)
+        if value.dtype.kind not in "biu":
+            raise TypeError(f"%d field given a column of dtype {value.dtype}")
+        magnitude = value.astype(np.uint64)
+        negative = value < 0
+        if negative.any():
+            np.negative(magnitude, out=magnitude, where=negative)
+            parts.append((negative * np.uint8(ord("-")))[:, None])
+        digits = np.empty((len(str(magnitude.max())), value.size), np.uint8)
+        for c in range(len(digits) - 1, -1, -1):
+            shown = magnitude != 0
+            magnitude, digits[c] = np.divmod(magnitude, np.uint64(10))
+            digits[c] += np.uint8(ord("0"))
+            if c < len(digits) - 1:  # a zero keeps its last digit
+                digits[c] *= shown
+        parts += [digits.T, np.full((value.size, 1), ord(","), np.uint8)]
+    parts[-1] = np.full_like(parts[-1], ord("\n"))
+    block = np.concatenate(parts, axis=1)
+    return block[block != 0].tobytes()
 
 
 def write_trace_csv(trace: Trace, path) -> None:

@@ -33,7 +33,9 @@ from allocsim.cli import main
 from allocsim.dual import dual_objective
 from allocsim.errors import DimensionMismatch
 from allocsim.harness import (
+    _CSV_BLOCK,
     MetricsReport,
+    _write_csv,
     benchmark_spec,
     expected_type_weights,
     offline_revenue_bound,
@@ -121,6 +123,21 @@ class TestGreedyBaseline:
         assert counts[capped].sum() > 0
         unbought = np.isin(trace.assigned, capped) & ~trace.purchased
         assert unbought.any()
+
+    def test_purchase_draws_paired_with_stationary_run(self):
+        # greedy skips the loop's selection block and reads its purchase
+        # block, so wherever both policies offer an arrival the same item
+        # they face the same uniform and make the same purchase
+        config = scenario_stationary(T=20_000, seed=2)
+        stream = sample_stream(config.arrivals, config.instance.horizon,
+                               config.seed)
+        online = run_integrated(config, stream, expected_type_weights(config))
+        greedy = greedy_baseline(config.instance, stream, config.seed)
+        same = (online.assigned == greedy.assigned) & (greedy.assigned >= 0)
+        assert same.sum() > 1000
+        assert not greedy.purchased[same].all()
+        np.testing.assert_array_equal(online.purchased[same],
+                                      greedy.purchased[same])
 
     def test_items_behind_an_uncapped_item_never_offered(self):
         # reward order is item 1, item 2 (uncapped), item 0: item 0 keeps
@@ -233,6 +250,13 @@ class TestRunExperiment:
         assert np.isnan(report.realized_revenue)
 
 
+def _percent_rows(columns) -> bytes:
+    """The rows of integer `columns`, each value formatted with `%d`."""
+    rows = len(columns[0])
+    values = [v for row in zip(*map(list, columns)) for v in row]
+    return ((",".join(["%d"] * len(columns)) + "\n") * rows % tuple(values)).encode()
+
+
 class TestEmitReport:
     def test_headers_only_when_empty(self, tmp_path):
         report = MetricsReport(mode="offline", seed=0, config_hash="abc")
@@ -309,6 +333,36 @@ class TestEmitReport:
         if mode == "nonstationary":
             hours = {h for h, _ in cells}
             assert len(cells) < len(hours) * config.instance.preferences.shape[0]
+
+    # an all-%d table is encoded as byte blocks; it must read exactly as
+    # formatting each value with %d would
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK,
+                                      _CSV_BLOCK + 1])
+    def test_matches_percent_format(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        i64 = np.iinfo(np.int64)
+        # mixed widths per block, zeros, negatives and int64's extremes
+        wide = rng.integers(-10**12, 10**12, rows) // 10**rng.integers(0, 13, rows)
+        wide[::7] = 0
+        wide[1::11] = i64.min
+        wide[2::13] = i64.max
+        columns = [wide, rng.integers(0, 3, rows).astype(np.uint8)]
+        path = tmp_path / "t.csv"
+        _write_csv(path, "a,b", "%d,%d\n", columns)
+        assert path.read_bytes() == b"a,b\n" + _percent_rows(columns)
+
+    def test_ranges_lists_and_unsigned(self, tmp_path):
+        rows = _CSV_BLOCK + 5
+        columns = [range(-3, rows - 3), [(-1) ** i * i for i in range(rows)],
+                   np.full(rows, np.iinfo(np.uint64).max, dtype=np.uint64)]
+        path = tmp_path / "t.csv"
+        _write_csv(path, "r,l,u", "%d,%d,%d\n", columns)
+        assert path.read_bytes() == b"r,l,u\n" + _percent_rows(columns)
+
+    def test_float_column_refused(self, tmp_path):
+        with pytest.raises(TypeError, match="float64"):
+            _write_csv(tmp_path / "t.csv", "a,b", "%d,%d\n",
+                       [np.arange(3), np.array([1.0, 2.5, 3.0])])
 
 
 class TestCli:
@@ -499,8 +553,10 @@ class TestCli:
     @pytest.mark.parametrize("grid, made", [
         ("T=300.9", None),
         ("T=1e400", None),
+        ("T=,", None),
+        ("T= ", None),
         ("T=1e3", "T_1000"),
-    ], ids=["fraction", "overflow", "exponent"])
+    ], ids=["fraction", "overflow", "empty", "blank", "exponent"])
     def test_grid_values_are_integers(self, tmp_path, capsys, grid, made):
         cfg = self._write_config(tmp_path, scenario_stationary(T=300, seed=1))
         out = tmp_path / "grid"
