@@ -24,28 +24,24 @@ the gradient. The cached row for an arrival's type, times the availability
 mask, is its selection weights (the same distribution as the masked,
 renormalized row the scalar kernel builds). The row divisors p_bar mu are
 kept as a materialized (m, n) matrix, so the softmax divides two arrays of
-one shape instead of broadcasting a column; a row's p_bar is taken from the
-cell that moved, rescanned only when the cell that held it went down, and
-the row is refilled only when p_bar changes. The availability mask, a
-score cap (-inf on sold-out items) and a per-type count of unvisited items
-are updated per arrival the same way; counts, purchases and remaining
-stock are Python numbers within a call, and the gradient is one matvec.
+one shape instead of broadcasting a column; a moved row's p_bar is its
+maximum, and its divisor row is refilled. The availability mask and a
+score cap (-inf on sold-out items) are updated per arrival; counts,
+purchases and remaining stock are Python numbers within a call, and the
+gradient is one matvec. Every arrival the loop takes one at a time makes
+the full dual step and is followed by one full softmax at the new iterate.
 
-Every arrival the loop takes one at a time makes the full dual step and
-is followed by one full softmax at the new iterate; its gradient operands
-w / Z and p_hat W are recomputed from Z, W and p_hat before the matvec.
-
-While lambda is pinned at zero, arrivals are taken a run at once. When
-every entry of lambda is +0.0 (the call's own last step landed there) and
-no capped item's consumption (the gradient's matvec) exceeds its floor
-s b_i, floor - consumption >= 0 holds in floating point, so a step lands at
-or below 0 and projects back to +0.0: lambda and r - lambda stay, and the
-cache differs from the full softmax only in the rows the arrivals moved.
-An arrival's choice then depends only on its own type's estimate row (and,
-while learning, that type's counts and clock), the availability mask and
-its pre-drawn uniforms, so arrivals of different types are independent
-until a capped item sells out. The pinned run takes the rest of the chunk
-in one of two ways:
+While lambda is pinned at zero and some item is in stock, arrivals are
+taken a run at once. When every entry of lambda is +0.0 (the call's own
+last step landed there) and no capped item's consumption (the gradient's
+matvec) exceeds its floor s b_i, floor - consumption >= 0 holds in floating
+point, so a step lands at or below 0 and projects back to +0.0: lambda and
+r - lambda stay, and the cache differs from the full softmax only in the
+rows the arrivals moved. An arrival's choice then depends only on its own
+type's estimate row (and, while learning, that type's counts and clock),
+the availability mask and its pre-drawn uniforms, so arrivals of different
+types are independent until a capped item sells out. The pinned run takes
+the rest of the chunk in one of two ways:
 
 * with one item i in stock, every choice is i (the selection row's
   cumulative sum, and its underflow recompute, return i for every u), and
@@ -57,13 +53,12 @@ in one of two ways:
   recompute done in-block for the rows that need it, then draws the
   purchases and moves one count and estimate cell per row. Pricing rounds
   refresh their rows' softmax, which the next round selects from; learning
-  rounds only record each arrival's estimate row.
+  rounds refresh all their rows in one stacked pass at the end.
 
-The closed form and the learning rounds take the softmax of all their rows
-in one stacked `_row_scale` / `_softmax_rows` pass, which rounds as the
-per-arrival row refresh does. A shared tail then cuts the run after the
-arrival that takes a capped item's last unit (stock minus k is exact, as
-each step of -1 is) and before the first arrival that fails the pinned
+Both refresh with `dual.py`'s `_row_scale` / `_softmax_rows`, which round
+as the per-arrival row refresh does. A shared tail then cuts the run after
+the arrival that takes a capped item's last unit (stock minus k is exact,
+as each step of -1 is) and before the first arrival that fails the pinned
 test. That test gathers every type's row as it stands after each arrival
 and takes one stacked matvec. Every term w_j / Z_j p_ji W_ji is >= 0
 (`run_integrated` refuses negative weights), so any summation order, fused
@@ -72,22 +67,20 @@ orders within about twice that of each other; the run counts an arrival
 as pinned only if consumption (1 + 4 m 2^-53) <= s b_i for every capped
 item. The arrival that ends a run goes the per-arrival way, whose step
 from +0.0 lands on +0.0 bit for bit when the exact test would pass. The
-tail writes the history cells and commits each moved type's state and
-caches as its last included arrival left them. The pinned flag is set
-only by the call's own projected step, never from the incoming state, so
-a piece's first arrival takes the full step.
+tail commits each moved type's state and caches as its last included
+arrival left them. The pinned flag is set only by the call's own projected
+step, never from the incoming state, so a piece's first arrival takes the
+full step.
 
 The recorded dual values are deferred: the loop runs in chunks of
-`_DUAL_CHUNK` arrivals. A full step writes its post-step shift, Z, p_bar
-and lambda into a row of history buffers; an arrival of a pinned run
-writes only column j of shift, Z and p_bar (nothing on a null
-assignment). At the end of each chunk every unwritten cell is copied from
-the last row above that wrote its column, row 0 carrying the state from
-before the chunk, and one stacked pass turns the rows into f_vals, with
-products that round like the per-row ones. A chunk's per-arrival inputs
-are read as Python scalars when it starts. The caches are rebuilt at call
-start from the state with the expressions the loop uses, so chained calls
-match one call bit for bit.
+`_DUAL_CHUNK` arrivals, and every arrival writes its post-step shift, Z,
+p_bar and lambda into a row of history buffers: a full step from its
+softmax, a pinned run from the same per-arrival gather of every type's row
+that its test takes. At the end of each chunk one stacked pass turns the
+rows into f_vals, with products that round like the per-row ones. A
+chunk's per-arrival inputs are read as Python scalars when it starts. The
+caches are rebuilt at call start from the state with the expressions the
+loop uses, so chained calls match one call bit for bit.
 
 Only this module picks the backend: `BACKEND`, read at import from
 ALLOCSIM_BACKEND ("numba" or "numpy"; default numba when importable), which
@@ -376,7 +369,6 @@ def _integrated_numpy(
     # capping a score row at `cap` sends sold-out items to -inf
     cap = np.where(available, np.inf, -np.inf)
     n_avail = int(np.count_nonzero(available))
-    unseen = np.count_nonzero(counts == 0, axis=1).tolist()
 
     # Caches, rebuilt from the state with the expressions the loop refreshes
     # them with, so a run split into chained calls matches one call bit for
@@ -387,7 +379,6 @@ def _integrated_numpy(
     # wz = w / Z and PW = p_hat W are recomputed before each step.
     rl = rewards - lam
     pbar, scale = _row_scale(p_hat, mu)
-    pbar_l = pbar.tolist()
     div = np.repeat(scale[:, None], n, axis=1)
     E, W, PW = np.empty((3, m, n))
     Z, wz = np.empty((2, m))
@@ -395,26 +386,16 @@ def _integrated_numpy(
     p_rows, E_rows, W_rows, div_rows = (list(a) for a in (p_hat, E, W, div))
 
     # Deferred dual values: row k + 1 of the history buffers holds arrival
-    # k's post-step state, row 0 the state before the chunk. `record` fills
-    # the cells pinned arrivals left from the last row above that wrote their
-    # column (`owner` per cell, lam's in column m), then turns the rows into
-    # f_vals with stacked products that round like the per-row ones.
+    # k's post-step state (every arrival writes its whole row, a pinned one
+    # from its run's rows), row 0 the state before the chunk. `record` turns
+    # the rows into f_vals with stacked products that round like the per-row
+    # ones.
     h_shift, h_z, h_pbar = np.empty((3, _DUAL_CHUNK + 1, m))
     h_lam = np.empty((_DUAL_CHUNK + 1, n))
     h_log = np.empty((_DUAL_CHUNK, m))
-    owner = np.zeros((_DUAL_CHUNK + 1, m + 1), dtype=np.intp)
-    cols = np.arange(m)
 
-    def record(lo, size, full):
+    def record(lo, size):
         end = size + 1
-        if len(full) < size:
-            held = owner[:end]
-            held[full] = np.array(full, dtype=np.intp)[:, None]
-            np.maximum.accumulate(held, axis=0, out=held)
-            h_lam[:end] = h_lam[held[:, m]]
-            for h in (h_shift, h_z, h_pbar):
-                h[:end] = h[held[:, :m], cols]
-            held.fill(0)
         log_z = h_log[:size]
         np.log(h_z[1:end], out=log_z)
         np.add(log_z, h_shift[1:end], out=log_z)
@@ -508,20 +489,19 @@ def _integrated_numpy(
 
     def pinned_run(lo, k, size, sels, buys):
         """Arrivals k, k + 1, ... of the chunk at `lo` while lam is pinned,
-        without a dual step; returns how many it took. With one item in
-        stock every choice is fixed and the run is one closed form; with
-        more, it goes by rounds. It stops at the chunk end, after the
-        arrival that takes a capped item's last unit, or before the first
-        arrival whose consumption does not clear the floors with
-        `pin_margin` to spare."""
+        without a dual step, while some item is in stock; returns how many
+        it took. With one item in stock every choice is fixed and the run is
+        one closed form; with more, it goes by rounds. It stops at the chunk
+        end, after the arrival that takes a capped item's last unit, or
+        before the first arrival whose consumption does not clear the floors
+        with `pin_margin` to spare."""
         nonlocal n_avail
         K, t = size - k, types[lo + k:lo + size]
         at = np.arange(K)
         P_s[:m], W_s[:m], Z_s[:m], scale_s[:m] = p_hat, W, Z, div[:, 0]
+        shift_s[:m], pbar_s[:m] = h_shift[k], pbar
         counts0, purch0 = np.array(counts_l), np.array(purch_l)
-        if n_avail == 0:
-            sel, bought, row = np.full(K, -1), np.zeros(K, dtype=bool), None
-        elif n_avail == 1:
+        if n_avail == 1:
             # each arrival's running visits and sales of item i by its type
             i = int(mask.argmax())
             sel, row = np.full(K, i), at + m
@@ -541,9 +521,8 @@ def _integrated_numpy(
         # after the arrival. A type's rows grow along its arrivals and start
         # at its own index, so a running maximum finds the latest.
         src = np.zeros((K + 1, m), dtype=np.intp)
-        src[0] = cols
-        if row is not None:
-            src[at + 1, t] = row
+        src[0] = np.arange(m)
+        src[at + 1, t] = row
         np.maximum.accumulate(src, axis=0, out=src)
         src = src[1:]
         used = src.max() + 1
@@ -551,12 +530,11 @@ def _integrated_numpy(
                                    (P_s[:used] * W_s[:used])[src])
         broke = np.flatnonzero(~(use * pin_margin <= pin_bound).all(axis=1))
         K = int(broke[0]) if broke.size else K
-        if row is not None:
-            # the arrival that takes a capped item's last unit ends the run;
-            # rem - c is exact, as each step of -1 is
-            for i, c in enumerate(np.bincount(sel, minlength=n).tolist()):
-                if c and not infinite_l[i] and rem_l[i] - c < 1.0:
-                    K = min(K, int(np.flatnonzero(sel == i)[int(rem_l[i]) - 1]) + 1)
+        # the arrival that takes a capped item's last unit ends the run;
+        # rem - c is exact, as each step of -1 is
+        for i, c in enumerate(np.bincount(sel, minlength=n).tolist()):
+            if c and not infinite_l[i] and rem_l[i] - c < 1.0:
+                K = min(K, int(np.flatnonzero(sel == i)[int(rem_l[i]) - 1]) + 1)
         if K == 0:
             return 0
 
@@ -565,11 +543,11 @@ def _integrated_numpy(
         buys.extend(bought[:K].tolist())
         for j, c in enumerate(np.bincount(t, minlength=m).tolist()):
             rounds_l[j] += c
-        if row is None:
-            return K
-        k1, row = at[:K] + (k + 1), row[:K]
-        h_shift[k1, t], h_z[k1, t], h_pbar[k1, t] = shift_s[row], Z_s[row], pbar_s[row]
-        owner[k1, t] = k1
+        # each arrival's history row: every type's row as it stands after it
+        src = src[:K]
+        rows = slice(k + 1, k + 1 + K)
+        h_shift[rows], h_z[rows], h_pbar[rows] = shift_s[src], Z_s[src], pbar_s[src]
+        h_lam[rows] = 0.0
         for i, c in enumerate(np.bincount(sel, minlength=n).tolist()):
             if c and not infinite_l[i]:
                 rem_l[i] -= c
@@ -589,12 +567,9 @@ def _integrated_numpy(
         counts1, purch1 = counts1[moved], purch1[moved]
         if learning:
             counts[moved] = counts1
-        for j, counts_j, purch_j, p_j, pbar_j, unseen_j in zip(
-                moved.tolist(), counts1.tolist(), purch1.tolist(),
-                p_hat[moved].tolist(), pbar_s[row].tolist(),
-                np.count_nonzero(counts1 == 0, axis=1).tolist()):
+        for j, counts_j, purch_j, p_j in zip(moved.tolist(), counts1.tolist(),
+                                             purch1.tolist(), p_hat[moved].tolist()):
             counts_l[j], purch_l[j], p_hat_l[j] = counts_j, purch_j, p_j
-            pbar_l[j], unseen[j] = pbar_j, unseen_j
         return K
 
     state_lam = lam
@@ -608,11 +583,12 @@ def _integrated_numpy(
         # the chunk's per-arrival inputs as Python scalars
         types_c, u_select_c, u_purchase_c, etas_c = (
             a[lo:lo + size].tolist() for a in (types, u_select, u_purchase, etas))
-        sels, buys, full = [], [], []
+        sels, buys = [], []
         k = 0
         while k < size:
-            if pinned:
-                # the arrival that ends a run goes the per-arrival way below
+            if pinned and n_avail:
+                # the arrival that ends a run goes the per-arrival way below,
+                # as does every arrival with nothing in stock
                 k += pinned_run(lo, k, size, sels, buys)
                 if k == size:
                     break
@@ -622,16 +598,13 @@ def _integrated_numpy(
             sel = -1
             if n_avail:
                 if learning:
+                    # unvisited items score inf
                     row_counts = counts[j]
-                    # unvisited items score inf; once a type has visited
-                    # every item its counts need no floor and its row no mask
                     np.divide(1.5 * np.log(np.float64(rounds_l[j])),
-                              np.maximum(row_counts, 1) if unseen[j] else row_counts,
-                              out=scores)
+                              np.maximum(row_counts, 1), out=scores)
                     np.sqrt(scores, out=scores)
                     np.add(p_rows[j], scores, out=scores)
-                    if unseen[j]:
-                        scores[row_counts == 0] = np.inf
+                    scores[row_counts == 0] = np.inf
                     np.minimum(scores, cap, out=scores)
                     sel = int(scores.argmax())
                 else:
@@ -670,23 +643,14 @@ def _integrated_numpy(
                 visits = counts_l[j][sel] = counts_l[j][sel] + 1
                 if learning:
                     counts[j, sel] = visits
-                if visits == 1:
-                    unseen[j] -= 1
                 # the int quotient rounds as numpy's int64 division does
-                est = purch_row[sel] / visits
-                old = p_hat_row[sel]
-                p_hat_row[sel] = p_hat[j, sel] = est
+                p_hat_row[sel] = p_hat[j, sel] = purch_row[sel] / visits
 
                 # only row j of the estimate moved: refresh its caches, with
                 # the dual.py softmax written out for one row (cheaper than a
-                # call). Its maximum is the moved cell or stays, unless the
-                # cell that held it went down.
-                pbar_old = pbar_l[j]
-                pbar_j = (est if est >= pbar_old else pbar_old if old < pbar_old
-                          else max(p_hat_row))
-                if pbar_j != pbar_old:
-                    pbar_l[j] = pbar[j] = pbar_j
-                    div_rows[j].fill((pbar_j if pbar_j > 0.0 else 1.0) * mu)
+                # call)
+                pbar_j = pbar[j] = max(p_hat_row)
+                div_rows[j].fill((pbar_j if pbar_j > 0.0 else 1.0) * mu)
                 e_row, w_row = E_rows[j], W_rows[j]
                 np.multiply(rl, p_rows[j], out=e_row)
                 np.divide(e_row, div_rows[j], out=e_row)
@@ -696,7 +660,6 @@ def _integrated_numpy(
 
             # gradient of the weighted dual at the pre-step iterate, one
             # matvec, and the projected step into the arrival's history row
-            full.append(k1)
             np.divide(weights, Z, out=wz)
             np.multiply(p_hat, W, out=PW)
             np.matmul(wz, PW, out=grad)
@@ -717,7 +680,7 @@ def _integrated_numpy(
             k += 1
         assigned[lo:lo + size] = sels
         bought[lo:lo + size] = buys
-        record(lo, size, full)
+        record(lo, size)
         lam = h_lam[0]
 
     for state, now in ((state_lam, lam), (type_rounds, rounds_l), (remaining, rem_l),

@@ -1,7 +1,7 @@
 """Poisson arrival stream simulation and ground-truth type probabilities.
 
-The rate functions' scan grid (`scan_grid`, re-exported here), piece
-lookup and expected counts live in `model`."""
+The rate functions' scan grid, piece lookup and expected counts live in
+`model`."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ __all__ = [
     "sample_nonstationary_stream",
     "sample_stream",
     "type_probability_matrix",
-    "scan_grid",
     "rate_extrema",
 ]
 

@@ -27,6 +27,7 @@ from .model import (
     _convert,
     _integer,
     _object,
+    _real,
     _require,
     config_from_document,
     scenario_nonstationary,
@@ -81,7 +82,7 @@ def _rebuild_scenario(config: SimConfig, horizon: int) -> SimConfig:
         return scenario_stationary(T=horizon, seed=config.seed)
     return scenario_nonstationary(
         kind=kind, T=horizon,
-        horizon_hours=_require(info, "horizon_hours", "scenario", float),
+        horizon_hours=_require(info, "horizon_hours", "scenario", _real),
         seed=config.seed,
     )
 
@@ -112,7 +113,7 @@ def _run_one(config: SimConfig, command: str, out_dir: Path,
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ParseError("config root must be a JSON object")
@@ -122,7 +123,8 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         print(f"config error: {args.config} not found", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # not UTF-8, or nested deeper than the parser recurses
         print(f"config error: invalid JSON ({exc})", file=sys.stderr)
         return 2
     except AllocSimError as exc:

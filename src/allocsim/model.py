@@ -463,9 +463,21 @@ def substream(seed: int, *tags) -> np.random.Generator:
 # Config file I/O
 # ============================================================
 
+def _not_bool(value):
+    """`value`, refusing a JSON boolean (which Python counts as 0 or 1)."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _real(value) -> float:
+    return float(_not_bool(value))
+
+
 def _integer(value) -> int:
-    """int(value), refusing a number with a fractional part (1000.0 passes)."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value), refusing a number with a fractional part (1000.0 passes)
+    and a boolean."""
+    if isinstance(_not_bool(value), float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -474,13 +486,13 @@ def _integer(value) -> int:
 _PARAM_KEYS = {
     "R_max": ("r_max", _integer),
     "K": ("k_interval", _integer),
-    "ucb_stop_epsilon": ("ucb_stop_epsilon", float),
-    "epsilon": ("epsilon", float),
-    "delta": ("delta", float),
-    "d": ("d", float),
-    "grid_dt": ("grid_dt", float),
-    "lambda_max": ("lambda_max", float),
-    "offline_tol": ("offline_tol", float),
+    "ucb_stop_epsilon": ("ucb_stop_epsilon", _real),
+    "epsilon": ("epsilon", _real),
+    "delta": ("delta", _real),
+    "d": ("d", _real),
+    "grid_dt": ("grid_dt", _real),
+    "lambda_max": ("lambda_max", _real),
+    "offline_tol": ("offline_tol", _real),
     "offline_max_iter": ("offline_max_iter", _integer),
 }
 
@@ -501,6 +513,8 @@ def _object(value) -> dict:
 
 def _finite(value) -> np.ndarray:
     out = np.asarray(value, dtype=float)
+    for x in np.asarray(value, dtype=object).flat:
+        _not_bool(x)
     if not np.all(np.isfinite(out)):
         raise ValueError("expected finite numbers")
     return out
@@ -522,7 +536,7 @@ def _require(doc: dict, key: str, path: str, convert=None):
 
 
 def _budget(value) -> float:
-    out = float(value)
+    out = _real(value)
     if np.isnan(out):
         raise ValueError("budget is NaN")
     return out
@@ -544,10 +558,10 @@ def _parse_piece(doc, path: str) -> RatePiece:
     doc = _convert(_object, doc, path)
     try:
         return RatePiece(
-            t_from=_require(doc, "from", path, float),
-            t_to=_require(doc, "to", path, float),
+            t_from=_require(doc, "from", path, _real),
+            t_to=_require(doc, "to", path, _real),
             kind=str(_require(doc, "kind", path)),
-            params=_require(doc, "params", path, lambda v: tuple(float(x) for x in v)),
+            params=_require(doc, "params", path, lambda v: tuple(map(_real, v))),
         )
     except RateFunctionError as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -556,7 +570,7 @@ def _parse_piece(doc, path: str) -> RatePiece:
 def _draw_preferences(gen_spec: dict, m: int, n: int, seed: int) -> np.ndarray:
     kind = gen_spec.get("generator")
     where = "instance.preferences.params"
-    params = _convert(lambda v: [float(x) for x in v], gen_spec.get("params", []), where)
+    params = _convert(lambda v: list(map(_real, v)), gen_spec.get("params", []), where)
     rng = substream(seed, "preferences")
     if kind == "beta":
         ab = (params + [2.0, 5.0])[:2]
@@ -589,7 +603,7 @@ def config_from_document(doc: dict) -> SimConfig:
     budgets = np.array(
         [_parse_budget(e, f"instance.budgets[{k}]") for k, e in enumerate(budgets_doc)]
     )
-    mu = _convert(float, inst_doc.get("mu", MU_DEFAULT), "instance.mu")
+    mu = _convert(_real, inst_doc.get("mu", MU_DEFAULT), "instance.mu")
     prefs_doc = _require(inst_doc, "preferences", "instance")
     pref_generator = None
     if isinstance(prefs_doc, dict):
@@ -613,8 +627,8 @@ def config_from_document(doc: dict) -> SimConfig:
     elif "nonstationary" in arr_doc:
         path = "arrivals.nonstationary"
         ns = _require(arr_doc, "nonstationary", "arrivals", _object)
-        t0 = _require(ns, "t0", path, float)
-        t_end = _require(ns, "t_end", path, float)
+        t0 = _require(ns, "t0", path, _real)
+        t_end = _require(ns, "t_end", path, _real)
         fns_doc = _require(ns, "rate_fns", path, list)
         if len(fns_doc) != m:
             raise ParseError(f"{path}.rate_fns length {len(fns_doc)} != m={m}")

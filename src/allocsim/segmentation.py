@@ -23,14 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrivals import (
-    sample_nonstationary_stream,
-    scan_grid,
-    type_probability_matrix,
-)
+from .arrivals import sample_nonstationary_stream, type_probability_matrix
 from .errors import DegenerateSegment, NoPositiveRoot, ZeroLowerSum
 from .integrated import Trace, run_integrated
-from .model import NonstationaryArrivals, SimConfig, substream
+from .model import NonstationaryArrivals, SimConfig, scan_grid, substream
 
 __all__ = [
     "Segment",

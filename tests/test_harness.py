@@ -397,10 +397,14 @@ class TestCli:
         assert main(["offline", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
 
-    def test_invalid_json_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe{}", b"[" * 200000],
+                             ids=["not-json", "not-utf8", "too-deep"])
+    def test_invalid_json_exits_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_bytes(text)
         assert main(["offline", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: invalid JSON")
 
     def test_missing_seed_exits_2(self, tmp_path):
         config = scenario_stationary(T=300, seed=1)
@@ -430,10 +434,18 @@ class TestCli:
         (("arrivals", "stationary", "rates", 3), float("nan")),
         (("instance", "rewards", 2), float("inf")),
         (("arrivals", "stationary", "rates", 3), float("inf")),
+        (("instance", "T"), True),
+        (("seed",), True),
+        (("instance", "rewards", 0), True),
+        (("instance", "budgets", 4, "value"), True),
+        (("instance", "mu"), True),
+        (("params", "epsilon"), False),
     ], ids=["K-null", "K-abc", "R_max-list", "T-x", "rewards-abc", "budgets-5",
             "rates-string", "seed-x", "generator-params-xy", "seed-fraction",
             "T-fraction", "K-fraction", "seed-inf", "reward-nan", "budget-nan",
-            "preference-nan", "rate-nan", "reward-inf", "rate-inf"])
+            "preference-nan", "rate-nan", "reward-inf", "rate-inf", "T-true",
+            "seed-true", "reward-true", "budget-value-true",
+            "mu-true", "epsilon-false"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, where, value):
         doc = config_document(scenario_stationary(T=300, seed=1))
         target = doc

@@ -506,6 +506,24 @@ class TestCarryOver:
             assert_bit_identical(chained, whole)
             assert whole.checkpoints.t.size > 0
 
+    def test_stationary_run_matches_one_call_per_arrival(self, monkeypatch):
+        # One call per arrival rebuilds the numpy twin's caches (estimate
+        # maxima, divisor rows, unvisited cells, softmax rows) from the state
+        # at every arrival; one call keeps them up to date arrival by
+        # arrival. This run learns, prices, and sells out items 6-9.
+        T = 2000
+        config = scenario_stationary(T=T, seed=1)
+        stream = sample_stationary_stream(config.arrivals.rates, T, seed=1)
+        w = config.arrivals.rates / config.arrivals.rates.sum()
+        whole, stepped, _ = one_call_and_per_arrival(
+            monkeypatch, lambda: run_integrated(config, stream, w, backend="numpy"))
+        assert_bit_identical(whole, stepped)
+        assert set(whole.phase.tolist()) == {PHASE_NAMES.index("ucb"),
+                                             PHASE_NAMES.index("ogd")}
+        assert whole.checkpoints.lam.any()
+        np.testing.assert_array_equal(
+            np.flatnonzero(whole.remaining_final < 1.0), [6, 7, 8, 9])
+
     def test_chunk_boundaries(self):
         # The numpy twin records dual values a chunk of arrivals at a time.
         # Calls cut one before, at and one after a chunk edge, a call shorter
@@ -681,10 +699,9 @@ class TestPinnedIterate:
         assert np.isnan(whole.lam_final).all()
 
     # The numpy twin defers its dual values a chunk at a time: a pinned
-    # arrival writes only the history column of the estimate row it moved,
-    # and the end of each chunk fills the rest from the rows above, row 0
-    # carrying the state from before the chunk. The cases below run one
-    # call (K > T) over several chunk edges.
+    # arrival writes its history row from its run's rows, which start from
+    # the history row above, row 0 carrying the state from before the
+    # chunk. The cases below run one call (K > T) over several chunk edges.
 
     def test_pinned_call_over_several_chunks(self, monkeypatch):
         # The budgets never bind, so every arrival after the first is pinned
@@ -712,7 +729,8 @@ class TestPinnedIterate:
     def test_pinned_null_assignments(self, monkeypatch):
         # Every item is capped with 4 units in stock, and each floor s*b_i = 2
         # lies above any consumption, so lam stays pinned; once the 12 units
-        # are gone, every arrival is a null assignment that writes nothing.
+        # are gone, every arrival is a null assignment, whose full step lands
+        # back on +0.0.
         chunk = _kernels._DUAL_CHUNK
         T = 2 * chunk + 40
         config = loop_config(n=3, m=2, budgets=2.0 * T, p=[[0.5, 0.2, 0.9],
@@ -974,7 +992,8 @@ class TestPinnedIterate:
 
     def test_run_with_nothing_in_stock(self, monkeypatch):
         # Every item is capped and sold out from the start: each arrival is
-        # a null assignment, and the runs still advance each type's clock.
+        # a null assignment and, with nothing in stock, takes the full step;
+        # each type's clock still advances.
         chunk = _kernels._DUAL_CHUNK
         T = chunk + 30
         config = loop_config(n=2, m=3, budgets=2.0 * T, p=0.5, r_max=0,

@@ -17,7 +17,7 @@ from allocsim import (
     solve_v_threshold,
     substream,
 )
-from allocsim.arrivals import rate_extrema, scan_grid
+from allocsim.arrivals import rate_extrema
 from allocsim.errors import ZeroLowerSum
 from allocsim.harness import write_plan_csv
 from allocsim.integrated import run_integrated
@@ -26,6 +26,7 @@ from allocsim.model import (
     ProblemInstance,
     NonstationaryArrivals,
     SimConfig,
+    scan_grid,
 )
 from allocsim import segmentation
 from allocsim.segmentation import SegmentPlan, _scan_window
