@@ -2,9 +2,10 @@
 
 A loop call runs one piece of a batch in one phase: UCB learning when
 `learning` is set, dual-driven pricing otherwise. `run_integrated` cuts the
-batch at the guard checkpoints and where the clock passes r_max, decides
-each piece's phase and takes the checkpoints itself, so the kernels hold
-only per-arrival work and both backends share one phase rule. The
+batch at the guard checkpoints, where the clock passes r_max and every
+`_CALL_MAX` arrivals, decides each piece's phase and takes the checkpoints
+itself, so the kernels hold only per-arrival work, both backends share one
+phase rule, and one module decides how long a call is. The
 per-arrival type-probability rows `phi` always arrive as a (T, m) array,
 a zero-stride view when they are constant.
 
@@ -41,7 +42,7 @@ rows the arrivals moved. An arrival's choice then depends only on its own
 type's estimate row (and, while learning, that type's counts and clock),
 the availability mask and its pre-drawn uniforms, so arrivals of different
 types are independent until a capped item sells out. The pinned run takes
-the rest of the chunk in one of two ways:
+the rest of the call in one of two ways:
 
 * with one item i in stock, every choice is i (the selection row's
   cumulative sum, and its underflow recompute, return i for every u), and
@@ -72,15 +73,15 @@ arrival left them. The pinned flag is set only by the call's own projected
 step, never from the incoming state, so a piece's first arrival takes the
 full step.
 
-The recorded dual values are deferred: the loop runs in chunks of
-`_DUAL_CHUNK` arrivals, and every arrival writes its post-step shift, Z,
-p_bar and lambda into a row of history buffers: a full step from its
-softmax, a pinned run from the same per-arrival gather of every type's row
-that its test takes. At the end of each chunk one stacked pass turns the
-rows into f_vals, with products that round like the per-row ones. A
-chunk's per-arrival inputs are read as Python scalars when it starts. The
-caches are rebuilt at call start from the state with the expressions the
-loop uses, so chained calls match one call bit for bit.
+The recorded dual values are deferred: every arrival writes its post-step
+shift, Z, p_bar and lambda into a row of history buffers sized to the call,
+a full step from its softmax, a pinned run from the same per-arrival gather
+of every type's row that its test takes. At the end of the call one stacked
+pass turns the rows into f_vals, with products that round like the
+per-row ones. The call's per-arrival inputs are read as Python scalars
+when it starts. The caches are rebuilt at call start from the state with
+the expressions the loop uses, so chained calls match one call bit for
+bit.
 
 Only this module picks the backend: `BACKEND`, read at import from
 ALLOCSIM_BACKEND ("numba" or "numpy"; default numba when importable), which
@@ -324,10 +325,6 @@ _integrated_jit = njit(cache=True)(_integrated_scalar) if HAS_NUMBA else None
 # recomputed with the shift taken over available items only.
 _SELECT_UNDERFLOW = 1e-200
 
-# Arrivals per chunk of the numpy twin: its per-arrival inputs are read as
-# Python scalars, and its recorded dual values computed, a chunk at a time.
-_DUAL_CHUNK = 256
-
 
 def _stacked_consumption(wz, PW):
     """Row k is wz[k] @ PW[k]: the consumption at each arrival of a pinned
@@ -343,15 +340,14 @@ def _integrated_numpy(
 ):
     T = types.shape[0]
     m, n = p_true.shape
-    assigned = np.empty(T, dtype=np.int64)
-    bought = np.empty(T, dtype=np.uint8)
-    f_vals = np.empty(T, dtype=np.float64)
 
-    # small and integer state read as Python numbers; the integer state is
-    # written back at the end (counts also per arrival while learning)
-    (p_true_l, infinite_l, rounds_l, rem_l, counts_l, purch_l, p_hat_l) = (
+    # small and integer state and the per-arrival inputs read as Python
+    # numbers; the integer state is written back at the end (counts also per
+    # arrival while learning)
+    (p_true_l, infinite_l, rounds_l, rem_l, counts_l, purch_l, p_hat_l, types_l,
+     u_select_l, u_purchase_l, etas_l) = (
         a.tolist() for a in (p_true, infinite, type_rounds, remaining, counts,
-                             purchases, p_hat))
+                             purchases, p_hat, types, u_select, u_purchase, etas))
 
     fin_budgets = np.where(infinite, 0.0, budgets)
     grad_floor = s_budget * fin_budgets
@@ -387,32 +383,17 @@ def _integrated_numpy(
 
     # Deferred dual values: row k + 1 of the history buffers holds arrival
     # k's post-step state (every arrival writes its whole row, a pinned one
-    # from its run's rows), row 0 the state before the chunk. `record` turns
-    # the rows into f_vals with stacked products that round like the per-row
-    # ones.
-    h_shift, h_z, h_pbar = np.empty((3, _DUAL_CHUNK + 1, m))
-    h_lam = np.empty((_DUAL_CHUNK + 1, n))
-    h_log = np.empty((_DUAL_CHUNK, m))
-
-    def record(lo, size):
-        end = size + 1
-        log_z = h_log[:size]
-        np.log(h_z[1:end], out=log_z)
-        np.add(log_z, h_shift[1:end], out=log_z)
-        np.multiply(h_pbar[1:end], log_z, out=log_z)
-        mix = np.matmul(phi[lo:lo + size, None, :], log_z[:, :, None])
-        spent = np.matmul(h_lam[1:end, None, :], fin_budgets[:, None])
-        f_vals[lo:lo + size] = mu * mix[:, 0, 0] + s_budget * spent[:, 0, 0]
-        # the chunk's last row is the next chunk's row 0
-        for h in (h_shift, h_z, h_pbar, h_lam):
-            h[0] = h[size]
+    # from its run's rows), row 0 the state at call start. One stacked pass
+    # at the end turns the rows into f_vals.
+    h_shift, h_z, h_pbar = np.empty((3, T + 1, m))
+    h_lam = np.empty((T + 1, n))
 
     # a pinned test with room for any summation order of m products >= 0
     pin_margin = 1.0 + 4 * m * 2.0**-53
     # A pinned run's estimate rows and their softmax: row j < m is type j's
     # row as the run found it, row m + q the q-th row the run produced.
-    P_s, E_s, W_s = np.empty((3, m + _DUAL_CHUNK, n))
-    shift_s, Z_s, pbar_s, scale_s = np.empty((4, m + _DUAL_CHUNK))
+    P_s, E_s, W_s = np.empty((3, m + T, n))
+    shift_s, Z_s, pbar_s, scale_s = np.empty((4, m + T))
 
     def refresh(q):
         """The softmax of the run's rows in slice `q`, rounded as the
@@ -487,16 +468,16 @@ def _integrated_numpy(
         back = row - m
         return np.concatenate(sel)[back], np.concatenate(bought)[back], row
 
-    def pinned_run(lo, k, size, sels, buys):
-        """Arrivals k, k + 1, ... of the chunk at `lo` while lam is pinned,
-        without a dual step, while some item is in stock; returns how many
-        it took. With one item in stock every choice is fixed and the run is
-        one closed form; with more, it goes by rounds. It stops at the chunk
-        end, after the arrival that takes a capped item's last unit, or
-        before the first arrival whose consumption does not clear the floors
-        with `pin_margin` to spare."""
+    def pinned_run(k):
+        """Arrivals k, k + 1, ... while lam is pinned, without a dual step,
+        while some item is in stock; returns how many it took. With one item
+        in stock every choice is fixed and the run is one closed form; with
+        more, it goes by rounds. It stops at the end of the call, after the
+        arrival that takes a capped item's last unit, or before the first
+        arrival whose consumption does not clear the floors with
+        `pin_margin` to spare."""
         nonlocal n_avail
-        K, t = size - k, types[lo + k:lo + size]
+        K, t = T - k, types[k:]
         at = np.arange(K)
         P_s[:m], W_s[:m], Z_s[:m], scale_s[:m] = p_hat, W, Z, div[:, 0]
         shift_s[:m], pbar_s[:m] = h_shift[k], pbar
@@ -508,14 +489,14 @@ def _integrated_numpy(
             hot = np.zeros((K, m), dtype=np.int64)
             hot[at, t] = 1
             visits = hot.cumsum(axis=0)[at, t] + counts0[t, i]
-            bought = u_purchase[lo + k:lo + size] < p_true[t, i]
+            bought = u_purchase[k:] < p_true[t, i]
             hot[at, t] = bought
             sold = hot.cumsum(axis=0)[at, t] + purch0[t, i]
             P_s[m:m + K] = p_hat[t]
             P_s[m:m + K, i] = sold / visits
             refresh(slice(m, m + K))
         else:
-            sel, bought, row = rounds(t, lo + k, counts0, purch0)
+            sel, bought, row = rounds(t, k, counts0, purch0)
 
         # Each arrival's gradient operands, every type's row as it stands
         # after the arrival. A type's rows grow along its arrivals and start
@@ -575,119 +556,119 @@ def _integrated_numpy(
     state_lam = lam
     _softmax_rows(rl, p_hat, div, E, W, h_shift[0], Z)
     # Set only by this call's own projected step, so a call's first arrival
-    # always steps (and the first chunk never reads row 0) and chained calls
-    # match one call bit for bit.
+    # always steps (and no run reads row 0) and chained calls match one call
+    # bit for bit.
     pinned = False
-    for lo in range(0, T, _DUAL_CHUNK):
-        size = min(_DUAL_CHUNK, T - lo)
-        # the chunk's per-arrival inputs as Python scalars
-        types_c, u_select_c, u_purchase_c, etas_c = (
-            a[lo:lo + size].tolist() for a in (types, u_select, u_purchase, etas))
-        sels, buys = [], []
-        k = 0
-        while k < size:
-            if pinned and n_avail:
-                # the arrival that ends a run goes the per-arrival way below,
-                # as does every arrival with nothing in stock
-                k += pinned_run(lo, k, size, sels, buys)
-                if k == size:
-                    break
-            j, k1 = types_c[k], k + 1
-            rounds_l[j] += 1
+    sels, buys = [], []
+    k = 0
+    while k < T:
+        if pinned and n_avail:
+            # the arrival that ends a run goes the per-arrival way below,
+            # as does every arrival with nothing in stock
+            k += pinned_run(k)
+            if k == T:
+                break
+        j, k1 = types_l[k], k + 1
+        rounds_l[j] += 1
 
-            sel = -1
-            if n_avail:
-                if learning:
-                    # unvisited items score inf
-                    row_counts = counts[j]
-                    np.divide(1.5 * np.log(np.float64(rounds_l[j])),
-                              np.maximum(row_counts, 1), out=scores)
-                    np.sqrt(scores, out=scores)
-                    np.add(p_rows[j], scores, out=scores)
-                    scores[row_counts == 0] = np.inf
-                    np.minimum(scores, cap, out=scores)
-                    sel = int(scores.argmax())
-                else:
-                    # Row j of the cached softmax at (lam, p_hat), masked, is
-                    # a positive multiple of the masked row shifted by its
-                    # own maximum, so it samples the same distribution. An
-                    # all-zero estimate row is all ones: uniform over what is
-                    # available.
-                    np.multiply(W_rows[j], mask, out=wts)
+        sel = -1
+        if n_avail:
+            if learning:
+                # unvisited items score inf
+                row_counts = counts[j]
+                np.divide(1.5 * np.log(np.float64(rounds_l[j])),
+                          np.maximum(row_counts, 1), out=scores)
+                np.sqrt(scores, out=scores)
+                np.add(p_rows[j], scores, out=scores)
+                scores[row_counts == 0] = np.inf
+                np.minimum(scores, cap, out=scores)
+                sel = int(scores.argmax())
+            else:
+                # Row j of the cached softmax at (lam, p_hat), masked, is
+                # a positive multiple of the masked row shifted by its
+                # own maximum, so it samples the same distribution. An
+                # all-zero estimate row is all ones: uniform over what is
+                # available.
+                np.multiply(W_rows[j], mask, out=wts)
+                np.add.accumulate(wts, out=cum)
+                total = cum[-1]
+                if total < _SELECT_UNDERFLOW:
+                    np.multiply(rl, p_rows[j], out=wts)
+                    np.divide(wts, div_rows[j], out=wts)
+                    np.minimum(wts, cap, out=wts)
+                    np.exp(wts - np.maximum.reduce(wts), out=wts)
                     np.add.accumulate(wts, out=cum)
                     total = cum[-1]
-                    if total < _SELECT_UNDERFLOW:
-                        np.multiply(rl, p_rows[j], out=wts)
-                        np.divide(wts, div_rows[j], out=wts)
-                        np.minimum(wts, cap, out=wts)
-                        np.exp(wts - np.maximum.reduce(wts), out=wts)
-                        np.add.accumulate(wts, out=cum)
-                        total = cum[-1]
-                    sel = int(cum.searchsorted(u_select_c[k] * total, side="right"))
-                    if sel >= n:
-                        sel = int(np.flatnonzero(wts > 0.0)[-1])
+                sel = int(cum.searchsorted(u_select_l[k] * total, side="right"))
+                if sel >= n:
+                    sel = int(np.flatnonzero(wts > 0.0)[-1])
 
-            bought_now = sel >= 0 and u_purchase_c[k] < p_true_l[j][sel]
-            sels.append(sel)
-            buys.append(bought_now)
-            if sel >= 0:
-                purch_row, p_hat_row = purch_l[j], p_hat_l[j]
-                if bought_now:
-                    purch_row[sel] += 1
-                if not infinite_l[sel]:
-                    rem_l[sel] -= 1.0
-                    if rem_l[sel] < 1.0:
-                        mask[sel] = 0.0
-                        cap[sel] = -np.inf
-                        n_avail -= 1
-                visits = counts_l[j][sel] = counts_l[j][sel] + 1
-                if learning:
-                    counts[j, sel] = visits
-                # the int quotient rounds as numpy's int64 division does
-                p_hat_row[sel] = p_hat[j, sel] = purch_row[sel] / visits
+        bought_now = sel >= 0 and u_purchase_l[k] < p_true_l[j][sel]
+        sels.append(sel)
+        buys.append(bought_now)
+        if sel >= 0:
+            purch_row, p_hat_row = purch_l[j], p_hat_l[j]
+            if bought_now:
+                purch_row[sel] += 1
+            if not infinite_l[sel]:
+                rem_l[sel] -= 1.0
+                if rem_l[sel] < 1.0:
+                    mask[sel] = 0.0
+                    cap[sel] = -np.inf
+                    n_avail -= 1
+            visits = counts_l[j][sel] = counts_l[j][sel] + 1
+            if learning:
+                counts[j, sel] = visits
+            # the int quotient rounds as numpy's int64 division does
+            p_hat_row[sel] = p_hat[j, sel] = purch_row[sel] / visits
 
-                # only row j of the estimate moved: refresh its caches, with
-                # the dual.py softmax written out for one row (cheaper than a
-                # call)
-                pbar_j = pbar[j] = max(p_hat_row)
-                div_rows[j].fill((pbar_j if pbar_j > 0.0 else 1.0) * mu)
-                e_row, w_row = E_rows[j], W_rows[j]
-                np.multiply(rl, p_rows[j], out=e_row)
-                np.divide(e_row, div_rows[j], out=e_row)
-                np.subtract(e_row, max(e_row.tolist()), out=e_row)
-                np.exp(e_row, out=w_row)
-                Z[j] = np.add.reduce(w_row)
+            # only row j of the estimate moved: refresh its caches, with
+            # the dual.py softmax written out for one row (cheaper than a
+            # call)
+            pbar_j = pbar[j] = max(p_hat_row)
+            div_rows[j].fill((pbar_j if pbar_j > 0.0 else 1.0) * mu)
+            e_row, w_row = E_rows[j], W_rows[j]
+            np.multiply(rl, p_rows[j], out=e_row)
+            np.divide(e_row, div_rows[j], out=e_row)
+            np.subtract(e_row, max(e_row.tolist()), out=e_row)
+            np.exp(e_row, out=w_row)
+            Z[j] = np.add.reduce(w_row)
 
-            # gradient of the weighted dual at the pre-step iterate, one
-            # matvec, and the projected step into the arrival's history row
-            np.divide(weights, Z, out=wz)
-            np.multiply(p_hat, W, out=PW)
-            np.matmul(wz, PW, out=grad)
-            np.subtract(grad_floor, grad, out=grad)
-            np.multiply(grad, etas_c[k], out=grad)
-            np.subtract(lam, grad, out=step)
-            np.minimum(step, lam_hi, out=step)
-            lam = h_lam[k1]
-            np.maximum(step, zeros, out=lam)
-            pinned = lam.tobytes() == zero_bytes
+        # gradient of the weighted dual at the pre-step iterate, one
+        # matvec, and the projected step into the arrival's history row
+        np.divide(weights, Z, out=wz)
+        np.multiply(p_hat, W, out=PW)
+        np.matmul(wz, PW, out=grad)
+        np.subtract(grad_floor, grad, out=grad)
+        np.multiply(grad, etas_l[k], out=grad)
+        np.subtract(lam, grad, out=step)
+        np.minimum(step, lam_hi, out=step)
+        lam = h_lam[k1]
+        np.maximum(step, zeros, out=lam)
+        pinned = lam.tobytes() == zero_bytes
 
-            # the full softmax: the recorded dual value's log Z, and the
-            # selection and gradient rows of the next arrival
-            np.subtract(rewards, lam, out=rl)
-            _softmax_rows(rl, p_hat, div, E, W, h_shift[k1], Z)
-            h_z[k1] = Z
-            h_pbar[k1] = pbar
-            k += 1
-        assigned[lo:lo + size] = sels
-        bought[lo:lo + size] = buys
-        record(lo, size)
-        lam = h_lam[0]
+        # the full softmax: the recorded dual value's log Z, and the
+        # selection and gradient rows of the next arrival
+        np.subtract(rewards, lam, out=rl)
+        _softmax_rows(rl, p_hat, div, E, W, h_shift[k1], Z)
+        h_z[k1] = Z
+        h_pbar[k1] = pbar
+        k += 1
+
+    # the recorded dual values, in stacked products that round like the
+    # per-row ones
+    log_z = np.log(h_z[1:])
+    np.add(log_z, h_shift[1:], out=log_z)
+    np.multiply(h_pbar[1:], log_z, out=log_z)
+    mix = np.matmul(phi[:, None, :], log_z[:, :, None])
+    spent = np.matmul(h_lam[1:, None, :], fin_budgets[:, None])
+    f_vals = mu * mix[:, 0, 0] + s_budget * spent[:, 0, 0]
 
     for state, now in ((state_lam, lam), (type_rounds, rounds_l), (remaining, rem_l),
                        (counts, counts_l), (purchases, purch_l)):
         state[...] = now
 
-    return assigned, bought, f_vals
+    return np.array(sels, dtype=np.int64), np.array(buys, dtype=np.uint8), f_vals
 
 
 # ============================================================

@@ -17,7 +17,9 @@ learning continues while that movement exceeds ucb_stop_epsilon and the
 clock has not passed r_max. `run_integrated` owns this rule for both compute
 backends: it cuts a batch into pieces that end at those points, runs each
 piece in one phase through `_kernels.integrated_loop`, and takes each
-checkpoint once between pieces.
+checkpoint once between pieces. It also owns the length of a loop call: a
+piece longer than `_CALL_MAX` arrivals runs in several calls, so the numpy
+twin's call-sized buffers stay small whatever K is.
 
 State (dual iterate, preference estimate, remaining budgets, checkpoint
 baseline) lives in a LoopState so a caller can thread one run across
@@ -48,6 +50,10 @@ __all__ = [
 
 PHASE_NAMES = ("ucb", "ogd", "greedy")
 UNVISITED_PRIOR = 0.5  # P̂ on a type-item pair not yet offered
+
+# Longest loop call, in arrivals: the numpy twin sizes its buffers to the
+# call, so a huge K still runs in calls of bounded memory.
+_CALL_MAX = 1024
 
 
 # ============================================================
@@ -204,6 +210,10 @@ def run_integrated(
     step_rule: "fixed" (default) sizes the gradient step off the expected
         arrival count; "decay" shrinks it as 1/sqrt(t) for open-ended runs.
 
+    The batch runs in loop calls cut at the guard checkpoints, where the
+    clock passes r_max, and every `_CALL_MAX` arrivals; where the calls are
+    cut changes no output bit.
+
     Deterministic given (config.seed, arrivals, state); the two compute
     backends agree on all discrete outputs and to float rounding on f_vals.
     """
@@ -276,7 +286,7 @@ def run_integrated(
         stop = -(-g // k_interval) * k_interval
         if g <= r_max:
             stop = min(stop, r_max)
-        hi = min(T, lo + stop - g + 1)
+        hi = min(T, lo + stop - g + 1, lo + _CALL_MAX)
         piece = slice(lo, hi)
         assigned[piece], bought[piece], f_vals[piece] = _kernels.integrated_loop(
             types[piece], weights, phi[piece], s_budget,

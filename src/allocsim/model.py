@@ -542,9 +542,15 @@ def _budget(value) -> float:
     return out
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _parse_budget(entry, path: str) -> float:
     if isinstance(entry, dict):
-        if entry.get("infinite"):
+        if _convert(_flag, entry.get("infinite", False), f"{path}.infinite"):
             return np.inf
         if "value" in entry:
             return _convert(_budget, entry["value"], f"{path}.value")

@@ -440,12 +440,16 @@ class TestCli:
         (("instance", "budgets", 4, "value"), True),
         (("instance", "mu"), True),
         (("params", "epsilon"), False),
+        (("instance", "budgets", 4, "infinite"), "no"),
+        (("instance", "budgets", 4, "infinite"), [0]),
+        (("instance", "budgets", 4, "infinite"), 1),
     ], ids=["K-null", "K-abc", "R_max-list", "T-x", "rewards-abc", "budgets-5",
             "rates-string", "seed-x", "generator-params-xy", "seed-fraction",
             "T-fraction", "K-fraction", "seed-inf", "reward-nan", "budget-nan",
             "preference-nan", "rate-nan", "reward-inf", "rate-inf", "T-true",
             "seed-true", "reward-true", "budget-value-true",
-            "mu-true", "epsilon-false"])
+            "mu-true", "epsilon-false", "infinite-no", "infinite-list",
+            "infinite-one"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, where, value):
         doc = config_document(scenario_stationary(T=300, seed=1))
         target = doc

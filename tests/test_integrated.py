@@ -34,7 +34,7 @@ from allocsim import (
     step_sizes,
     substream,
 )
-from allocsim import _kernels
+from allocsim import _kernels, integrated
 from allocsim.dual import default_grad_bound
 from allocsim.errors import LengthMismatch
 from allocsim.harness import write_lambda_csv, write_trace_csv
@@ -524,13 +524,15 @@ class TestCarryOver:
         np.testing.assert_array_equal(
             np.flatnonzero(whole.remaining_final < 1.0), [6, 7, 8, 9])
 
-    def test_chunk_boundaries(self):
-        # The numpy twin records dual values a chunk of arrivals at a time.
-        # Calls cut one before, at and one after a chunk edge, a call shorter
-        # than a chunk, and a last call over several chunks must reproduce
-        # one call over more than three chunks, with per-arrival phi rows.
-        chunk = _kernels._DUAL_CHUNK
-        T = 3 * chunk + 61
+    def test_chunk_boundaries(self, monkeypatch):
+        # run_integrated cuts a batch into loop calls of at most _CALL_MAX
+        # arrivals, and the numpy twin rebuilds its caches at each call. With
+        # the cap at CALL_EDGE, batches cut one before, at and one after a
+        # call edge, a batch shorter than a call, and a last batch over
+        # several calls must reproduce one batch over more than three calls,
+        # with per-arrival phi rows.
+        edge = cap_calls(monkeypatch)
+        T = 3 * edge + 61
         config = scenario_stationary(T=T, seed=2)
         stream = sample_stationary_stream(config.arrivals.rates, T, seed=2)
         w = config.arrivals.rates / config.arrivals.rates.sum()
@@ -549,13 +551,32 @@ class TestCarryOver:
             return Trace.concat(pieces)
 
         whole = run([0, T])
-        chained = run([0, chunk - 1, chunk, chunk + 1, chunk + 41, T])
+        chained = run([0, edge - 1, edge, edge + 1, edge + 41, T])
         for name in ("assigned", "purchased", "phase", "f_vals", "lam_final",
                      "remaining_final"):
             np.testing.assert_array_equal(getattr(chained, name), getattr(whole, name))
         np.testing.assert_array_equal(chained.carry.type_rounds,
                                       whole.carry.type_rounds)
         assert np.all(np.isfinite(whole.f_vals))
+
+
+# The loop-call length the tests that cross call edges cap run_integrated at.
+CALL_EDGE = 256
+
+
+def cap_calls(monkeypatch):
+    """Caps run_integrated's loop calls at CALL_EDGE arrivals; returns it."""
+    monkeypatch.setattr(integrated, "_CALL_MAX", CALL_EDGE)
+    return CALL_EDGE
+
+
+def pinned_run_lengths(monkeypatch):
+    """A list that collects each numpy pinned run's length, as its
+    consumption test sees it."""
+    stacked, lengths = _kernels._stacked_consumption, []
+    monkeypatch.setattr(_kernels, "_stacked_consumption",
+                        lambda wz, PW: lengths.append(len(wz)) or stacked(wz, PW))
+    return lengths
 
 
 class SlicedDraws:
@@ -698,16 +719,18 @@ class TestPinnedIterate:
         assert_bit_identical(whole, stepped)
         assert np.isnan(whole.lam_final).all()
 
-    # The numpy twin defers its dual values a chunk at a time: a pinned
-    # arrival writes its history row from its run's rows, which start from
-    # the history row above, row 0 carrying the state from before the
-    # chunk. The cases below run one call (K > T) over several chunk edges.
+    # A pinned run ends at a sell-out, at a failed margin test, or at the end
+    # of the loop call; the next call's first arrival takes the full step.
+    # The cases below run one batch (K > T) cut into calls of CALL_EDGE
+    # arrivals, so runs stop at several call edges.
 
     def test_pinned_call_over_several_chunks(self, monkeypatch):
         # The budgets never bind, so every arrival after the first is pinned
-        # while the arrivals move estimate rows of three types.
-        chunk = _kernels._DUAL_CHUNK
-        T = 3 * chunk + 50
+        # while the arrivals move estimate rows of three types: at the
+        # default cap one call holds one run of more than CALL_EDGE
+        # arrivals, and capped at CALL_EDGE the runs stop at three call
+        # edges.
+        T = 3 * CALL_EDGE + 50
         rng = np.random.default_rng(3)
         config = loop_config(n=3, m=3, budgets=[1e6, 1e6, np.inf],
                              p=rng.uniform(0.2, 0.9, (3, 3)), r_max=0,
@@ -721,18 +744,25 @@ class TestPinnedIterate:
                                 u_select=u_select, u_purchase=u_purchase,
                                 phi=phi, backend="numpy")
 
-        whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
-        assert_bit_identical(whole, stepped)
-        assert not lams.any()
-        assert np.all(whole.assigned >= 0)
+        tested = pinned_run_lengths(monkeypatch)
+        assert T <= integrated._CALL_MAX
+        for capped in (False, True):
+            if capped:
+                cap_calls(monkeypatch)
+            tested.clear()
+            whole, stepped, lams = one_call_and_per_arrival(monkeypatch, run)
+            assert_bit_identical(whole, stepped)
+            assert not lams.any()
+            assert np.all(whole.assigned >= 0)
+            assert max(tested) == (CALL_EDGE - 1 if capped else T - 1)
 
     def test_pinned_null_assignments(self, monkeypatch):
         # Every item is capped with 4 units in stock, and each floor s*b_i = 2
         # lies above any consumption, so lam stays pinned; once the 12 units
         # are gone, every arrival is a null assignment, whose full step lands
         # back on +0.0.
-        chunk = _kernels._DUAL_CHUNK
-        T = 2 * chunk + 40
+        edge = cap_calls(monkeypatch)
+        T = 2 * edge + 40
         config = loop_config(n=3, m=2, budgets=2.0 * T, p=[[0.5, 0.2, 0.9],
                                                            [0.3, 0.8, 0.6]],
                              r_max=0, k_interval=T + 1)
@@ -753,10 +783,10 @@ class TestPinnedIterate:
     def test_full_and_pinned_rows_across_chunk_edges(self, monkeypatch):
         # As in test_iterate_leaves_zero_and_returns, sales of item 0 lift lam
         # off zero and no-sales bring it back, here with two types: the first
-        # three chunks each hold full and pinned rows, lam moves across the
-        # first two chunk edges and is pinned across the third.
-        chunk = _kernels._DUAL_CHUNK
-        T = 4 * chunk
+        # three calls each hold full and pinned rows, lam moves across the
+        # first two call edges and is pinned across the third.
+        edge = cap_calls(monkeypatch)
+        T = 4 * edge
         config = loop_config(n=2, m=2, budgets=[0.3 * T, np.inf], p=0.5,
                              r_max=0, k_interval=T + 1)
         u_purchase = np.full(T, 0.99)
@@ -774,23 +804,23 @@ class TestPinnedIterate:
         assert_bit_identical(whole, stepped)
         moved = lams.any(axis=1)
         for c in range(3):
-            assert 0 < moved[c * chunk:(c + 1) * chunk].mean() < 1
-        assert moved[[chunk - 1, chunk, 2 * chunk - 1, 2 * chunk]].all()
-        assert not moved[[3 * chunk - 1, 3 * chunk]].any()
+            assert 0 < moved[c * edge:(c + 1) * edge].mean() < 1
+        assert moved[[edge - 1, edge, 2 * edge - 1, 2 * edge]].all()
+        assert not moved[[3 * edge - 1, 3 * edge]].any()
 
     # Once lam is pinned and one item is left in stock, the pinned run is one
-    # closed form, up to the chunk end, the sale of the item's last unit, or
-    # the first arrival whose consumption does not clear the floors with a
-    # margin; that arrival goes the per-arrival way. The oracle, one call
-    # per arrival, never takes a run.
+    # closed form, up to the end of the call, the sale of the item's last
+    # unit, or the first arrival whose consumption does not clear the floors
+    # with a margin; that arrival goes the per-arrival way. The oracle, one
+    # call per arrival, never takes a run.
 
     def test_one_item_sells_out_across_a_chunk_edge(self, monkeypatch):
         # Item 0 is sold out and item 1 holds 300.5 units, so the run from
-        # arrival 1 crosses the first chunk edge and ends at the 300th sale;
-        # every arrival after it is a null assignment. The floors s*b_i = 2
-        # lie above any consumption.
-        chunk = _kernels._DUAL_CHUNK
-        T = 2 * chunk + 40
+        # arrival 1 stops at the first call edge and the next call's run
+        # ends at the 300th sale; every arrival after it is a null
+        # assignment. The floors s*b_i = 2 lie above any consumption.
+        edge = cap_calls(monkeypatch)
+        T = 2 * edge + 40
         rng = np.random.default_rng(11)
         config = loop_config(n=2, m=2, budgets=2.0 * T,
                              p=rng.uniform(0.2, 0.9, (2, 2)), r_max=0,
@@ -893,18 +923,18 @@ class TestPinnedIterate:
 
 
     # With more than one item in stock a pinned run goes by rounds: round r
-    # takes the r-th arrival of every type in the rest of the chunk as one
+    # takes the r-th arrival of every type in the rest of the call as one
     # block. The cases below hold the rounds to the same oracle.
 
     def test_rounds_stop_where_a_capped_item_sells_out(self, monkeypatch):
         # Items 0 and 1 are capped with 100 and 150.5 units, item 2 is
         # uncapped, and each floor s*b_i = 2 lies above any consumption, so
-        # lam stays pinned while the runs cross three chunk edges. Each
-        # capped item's last unit goes to an arrival inside a chunk, so the
+        # lam stays pinned while the runs stop at three call edges. Each
+        # capped item's last unit goes to an arrival inside a call, so the
         # run that takes it has already chosen for the arrivals after it,
         # some in the same round, with the item still in stock.
-        chunk = _kernels._DUAL_CHUNK
-        T = 3 * chunk + 50
+        edge = cap_calls(monkeypatch)
+        T = 3 * edge + 50
         rng = np.random.default_rng(7)
         config = loop_config(n=3, m=4, budgets=[2.0 * T, 2.0 * T, np.inf],
                              p=rng.uniform(0.2, 0.9, (4, 3)), mu=1.0, r_max=0,
@@ -923,14 +953,14 @@ class TestPinnedIterate:
         for i, units in ((0, 100), (1, 150)):
             taken = np.flatnonzero(whole.assigned == i)
             assert taken.size == units
-            assert (taken[-1] + 1) % chunk
+            assert (taken[-1] + 1) % edge
         assert np.all(whole.assigned >= 0)
 
     def test_learning_rounds_with_unvisited_cells(self, monkeypatch):
         # Learning with per-arrival phi rows: item 0 is sold out, and several
         # cells start unvisited, so their UCB scores are inf; each type
         # visits its unvisited items first, lowest index first.
-        T = 2 * _kernels._DUAL_CHUNK + 30
+        T = 2 * cap_calls(monkeypatch) + 30
         rng = np.random.default_rng(4)
         config = loop_config(n=4, m=3, budgets=[2.0 * T, 2.0 * T, 2.0 * T, np.inf],
                              p=rng.uniform(0.2, 0.9, (3, 4)), k_interval=T + 1)
@@ -993,9 +1023,9 @@ class TestPinnedIterate:
     def test_run_with_nothing_in_stock(self, monkeypatch):
         # Every item is capped and sold out from the start: each arrival is
         # a null assignment and, with nothing in stock, takes the full step;
-        # each type's clock still advances.
-        chunk = _kernels._DUAL_CHUNK
-        T = chunk + 30
+        # each type's clock still advances across the call edge.
+        edge = cap_calls(monkeypatch)
+        T = edge + 30
         config = loop_config(n=2, m=3, budgets=2.0 * T, p=0.5, r_max=0,
                              k_interval=T + 1)
         types = np.random.default_rng(6).integers(0, 3, T)
@@ -1021,6 +1051,53 @@ class TestPinnedIterate:
         monkeypatch.setattr(_kernels, "_stacked_consumption",
                             lambda wz, PW: np.nextafter(stacked(wz, PW), 0.0))
         self._rising_consumption_run(monkeypatch, n_items=3)
+
+
+class TestCallCap:
+    """With K above _CALL_MAX, run_integrated alone bounds each loop call's
+    length, and where it cuts does not change a bit of the run."""
+
+    @pytest.mark.parametrize("backend", _kernels.available_backends())
+    @pytest.mark.parametrize("kind", ["stationary", "extreme_budget"])
+    def test_calls_capped_and_bit_identical(self, monkeypatch, kind, backend):
+        T = 20000
+        if kind == "stationary":
+            config = scenario_stationary(T=T, seed=3)
+            stream = sample_stationary_stream(config.arrivals.rates, T, seed=3)
+            w = config.arrivals.rates / config.arrivals.rates.sum()
+        else:
+            config = scenario_nonstationary(kind, T, 24.0, seed=1)
+        config = replace(config, params=replace(config.params, k_interval=10**6))
+        monkeypatch.setattr(_kernels, "BACKEND", backend)
+
+        def run():
+            if kind == "stationary":
+                return run_integrated(config, stream, w)
+            return run_nonstationary(config)[0]
+
+        loop, lengths = _kernels.integrated_loop, []
+
+        def counted(*args, backend=None):
+            lengths.append(args[0].size)
+            return loop(*args, backend=backend)
+
+        tested = pinned_run_lengths(monkeypatch)
+        monkeypatch.setattr(_kernels, "integrated_loop", counted)
+        cap = integrated._CALL_MAX
+        capped = run()
+        assert max(lengths) == cap
+        assert sum(lengths) == len(capped)
+        pinned = max(tested, default=0)
+        lengths.clear()
+        tested.clear()
+        monkeypatch.setattr(integrated, "_CALL_MAX", 2 * T)
+        whole = run()
+        assert max(lengths) > cap
+        assert_bit_identical(capped, whole)
+        if kind == "extreme_budget" and backend == "numpy":
+            # pinned runs stop at the cap's call edges, and run past them
+            # without it
+            assert pinned == cap - 1 and max(tested) > cap
 
 
 class TestTraceExport:

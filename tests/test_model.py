@@ -170,6 +170,13 @@ class TestConfigIO:
         assert "line 1 column 14" in err
         assert not out.exists()
 
+    def test_budget_infinite_false_reads_value(self):
+        doc = minimal_doc()
+        doc["instance"]["budgets"] = [{"infinite": False, "value": 5.0}]
+        inst = config_from_document(doc).instance
+        assert inst.budgets.tolist() == [5.0]
+        assert inst.infinite_items.tolist() == [False]
+
     def test_unknown_param_key_rejected(self):
         doc = minimal_doc(params={"R_mx": 10})
         with pytest.raises(ParseError, match="R_mx"):
