@@ -70,6 +70,7 @@ __all__ = [
 ]
 
 _CSV_BLOCK = 4096  # report rows formatted per write
+_HIST_CHUNK = 1 << 16  # arrivals counted per arrivals-histogram chunk
 
 
 # ============================================================
@@ -141,40 +142,43 @@ def greedy_baseline(
     len(arrivals) draws, then takes the purchase block), so against that
     run the two policies face identical purchase randomness per arrival.
     Against a non-stationary run, which draws per segment, the purchase
-    draws do not line up.
+    draws do not line up. The purchase block is drawn one stock run at a
+    time, which gives the same uniforms as one horizon-long block; the null
+    run at the end draws none, as nothing follows it. The trace shares the
+    stream's times and types arrays.
     """
     n = instance.rewards.size
-    m = instance.preferences.shape[0]
-    arrivals.check_types(m)
+    prefs = instance.preferences
+    arrivals.check_types(prefs.shape[0])
     T = len(arrivals)
-    types = arrivals.types.astype(np.int64)
+    types = arrivals.types
     infinite = instance.infinite_items
     order = np.lexsort((np.arange(n), -instance.rewards))
     # rank of the first uncapped item, n when there is none
     k = int(np.argmax(infinite[order])) if infinite.any() else n
     capped = order[:k]
-    after_stock = order[k] if k < n else -1
+    items = np.append(capped, order[k] if k < n else -1)
     stock_ends = np.minimum(np.cumsum(np.floor(instance.budgets[capped])), T)
     lengths = np.diff(np.concatenate(([0], stock_ends, [T]))).astype(np.int64)
-    assigned = np.repeat(np.append(capped, after_stock), lengths)
+    assigned = np.repeat(items, lengths)
 
     rng = substream(seed, "loop")
     # skip the selection block: keeps purchase draws aligned with run_integrated
     rng.bit_generator.advance(T)
-    u_purchase = rng.random(T)
-    offered = assigned >= 0
     bought = np.zeros(T, dtype=bool)
-    bought[offered] = (
-        u_purchase[offered] < instance.preferences[types[offered], assigned[offered]]
-    )
+    lo = 0
+    for item, hi in zip(items.tolist(), np.cumsum(lengths).tolist()):
+        if item >= 0:
+            np.less(rng.random(hi - lo), prefs[:, item].take(types[lo:hi]),
+                    out=bought[lo:hi])
+        lo = hi
 
     remaining = instance.budgets.copy()
-    spent = np.bincount(assigned[offered], minlength=n)
-    remaining[~infinite] -= spent[~infinite]
-    st = LoopState.fresh(n, m, instance.budgets)
+    remaining[capped] -= lengths[:k]
+    st = LoopState.fresh(n, prefs.shape[0], instance.budgets)
     st.remaining = remaining
     return Trace(
-        times=arrivals.times.copy(),
+        times=arrivals.times,
         types=types,
         assigned=assigned,
         purchased=bought,
@@ -408,31 +412,36 @@ def _fill_online_metrics(
 # Files
 # ============================================================
 
-def _write_csv(path, header: str, row_format: str, columns) -> None:
-    """Write `header`, then one `row_format` line per row of `columns`.
+def _write_csv(path, header: str, row_format: str, blocks) -> None:
+    """Write `header`, then one `row_format` line per row of each block.
 
-    `columns` are equal-length arrays, lists or ranges, one per %-field of
-    `row_format`, written a block of _CSV_BLOCK rows at a time, which keeps
-    the memory for formatted text to one block. A format of only `%d`
-    fields is encoded by `_integer_rows`; any other is formatted from
-    Python scalars.
+    A block is a nonempty list of equal-length arrays, lists or ranges, one
+    per %-field of `row_format`; `_row_blocks` cuts whole columns into
+    blocks of _CSV_BLOCK rows, which keeps the memory for formatted text to
+    one block. A format of only `%d` fields is encoded by `_integer_rows`;
+    any other is formatted from Python scalars.
     """
-    width = len(columns)
-    rows = len(columns[0]) if width else 0
-    integer = width and row_format == ",".join(["%d"] * width) + "\n"
+    width = row_format.count("%")
+    integer = row_format == ",".join(["%d"] * width) + "\n"
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for lo in range(0, rows, _CSV_BLOCK):
-            k = min(_CSV_BLOCK, rows - lo)
-            blocks = [col[lo:lo + k] for col in columns]
+        for block in blocks:
             if integer:
-                fh.write(_integer_rows(blocks))
+                fh.write(_integer_rows(block))
                 continue
+            k = len(block[0])
             values = [None] * (k * width)
-            for i, block in enumerate(blocks):
+            for i, col in enumerate(block):
                 values[i::width] = (
-                    block.tolist() if isinstance(block, np.ndarray) else block)
+                    col.tolist() if isinstance(col, np.ndarray) else col)
             fh.write(((row_format * k) % tuple(values)).encode())
+
+
+def _row_blocks(columns):
+    """Equal-length `columns` cut into blocks of _CSV_BLOCK rows."""
+    rows = len(columns[0]) if columns else 0
+    for lo in range(0, rows, _CSV_BLOCK):
+        yield [col[lo:lo + _CSV_BLOCK] for col in columns]
 
 
 def _integer_rows(columns) -> bytes:
@@ -475,8 +484,9 @@ def write_trace_csv(trace: Trace, path) -> None:
     first = trace.t_start_index + 1
     _write_csv(
         path, "t,time,type,item,purchased,phase", "%d,%.9g,%d,%s,%d,%s\n",
-        [range(first, first + len(trace)), trace.times, trace.types, items,
-         trace.purchased, np.array(PHASE_NAMES, dtype=object)[trace.phase]],
+        _row_blocks([range(first, first + len(trace)), trace.times, trace.types,
+                     items, trace.purchased,
+                     np.array(PHASE_NAMES, dtype=object)[trace.phase]]),
     )
 
 
@@ -485,7 +495,8 @@ def write_lambda_csv(trace: Trace, path) -> None:
     ck = trace.checkpoints
     n = trace.lam_final.size
     header = ",".join(["t"] + [f"lambda_{i + 1}" for i in range(n)])
-    _write_csv(path, header, "%d" + ",%.9g" * n + "\n", [ck.t, *ck.lam.T])
+    _write_csv(path, header, "%d" + ",%.9g" * n + "\n",
+               _row_blocks([ck.t, *ck.lam.T]))
 
 
 def write_checkpoint_csv(checkpoints: np.ndarray, errors: np.ndarray, path) -> None:
@@ -495,7 +506,7 @@ def write_checkpoint_csv(checkpoints: np.ndarray, errors: np.ndarray, path) -> N
     if checkpoints.size != errors.size:
         raise DimensionMismatch("checkpoint and error series differ in length")
     _write_csv(path, "checkpoint,frobenius_to_truth", "%d,%.9g\n",
-               [checkpoints, errors])
+               _row_blocks([checkpoints, errors]))
 
 
 def write_plan_csv(plan: SegmentPlan, path) -> None:
@@ -512,23 +523,38 @@ def write_plan_csv(plan: SegmentPlan, path) -> None:
         for seg in segs
     ]
     _write_csv(path, header, "%.9g,%.9g,%s,%.9g,%.9g" + ",%.9g" * m + "\n",
-               list(zip(*rows)))
+               _row_blocks(list(zip(*rows))))
 
 
-def _arrival_histogram(trace: Trace) -> list[np.ndarray]:
-    """Columns hour, type, count over the trace's nonempty (floor(time), type)
-    cells, in sorted order. The key arithmetic runs in place and only the
-    nonzero counts are kept, which holds down peak memory on a long run."""
-    key = np.floor(trace.times).astype(np.int64)
-    h0 = int(key.min())
-    m = int(trace.types.max()) + 1
-    key -= h0
-    key *= m
-    key += trace.types
-    count = np.bincount(key)
-    key = np.flatnonzero(count)
-    count = count[key]
-    return [key // m + h0, key % m, count]
+def _arrival_histogram(trace: Trace):
+    """Yield hour, type, count column blocks over the trace's nonempty
+    (floor(time), type) cells, in sorted order.
+
+    Arrival times are non-decreasing, so the trace is counted in chunks cut
+    at hour starts, and each cell falls in a single chunk. A chunk holds at
+    most _HIST_CHUNK arrivals over at most _HIST_CHUNK // m hours (m types),
+    or one whole hour that holds more arrivals, so its (hour, type) count
+    array stays near _HIST_CHUNK long however sparse the arrivals are.
+    """
+    times, types = trace.times, trace.types
+    m = int(types.max()) + 1
+    hours = max(_HIST_CHUNK // m, 1)
+    lo = 0
+    while lo < times.size:
+        h0 = np.floor(times[lo])
+        hi = min(lo + _HIST_CHUNK, int(np.searchsorted(times, h0 + hours)))
+        if hi < times.size:
+            hi = int(np.searchsorted(times, np.floor(times[hi])))
+            if hi <= lo:  # the hour of arrival lo holds the rest of the chunk
+                hi = int(np.searchsorted(times, h0 + 1.0))
+        key = np.floor(times[lo:hi]).astype(np.int64)
+        key -= int(h0)
+        key *= m
+        key += types[lo:hi]
+        count = np.bincount(key)
+        key = np.flatnonzero(count)
+        yield from _row_blocks([key // m + int(h0), key % m, count[key]])
+        lo = hi
 
 
 def emit_report(
@@ -556,16 +582,16 @@ def emit_report(
     try:
         row = report.summary_row()
         _write_csv(_path("summary.csv"), ",".join(row), "%s\n",
-                   [[",".join(row.values())]])
+                   _row_blocks([[",".join(row.values())]]))
 
         counts = tr.assignment_counts if tr is not None else []
         _write_csv(_path("selections.csv"), "item,count", "%d,%d\n",
-                   [range(len(counts)), counts])
+                   _row_blocks([range(len(counts)), counts]))
 
         ck = tr.checkpoints if tr is not None else CheckpointLog.empty(0)
         write_checkpoint_csv(ck.t, ck.pref_error, _path("pref_error.csv"))
 
-        hist = _arrival_histogram(tr) if tr is not None and len(tr) else [[]] * 3
+        hist = _arrival_histogram(tr) if tr is not None and len(tr) else ()
         _write_csv(_path("arrivals_hist.csv"), "hour,type,count", "%d,%d,%d\n", hist)
 
         if report.plan is not None:

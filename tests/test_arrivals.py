@@ -58,6 +58,39 @@ class TestStationarySampler:
         gaps = np.diff(np.concatenate([[0.0], seq.times]))
         assert gaps.mean() == pytest.approx(1.0 / total, rel=0.02)
 
+    @pytest.mark.parametrize("rates", [
+        [1.0],
+        [0.5, 1.5, 3.0, 0.25],
+        [1.0, 1e-300, 2.0, 1e-300],  # tiny rates repeat CDF edges
+        [2.0, 0.0, 1.0],
+    ])
+    def test_matches_searchsorted_draw(self, rates):
+        # the sampler counts the CDF edges at or below each uniform; that is
+        # the right-side searchsorted of the same uniforms, and the times are
+        # the cumulative sum of the same gaps
+        rates = np.array(rates)
+        seq = sample_stationary_stream(rates, 5000, seed=9)
+        rng = substream(9, "stream")
+        gaps = rng.exponential(1.0 / rates.sum(), size=5000)
+        cdf = np.cumsum(rates / rates.sum())
+        cdf[-1] = 1.0
+        types = np.searchsorted(cdf, rng.random(5000), side="right")
+        assert seq.times.tobytes() == np.cumsum(gaps).tobytes()
+        np.testing.assert_array_equal(seq.types, types)
+
+    def test_uniform_on_an_edge_takes_the_next_type(self):
+        # rates (u, 1 - u) for one of the stream's own uniforms u >= 0.5 put
+        # the first CDF edge exactly on it (1 - u and the total are exact)
+        rng = substream(2, "stream")
+        rng.exponential(size=50)
+        u = rng.random(50)
+        k = int(np.argmax(u >= 0.5))
+        rates = np.array([u[k], 1.0 - u[k]])
+        assert np.cumsum(rates / rates.sum())[0] == u[k]
+        seq = sample_stationary_stream(rates, 50, seed=2)
+        assert seq.types[k] == 1
+        np.testing.assert_array_equal(seq.types, (u >= u[k]).astype(np.int64))
+
 
 class TestNonstationarySampler:
     def test_constant_rate_count(self):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import allocsim
+import allocsim.harness as harness
 from allocsim import (
     ArrivalSequence,
     LoopState,
@@ -35,13 +37,14 @@ from allocsim.errors import DimensionMismatch
 from allocsim.harness import (
     _CSV_BLOCK,
     MetricsReport,
+    _row_blocks,
     _write_csv,
     benchmark_spec,
     expected_type_weights,
     offline_revenue_bound,
     run_experiment,
 )
-from allocsim.model import AlgoParams, SimConfig, config_document
+from allocsim.model import AlgoParams, SimConfig, config_document, substream
 
 
 def tiny_instance(rewards, budgets, p=1.0):
@@ -54,6 +57,26 @@ def tiny_instance(rewards, budgets, p=1.0):
         preferences=prefs,
         horizon=10,
     )
+
+
+def greedy_reference(instance, arrivals, seed):
+    """Per-arrival greedy: offer the highest-reward item with a unit in stock
+    (ties to the lower index), take the unit, and buy on the arrival's
+    purchase uniform, drawn after skipping len(arrivals) selection draws."""
+    rewards = instance.rewards.tolist()
+    order = sorted(range(len(rewards)), key=lambda i: (-rewards[i], i))
+    rng = substream(seed, "loop")
+    rng.bit_generator.advance(len(arrivals))
+    u = rng.random(len(arrivals))
+    remaining = instance.budgets.copy()
+    assigned, purchased = [], []
+    for t, j in enumerate(arrivals.types.tolist()):
+        item = next((i for i in order if remaining[i] >= 1.0), -1)
+        if item >= 0:
+            remaining[item] -= 1.0
+        assigned.append(item)
+        purchased.append(item >= 0 and u[t] < instance.preferences[j, item])
+    return np.array(assigned), np.array(purchased), remaining
 
 
 def three_arrivals():
@@ -138,6 +161,34 @@ class TestGreedyBaseline:
         assert not greedy.purchased[same].all()
         np.testing.assert_array_equal(online.purchased[same],
                                       greedy.purchased[same])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("uncapped", [True, False])
+    def test_matches_per_arrival_reference(self, seed, uncapped):
+        # random small instances: five rewards from three values, so ties
+        # occur; fractional budgets, and a top-reward item below one unit (a
+        # zero-length stock run); one bottom-reward uncapped item or none,
+        # and then the arrivals past the stock get the null
+        rng = np.random.default_rng(seed)
+        n, m, T = 5, 3, 40
+        rewards = rng.choice([0.3, 0.6, 0.9], n)
+        budgets = rng.uniform(0.0, 8.0, n)
+        small, free = rng.choice(n, 2, replace=False)
+        rewards[small], budgets[small] = 0.9, rng.uniform(0.0, 1.0)
+        if uncapped:
+            rewards[free], budgets[free] = 0.3, np.inf
+        inst = ProblemInstance(
+            rewards=rewards, budgets=budgets, mu=0.1,
+            preferences=rng.uniform(0.05, 1.0, (m, n)), horizon=T)
+        stream = ArrivalSequence(np.sort(rng.uniform(0.0, 10.0, T)),
+                                 rng.integers(0, m, T), seed)
+        trace = greedy_baseline(inst, stream, seed)
+        assigned, purchased, remaining = greedy_reference(inst, stream, seed)
+        np.testing.assert_array_equal(trace.assigned, assigned)
+        np.testing.assert_array_equal(trace.purchased, purchased)
+        assert trace.remaining_final.tobytes() == remaining.tobytes()
+        assert (-1 in assigned) != uncapped
+        assert purchased.any() and not purchased[assigned >= 0].all()
 
     def test_items_behind_an_uncapped_item_never_offered(self):
         # reward order is item 1, item 2 (uncapped), item 0: item 0 keeps
@@ -249,6 +300,20 @@ class TestRunExperiment:
         assert report.greedy_revenue > 0.0
         assert np.isnan(report.realized_revenue)
 
+    def test_greedy_cell_peak_memory(self, tmp_path):
+        # the greedy cell keeps the stream, the trace and chunk-sized
+        # temporaries; horizon-long temporaries on top of those would
+        # take it past 64 bytes per arrival
+        T = 200_000
+        config = scenario_stationary(T=T, seed=1)
+        tracemalloc.start()
+        try:
+            run_experiment(config, "greedy", out_dir=tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / T <= 64.0
+
 
 def _percent_rows(columns) -> bytes:
     """The rows of integer `columns`, each value formatted with `%d`."""
@@ -307,17 +372,37 @@ class TestEmitReport:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("mode", ["stationary", "greedy", "nonstationary",
-                                      "negative-hours"])
-    def test_arrivals_hist_matches_brute_force(self, tmp_path, mode):
+                                      "negative-hours", "chunk-edges",
+                                      "sparse-hours"])
+    def test_arrivals_hist_matches_brute_force(self, tmp_path, monkeypatch, mode):
+        # the histogram is counted in chunks cut at hour starts, of at most
+        # _HIST_CHUNK arrivals over _HIST_CHUNK // m hours; small chunks and
+        # blocks make every stream here span many of each, with hours of
+        # more arrivals than a chunk
+        monkeypatch.setattr(harness, "_HIST_CHUNK", 8)
+        monkeypatch.setattr(harness, "_CSV_BLOCK", 3)
         if mode == "nonstationary":
             config = scenario_nonstationary("varying_reward", 1500, 24.0, seed=3)
         else:
             config = scenario_stationary(T=900, seed=3)
+        rng = np.random.default_rng(3)
         if mode == "negative-hours":
             # a non-stationary horizon may start before zero
-            rng = np.random.default_rng(3)
-            stream = ArrivalSequence(np.sort(rng.uniform(-30.0, 40.0, 900)),
-                                     rng.integers(0, 10, 900), 3)
+            times = np.sort(rng.uniform(-30.0, 40.0, 900))
+        elif mode == "chunk-edges":
+            # two types, so a chunk spans at most 4 hours: hours -3 and -1
+            # fill the first chunk's 8 arrivals, so hour 0 starts exactly on
+            # its cut (at 0.0), then holds 20 arrivals, more than a chunk;
+            # hour 2 ends a chunk at the 4-hour limit
+            hours = np.repeat([-3, -1, 0, 2, 7], [3, 5, 20, 1, 4])
+            times = hours + np.sort(rng.uniform(0.0, 1.0, hours.size))
+            times[8] = 0.0
+        elif mode == "sparse-hours":
+            # hours far apart: no count array may span the hours between
+            times = np.sort(rng.uniform(-1e12, 1e12, 50))
+        if mode in ("negative-hours", "chunk-edges", "sparse-hours"):
+            m = 2 if mode == "chunk-edges" else 10
+            stream = ArrivalSequence(times, rng.integers(0, m, times.size), 3)
             report = MetricsReport(
                 mode="greedy", seed=3, config_hash="x",
                 greedy_trace=greedy_baseline(config.instance, stream, 3))
@@ -348,7 +433,7 @@ class TestEmitReport:
         wide[2::13] = i64.max
         columns = [wide, rng.integers(0, 3, rows).astype(np.uint8)]
         path = tmp_path / "t.csv"
-        _write_csv(path, "a,b", "%d,%d\n", columns)
+        _write_csv(path, "a,b", "%d,%d\n", _row_blocks(columns))
         assert path.read_bytes() == b"a,b\n" + _percent_rows(columns)
 
     def test_ranges_lists_and_unsigned(self, tmp_path):
@@ -356,13 +441,13 @@ class TestEmitReport:
         columns = [range(-3, rows - 3), [(-1) ** i * i for i in range(rows)],
                    np.full(rows, np.iinfo(np.uint64).max, dtype=np.uint64)]
         path = tmp_path / "t.csv"
-        _write_csv(path, "r,l,u", "%d,%d,%d\n", columns)
+        _write_csv(path, "r,l,u", "%d,%d,%d\n", _row_blocks(columns))
         assert path.read_bytes() == b"r,l,u\n" + _percent_rows(columns)
 
     def test_float_column_refused(self, tmp_path):
         with pytest.raises(TypeError, match="float64"):
             _write_csv(tmp_path / "t.csv", "a,b", "%d,%d\n",
-                       [np.arange(3), np.array([1.0, 2.5, 3.0])])
+                       _row_blocks([np.arange(3), np.array([1.0, 2.5, 3.0])]))
 
 
 class TestCli:
