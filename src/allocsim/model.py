@@ -1,12 +1,8 @@
 """Problem data model: instances, rate functions, configs, and scenario builders.
 
-Defaults documented here and filled by :func:`config_from_document`:
-
-* ``mu`` = 0.1 (entropy regularization weight)
-* ``K`` = 1000 (checkpoint interval, arrivals)
-* ``grid_dt`` = 0.001 (rate-scan resolution, hours)
-* ``R_max`` = max(1, T // 5) when omitted
-* ``lambda_max`` = max reward when omitted
+A config document is read and written against one key table per object
+(`_ROOT`, `_INSTANCE`, ... `_PARAMS`, under "Config file I/O"): each key's
+field, conversion and default. README.md's "Config format" lists them.
 """
 
 from __future__ import annotations
@@ -482,19 +478,8 @@ def _integer(value) -> int:
     return int(value)
 
 
-# config key -> (AlgoParams field, conversion), in document order
-_PARAM_KEYS = {
-    "R_max": ("r_max", _integer),
-    "K": ("k_interval", _integer),
-    "ucb_stop_epsilon": ("ucb_stop_epsilon", _real),
-    "epsilon": ("epsilon", _real),
-    "delta": ("delta", _real),
-    "d": ("d", _real),
-    "grid_dt": ("grid_dt", _real),
-    "lambda_max": ("lambda_max", _real),
-    "offline_tol": ("offline_tol", _real),
-    "offline_max_iter": ("offline_max_iter", _integer),
-}
+def _reals(value) -> tuple[float, ...]:
+    return tuple(map(_real, value))
 
 
 def _convert(convert, value, where: str):
@@ -548,132 +533,172 @@ def _flag(value) -> bool:
     return value
 
 
+# One key table per config object: key -> (field, conversion, default).
+# `_read` turns a document object into fields and `_write` turns them back,
+# in table order. A None conversion keeps the value as parsed (a nested
+# object, read against its own table, or the free-form `scenario`).
+_REQUIRED = object()  # the key must be present
+_UNSET = object()  # an absent key leaves the field to AlgoParams' default
+
+_ROOT = {
+    "instance": ("instance", None, _REQUIRED),
+    "arrivals": ("arrivals", None, _REQUIRED),
+    "seed": ("seed", _integer, _REQUIRED),
+    "params": ("params", None, {}),
+    "scenario": ("scenario", None, None),
+}
+_INSTANCE = {
+    "n": ("n", _integer, _REQUIRED),
+    "m": ("m", _integer, _REQUIRED),
+    "T": ("horizon", _integer, _REQUIRED),
+    "rewards": ("rewards", _vector, _REQUIRED),
+    "budgets": ("budgets", list, _REQUIRED),
+    "mu": ("mu", _real, MU_DEFAULT),
+    "preferences": ("preferences", None, _REQUIRED),  # a matrix, or a _GENERATOR
+}
+# a budget entry may also be a bare number
+_BUDGET = {"infinite": ("infinite", _flag, False), "value": ("value", _budget, None)}
+# exactly one of the two kinds
+_ARRIVALS = {kind: (kind, None, None) for kind in ("stationary", "nonstationary")}
+_STATIONARY = {"rates": ("rates", _vector, _REQUIRED)}
+_NONSTATIONARY = {
+    "t0": ("t0", _real, _REQUIRED),
+    "t_end": ("t_end", _real, _REQUIRED),
+    "rate_fns": ("rate_fns", list, _REQUIRED),  # per type, a list of pieces
+}
+_PIECE = {
+    "from": ("t_from", _real, _REQUIRED),
+    "to": ("t_to", _real, _REQUIRED),
+    "kind": ("kind", str, _REQUIRED),
+    "params": ("params", _reals, _REQUIRED),
+}
+_GENERATOR = {
+    "generator": ("generator", str, _REQUIRED),
+    "params": ("params", _reals, ()),  # at most 2; the missing tail from _GENERATORS
+}
+_GENERATORS = {"beta": (2.0, 5.0), "gaussian": (0.1, 0.03)}  # kind -> default params
+# An absent R_max takes default_ucb_rounds(T); null lambda_max is the
+# largest reward.
+_PARAMS = {
+    "R_max": ("r_max", _integer, _UNSET),
+    "K": ("k_interval", _integer, _UNSET),
+    "ucb_stop_epsilon": ("ucb_stop_epsilon", _real, _UNSET),
+    "epsilon": ("epsilon", _real, _UNSET),
+    "delta": ("delta", _real, _UNSET),
+    "d": ("d", _real, _UNSET),
+    "grid_dt": ("grid_dt", _real, _UNSET),
+    "lambda_max": ("lambda_max", lambda v: None if v is None else _real(v), _UNSET),
+    "offline_tol": ("offline_tol", _real, _UNSET),
+    "offline_max_iter": ("offline_max_iter", _integer, _UNSET),
+}
+
+
+def _read(doc, path: str, table: dict) -> dict:
+    """The fields of the document object `doc` at `path`, converted or
+    defaulted; a non-object, an unknown key (the first in sorted order), a
+    missing required key or a rejected value is a ParseError naming it."""
+    doc = _convert(_object, doc, path)
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise ParseError(f"{path}{'.' if path else ''}{unknown[0]}: unknown key")
+    fields = {}
+    for key, (name, convert, default) in table.items():
+        if key in doc or default is _REQUIRED:
+            fields[name] = _require(doc, key, path, convert)
+        elif default is not _UNSET:
+            fields[name] = default
+    return fields
+
+
+def _write(table: dict, fields: dict) -> dict:
+    """The document object holding `fields` (field -> JSON value) under their
+    table keys, in table order; a None field whose default is None is left out."""
+    return {key: fields[name] for key, (name, _, default) in table.items()
+            if name in fields and (fields[name] is not None or default is not None)}
+
+
 def _parse_budget(entry, path: str) -> float:
-    if isinstance(entry, dict):
-        if _convert(_flag, entry.get("infinite", False), f"{path}.infinite"):
-            return np.inf
-        if "value" in entry:
-            return _convert(_budget, entry["value"], f"{path}.value")
-        raise ParseError(f"{path} must carry 'value' or 'infinite': true")
     if isinstance(entry, (int, float)):
         return _convert(_budget, entry, path)
-    raise ParseError(f"{path} is not a budget entry")
-
-
-def _parse_piece(doc, path: str) -> RatePiece:
-    doc = _convert(_object, doc, path)
-    try:
-        return RatePiece(
-            t_from=_require(doc, "from", path, _real),
-            t_to=_require(doc, "to", path, _real),
-            kind=str(_require(doc, "kind", path)),
-            params=_require(doc, "params", path, lambda v: tuple(map(_real, v))),
-        )
-    except RateFunctionError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    budget = _read(entry, path, _BUDGET)
+    if budget["infinite"]:
+        return np.inf
+    if budget["value"] is None:
+        raise ParseError(f"{path} must carry 'value' or 'infinite': true")
+    return budget["value"]
 
 
 def _draw_preferences(gen_spec: dict, m: int, n: int, seed: int) -> np.ndarray:
-    kind = gen_spec.get("generator")
+    spec = _read(gen_spec, "instance.preferences", _GENERATOR)
+    kind, params = spec["generator"], spec["params"]
     where = "instance.preferences.params"
-    params = _convert(lambda v: list(map(_real, v)), gen_spec.get("params", []), where)
+    if kind not in _GENERATORS:
+        raise ParseError(f"instance.preferences.generator {kind!r} is not recognized")
+    if len(params) > 2:
+        raise ParseError(f"{where}: expected at most 2 params, got {len(params)}")
+    params = params + _GENERATORS[kind][len(params):]
     rng = substream(seed, "preferences")
     if kind == "beta":
-        ab = (params + [2.0, 5.0])[:2]
-        return _convert(lambda p: rng.beta(*p, size=(m, n)), ab, where)
-    if kind == "gaussian":
-        loc_scale = (params + [0.1, 0.03])[:2]
-        draw = _convert(lambda p: rng.normal(*p, size=(m, n)), loc_scale, where)
-        return np.clip(draw, 0.01, 1.0)
-    raise ParseError(f"instance.preferences.generator {kind!r} is not recognized")
+        return _convert(lambda p: rng.beta(*p, size=(m, n)), params, where)
+    draw = _convert(lambda p: rng.normal(*p, size=(m, n)), params, where)
+    return np.clip(draw, 0.01, 1.0)
+
+
+def _parse_rate_fn(pieces, path: str) -> RateFunction:
+    """One type's rate function; a piece RatePiece refuses is a ParseError."""
+    return RateFunction(tuple(
+        _convert(lambda fields: RatePiece(**fields), _read(p, f"{path}[{k}]", _PIECE),
+                 f"{path}[{k}]")
+        for k, p in enumerate(_convert(list, pieces, path))
+    ))
+
+
+def _parse_arrivals(doc) -> ArrivalModel:
+    kinds = _read(doc, "arrivals", _ARRIVALS)
+    if (kinds["stationary"] is None) == (kinds["nonstationary"] is None):
+        raise ParseError("arrivals: needs exactly one of 'stationary' and 'nonstationary'")
+    if kinds["stationary"] is not None:
+        return StationaryArrivals(**_read(kinds["stationary"], "arrivals.stationary", _STATIONARY))
+    path = "arrivals.nonstationary"
+    fields = _read(kinds["nonstationary"], path, _NONSTATIONARY)
+    fields["rate_fns"] = tuple(_parse_rate_fn(pieces, f"{path}.rate_fns[{j}]")
+                               for j, pieces in enumerate(fields["rate_fns"]))
+    return NonstationaryArrivals(**fields)
 
 
 def config_from_document(doc: dict) -> SimConfig:
-    """Build a SimConfig from a parsed JSON document (defaults filled).
+    """Build a SimConfig from a parsed JSON document, reading each object
+    against its key table (defaults filled).
 
-    Any malformed value raises ParseError naming its key path.
+    Any malformed value or unknown key raises ParseError naming its key path.
     """
     if not isinstance(doc, dict):
         raise ParseError("config root must be an object")
-    inst_doc = _require(doc, "instance", "", _object)
-    arr_doc = _require(doc, "arrivals", "", _object)
-    seed = _require(doc, "seed", "", _integer)
-    if seed < 0:
+    root = _read(doc, "", _ROOT)
+    if root["seed"] < 0:
         raise ParseError("seed must be a nonnegative integer")
 
-    n = _require(inst_doc, "n", "instance", _integer)
-    m = _require(inst_doc, "m", "instance", _integer)
-    horizon = _require(inst_doc, "T", "instance", _integer)
-    rewards = _require(inst_doc, "rewards", "instance", _vector)
-    budgets_doc = _require(inst_doc, "budgets", "instance", list)
-    budgets = np.array(
-        [_parse_budget(e, f"instance.budgets[{k}]") for k, e in enumerate(budgets_doc)]
-    )
-    mu = _convert(_real, inst_doc.get("mu", MU_DEFAULT), "instance.mu")
-    prefs_doc = _require(inst_doc, "preferences", "instance")
-    pref_generator = None
-    if isinstance(prefs_doc, dict):
-        pref_generator = dict(prefs_doc)
-        preferences = _draw_preferences(prefs_doc, m, n, seed)
-    else:
-        preferences = _convert(_finite, prefs_doc, "instance.preferences")
-    if rewards.size != n:
-        raise ParseError(f"instance.rewards length {rewards.size} != n={n}")
-    if preferences.shape != (m, n):
-        raise ParseError(
-            f"instance.preferences shape {preferences.shape} != (m={m}, n={n})"
-        )
-
-    if "stationary" in arr_doc:
-        stat = _require(arr_doc, "stationary", "arrivals", _object)
-        rates = _require(stat, "rates", "arrivals.stationary", _vector)
-        if rates.size != m:
-            raise ParseError(f"arrivals.stationary.rates length {rates.size} != m={m}")
-        arrivals: ArrivalModel = StationaryArrivals(rates)
-    elif "nonstationary" in arr_doc:
-        path = "arrivals.nonstationary"
-        ns = _require(arr_doc, "nonstationary", "arrivals", _object)
-        t0 = _require(ns, "t0", path, _real)
-        t_end = _require(ns, "t_end", path, _real)
-        fns_doc = _require(ns, "rate_fns", path, list)
-        if len(fns_doc) != m:
-            raise ParseError(f"{path}.rate_fns length {len(fns_doc)} != m={m}")
-        rate_fns = tuple(
-            RateFunction(
-                tuple(
-                    _parse_piece(p, f"{path}.rate_fns[{j}][{k}]")
-                    for k, p in enumerate(_convert(list, pieces, f"{path}.rate_fns[{j}]"))
-                )
-            )
-            for j, pieces in enumerate(fns_doc)
-        )
-        arrivals = NonstationaryArrivals(rate_fns, t0, t_end)
-    else:
-        raise ParseError("arrivals must carry 'stationary' or 'nonstationary'")
-
-    params_doc = _convert(_object, doc.get("params", {}), "params")
-    unknown = set(params_doc) - set(_PARAM_KEYS)
-    if unknown:
-        raise ParseError(f"params has unknown keys: {sorted(unknown)}")
-    fields = {"r_max": default_ucb_rounds(horizon)}
-    for key, value in params_doc.items():
-        name, convert = _PARAM_KEYS[key]
-        if value is None and name == "lambda_max":
-            continue  # null means the max reward, AlgoParams' default
-        fields[name] = _convert(convert, value, f"params.{key}")
+    inst = _read(root["instance"], "instance", _INSTANCE)
+    n, m, prefs = inst.pop("n"), inst.pop("m"), inst["preferences"]
+    inst["budgets"] = np.array([_parse_budget(e, f"instance.budgets[{k}]")
+                                for k, e in enumerate(inst["budgets"])])
+    pref_generator = dict(prefs) if isinstance(prefs, dict) else None
+    inst["preferences"] = (
+        _convert(_finite, prefs, "instance.preferences") if pref_generator is None
+        else _draw_preferences(pref_generator, m, n, root["seed"]))
+    if inst["rewards"].size != n:
+        raise ParseError(f"instance.rewards length {inst['rewards'].size} != n={n}")
+    if inst["preferences"].shape != (m, n):
+        raise ParseError(f"instance.preferences shape {inst['preferences'].shape} "
+                         f"!= (m={m}, n={n})")
+    arrivals = _parse_arrivals(root["arrivals"])
+    if arrivals.m != m:
+        raise ParseError(f"arrivals: {arrivals.m} customer types != m={m}")
+    fields = _read(root["params"], "params", _PARAMS)
+    fields.setdefault("r_max", default_ucb_rounds(inst["horizon"]))
     params = AlgoParams(**fields)
-
-    config = SimConfig(
-        instance=ProblemInstance(
-            rewards=rewards, budgets=budgets, mu=mu,
-            preferences=preferences, horizon=horizon,
-        ),
-        arrivals=arrivals,
-        seed=seed,
-        params=params,
-        pref_generator=pref_generator,
-        scenario=doc.get("scenario"),
-    )
+    config = SimConfig(ProblemInstance(**inst), arrivals, root["seed"], params,
+                       pref_generator, root["scenario"])
     if isinstance(arrivals, NonstationaryArrivals):
         for j, fn in enumerate(arrivals.rate_fns):
             _convert(fn.check_nonnegative, params.grid_dt,
@@ -682,55 +707,28 @@ def config_from_document(doc: dict) -> SimConfig:
 
 
 def config_document(config: SimConfig) -> dict:
-    """Serialize a SimConfig back to its JSON document form."""
-    inst = config.instance
-    budgets = [
-        {"infinite": True} if np.isinf(b) else {"value": float(b)}
-        for b in inst.budgets
-    ]
-    if config.pref_generator is not None:
-        prefs = config.pref_generator
+    """Serialize a SimConfig back to its JSON document form: each object
+    holds its table's keys, in table order."""
+    inst, model = config.instance, config.arrivals
+    budgets = [{"infinite": True} if np.isinf(b) else {"value": float(b)} for b in inst.budgets]
+    if isinstance(model, StationaryArrivals):
+        arrivals = {"stationary": _write(_STATIONARY, {"rates": model.rates.tolist()})}
     else:
-        prefs = [[float(x) for x in row] for row in inst.preferences]
-    doc: dict = {
-        "instance": {
-            "n": inst.n,
-            "m": inst.m,
-            "T": inst.horizon,
-            "rewards": [float(r) for r in inst.rewards],
-            "budgets": budgets,
-            "mu": inst.mu,
-            "preferences": prefs,
-        },
-    }
-    if isinstance(config.arrivals, StationaryArrivals):
-        doc["arrivals"] = {"stationary": {"rates": [float(r) for r in config.arrivals.rates]}}
-    else:
-        doc["arrivals"] = {
-            "nonstationary": {
-                "t0": config.arrivals.t0,
-                "t_end": config.arrivals.t_end,
-                "rate_fns": [
-                    [
-                        {
-                            "from": p.t_from,
-                            "to": p.t_to,
-                            "kind": p.kind,
-                            "params": list(p.params),
-                        }
-                        for p in fn.pieces
-                    ]
-                    for fn in config.arrivals.rate_fns
-                ],
-            }
-        }
-    doc["seed"] = config.seed
-    doc["params"] = {
-        key: getattr(config.params, name) for key, (name, _) in _PARAM_KEYS.items()
-    }
-    if config.scenario is not None:
-        doc["scenario"] = config.scenario
-    return doc
+        rate_fns = [[_write(_PIECE, {**vars(p), "params": list(p.params)}) for p in fn.pieces]
+                    for fn in model.rate_fns]
+        arrivals = {"nonstationary": _write(_NONSTATIONARY, {**vars(model), "rate_fns": rate_fns})}
+    return _write(_ROOT, {
+        "instance": _write(_INSTANCE, {
+            **vars(inst), "n": inst.n, "m": inst.m, "rewards": inst.rewards.tolist(),
+            "budgets": [_write(_BUDGET, b) for b in budgets],
+            "preferences": inst.preferences.tolist() if config.pref_generator is None
+            else _write(_GENERATOR, config.pref_generator),
+        }),
+        "arrivals": _write(_ARRIVALS, arrivals),
+        "seed": config.seed,
+        "params": _write(_PARAMS, vars(config.params)),
+        "scenario": config.scenario,
+    })
 
 
 def save_config(config: SimConfig, path: str | Path) -> None:

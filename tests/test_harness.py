@@ -528,15 +528,33 @@ class TestCli:
         (("instance", "budgets", 4, "infinite"), "no"),
         (("instance", "budgets", 4, "infinite"), [0]),
         (("instance", "budgets", 4, "infinite"), 1),
+        # unknown keys, one per config object
+        (("sed",), 1),
+        (("instance", "mU"), 5),
+        (("instance", "budgets", 4, "infinte"), True),
+        (("arrivals", "stationry"), {"rates": [1.0] * 10}),
+        (("arrivals", "stationary", "rate"), [1.0] * 10),
+        (("arrivals", "nonstationary", "t_ned"), 24.0),
+        (("arrivals", "nonstationary", "rate_fns", 2, 0, "knd"), "linear"),
+        (("instance", "preferences", "seed"), 3),
+        (("params", "R_mx"), 10),
+        (("instance", "preferences", "params"), [2.0, 5.0, 1.0]),
+        (("arrivals",), {"stationary": {"rates": [1.0] * 10}, "nonstationary": {}}),
     ], ids=["K-null", "K-abc", "R_max-list", "T-x", "rewards-abc", "budgets-5",
             "rates-string", "seed-x", "generator-params-xy", "seed-fraction",
             "T-fraction", "K-fraction", "seed-inf", "reward-nan", "budget-nan",
             "preference-nan", "rate-nan", "reward-inf", "rate-inf", "T-true",
             "seed-true", "reward-true", "budget-value-true",
             "mu-true", "epsilon-false", "infinite-no", "infinite-list",
-            "infinite-one"])
+            "infinite-one", "unknown-root", "unknown-instance", "unknown-budget",
+            "unknown-arrivals", "unknown-stationary", "unknown-nonstationary",
+            "unknown-piece", "unknown-generator", "unknown-params",
+            "generator-three-params", "both-arrival-kinds"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, where, value):
         doc = config_document(scenario_stationary(T=300, seed=1))
+        if where[:2] == ("arrivals", "nonstationary"):
+            doc["arrivals"] = config_document(
+                scenario_nonstationary("varying_reward", 300, 24.0, seed=1))["arrivals"]
         target = doc
         for key in where[:-1]:
             target = target[key]

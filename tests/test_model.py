@@ -28,6 +28,7 @@ from allocsim.errors import (
     PreferenceOutOfRange,
     RateFunctionError,
 )
+from allocsim import model
 from allocsim.cli import main
 from allocsim.model import config_document
 
@@ -47,6 +48,41 @@ def minimal_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def hand_written_config():
+    """A config not made by a scenario builder: a preference matrix, a finite
+    and an infinite budget, a non-default K and lambda_max null."""
+    return config_from_document({
+        "instance": {
+            "n": 2, "m": 1, "T": 100, "rewards": [1.0, 0.5],
+            "budgets": [{"value": 10.0}, {"infinite": True}],
+            "preferences": [[0.5, 0.2]],
+        },
+        "arrivals": {"stationary": {"rates": [1.0]}},
+        "seed": 7,
+        "params": {"K": 50, "lambda_max": None},
+    })
+
+
+def document_objects(doc):
+    """(key table, object) for every object in a config document."""
+    inst, arrivals = doc["instance"], doc["arrivals"]
+    yield model._ROOT, doc
+    yield model._INSTANCE, inst
+    for budget in inst["budgets"]:
+        yield model._BUDGET, budget
+    if isinstance(inst["preferences"], dict):
+        yield model._GENERATOR, inst["preferences"]
+    yield model._ARRIVALS, arrivals
+    if "stationary" in arrivals:
+        yield model._STATIONARY, arrivals["stationary"]
+    else:
+        yield model._NONSTATIONARY, arrivals["nonstationary"]
+        for pieces in arrivals["nonstationary"]["rate_fns"]:
+            for piece in pieces:
+                yield model._PIECE, piece
+    yield model._PARAMS, doc["params"]
 
 
 class TestValidateInstance:
@@ -143,6 +179,8 @@ class TestConfigIO:
         assert config_hash(again) == config_hash(config)
         np.testing.assert_array_equal(again.instance.preferences,
                                       config.instance.preferences)
+        save_config(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_nonstationary_round_trip(self, tmp_path):
         config = scenario_nonstationary("varying_reward", 2000, 12.0, seed=5)
@@ -152,6 +190,34 @@ class TestConfigIO:
         assert config_document(again) == config_document(config)
         np.testing.assert_array_equal(again.instance.preferences,
                                       config.instance.preferences)
+        save_config(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("build", [
+        lambda: scenario_stationary(T=500, seed=3),
+        lambda: scenario_nonstationary("extreme_budget", 2000, 12.0, seed=5),
+        lambda: scenario_nonstationary("varying_reward", 2000, 12.0, seed=5),
+        hand_written_config,
+    ], ids=["stationary", "extreme_budget", "varying_reward", "hand-written"])
+    def test_writer_keys_match_reader_tables(self, build):
+        """Every object config_document writes holds only keys its table
+        knows, and every key the table requires."""
+        config = build()
+        doc = config_document(config)
+        for table, obj in document_objects(doc):
+            required = {k for k, (_, _, default) in table.items()
+                        if default is model._REQUIRED}
+            assert required <= set(obj) <= set(table)
+        assert doc["params"]["K"] == config.params.k_interval
+        assert doc["params"]["R_max"] == config.params.r_max
+        assert config_document(config_from_document(doc)) == doc
+
+    def test_hand_written_document(self):
+        doc = config_document(hand_written_config())
+        assert doc["instance"]["budgets"] == [{"value": 10.0}, {"infinite": True}]
+        assert doc["instance"]["preferences"] == [[0.5, 0.2]]
+        assert doc["params"]["K"] == 50 and doc["params"]["lambda_max"] is None
+        assert "scenario" not in doc
 
     def test_negative_rate_is_named(self):
         doc = config_document(scenario_nonstationary("varying_reward", 2000, 12.0, seed=5))
@@ -180,6 +246,25 @@ class TestConfigIO:
     def test_unknown_param_key_rejected(self):
         doc = minimal_doc(params={"R_mx": 10})
         with pytest.raises(ParseError, match="R_mx"):
+            config_from_document(doc)
+
+    @pytest.mark.parametrize("generator, given, full", [
+        ("beta", [3.0], [3.0, 5.0]),
+        ("gaussian", [0.2], [0.2, 0.03]),
+        ("gaussian", [], [0.1, 0.03]),
+    ], ids=["beta-a", "gaussian-loc", "gaussian-none"])
+    def test_generator_fills_missing_params_from_its_defaults(self, generator, given, full):
+        def draw(params):
+            doc = config_document(scenario_stationary(T=300, seed=1))
+            doc["instance"]["preferences"] = {"generator": generator, "params": params}
+            return config_from_document(doc).instance.preferences
+
+        np.testing.assert_array_equal(draw(given), draw(full))
+
+    def test_generator_refuses_a_third_param(self):
+        doc = minimal_doc()
+        doc["instance"]["preferences"] = {"generator": "beta", "params": [2.0, 5.0, 1.0]}
+        with pytest.raises(ParseError, match=r"^instance\.preferences\.params: "):
             config_from_document(doc)
 
     def test_generator_preferences_resolved(self):
