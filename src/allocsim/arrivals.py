@@ -29,6 +29,14 @@ __all__ = [
     "rate_extrema",
 ]
 
+_BLOCK = 1 << 16  # arrivals per block in a horizon-long pass that is not an output
+
+
+def _blocks(count: int):
+    """The [lo, hi) bounds that cut range(count) into _BLOCK-long blocks."""
+    for lo in range(0, count, _BLOCK):
+        yield lo, min(lo + _BLOCK, count)
+
 
 @dataclass(frozen=True, eq=False)
 class ArrivalSequence:
@@ -69,10 +77,13 @@ def sample_stationary_stream(rates: np.ndarray, count: int, seed: int) -> Arriva
     times in place. A type is drawn by inverse CDF from one uniform u per
     arrival, as the number of CDF edges at or below u: with the CDF
     non-decreasing and u < 1.0 = cdf[-1], that is `searchsorted(cdf, u,
-    side="right")`, counted one edge at a time into a single int64 array.
+    side="right")`, counted one edge at a time into the int64 `types`.
     That is m − 1 passes over the uniforms: for m = 10 types and 10⁶
     arrivals about 19 ms against searchsorted's 33 ms on a 2-vCPU host, but
-    from about 40 types on searchsorted is faster.
+    from about 40 types on searchsorted is faster. The uniforms are drawn
+    and counted one _BLOCK-long block at a time, so no horizon-long
+    temporary is made; consecutive `random(k)` calls give the same values
+    as one `random(count)`, so the stream does not depend on the block.
     """
     rates = np.asarray(rates, dtype=float)
     total = rates.sum()
@@ -86,10 +97,12 @@ def sample_stationary_stream(rates: np.ndarray, count: int, seed: int) -> Arriva
     # inverse-CDF type draw keeps the stream reproducible across numpy versions
     cdf = np.cumsum(rates / total)
     cdf[-1] = 1.0
-    u = rng.random(count)
     types = np.zeros(count, dtype=np.int64)
-    for edge in cdf[:-1]:
-        types += u >= edge
+    for lo, hi in _blocks(count):
+        u = rng.random(hi - lo)
+        block = types[lo:hi]
+        for edge in cdf[:-1]:
+            block += u >= edge
     return ArrivalSequence(times=times, types=types, seed=int(seed))
 
 

@@ -41,6 +41,7 @@ from .integrated import (
     CheckpointLog,
     LoopState,
     Trace,
+    _item_counts,
     run_integrated,
 )
 from .model import (
@@ -206,10 +207,16 @@ def compute_regret(trace: Trace, f_star: float) -> tuple[float, float]:
 
 
 def compute_revenue(trace: Trace, rewards: np.ndarray) -> float:
-    """Realized revenue: sum of rewards over purchased assignments."""
+    """Realized revenue: sum of rewards over purchased assignments.
+
+    Computed as the per-item purchase counts, counted block by block like
+    `Trace.assignment_counts`, dotted with `rewards`, so no horizon-long
+    mask or reward array is built. That sums in a different order from
+    adding the gathered rewards one by one, so the last bits of the value
+    can differ from such a sum; `summary.csv` prints it with `%.9g`.
+    """
     rewards = np.asarray(rewards, dtype=float)
-    mask = trace.purchased & (trace.assigned >= 0)
-    return float(rewards[trace.assigned[mask]].sum())
+    return float(_item_counts(trace.assigned, rewards.size, trace.purchased) @ rewards)
 
 
 def offline_revenue_bound(
@@ -448,11 +455,13 @@ def _integer_rows(columns) -> bytes:
     """The bytes of `%d,...,%d\\n` over equal-length integer columns.
 
     Each column becomes a (width, rows) matrix of ASCII digits, filled from
-    the last digit up by dividing the uint64 magnitudes by 10 (so int64's
-    minimum does not overflow), and, when the column has a negative value,
-    a sign column goes in front. A digit left of a value's first one is a
-    NUL byte: its quotient was already 0. The matrices and the separator
-    columns are joined row by row, and dropping the NULs leaves the rows.
+    the last digit up by dividing the magnitudes by 10, and, when the
+    column has a negative value, a sign column goes in front. The
+    magnitudes are uint64, so int64's minimum does not overflow, and are
+    divided as uint32, which is faster, when the column's largest fits. A
+    digit left of a value's first one is a NUL byte: its quotient was
+    already 0. The matrices and the separator columns are joined row by
+    row, and dropping the NULs leaves the rows.
     """
     parts = []
     for col in columns:
@@ -464,10 +473,14 @@ def _integer_rows(columns) -> bytes:
         if negative.any():
             np.negative(magnitude, out=magnitude, where=negative)
             parts.append((negative * np.uint8(ord("-")))[:, None])
-        digits = np.empty((len(str(magnitude.max())), value.size), np.uint8)
+        top = int(magnitude.max())
+        if top <= np.iinfo(np.uint32).max:
+            magnitude = magnitude.astype(np.uint32)
+        ten = magnitude.dtype.type(10)
+        digits = np.empty((len(str(top)), value.size), np.uint8)
         for c in range(len(digits) - 1, -1, -1):
             shown = magnitude != 0
-            magnitude, digits[c] = np.divmod(magnitude, np.uint64(10))
+            magnitude, digits[c] = np.divmod(magnitude, ten)
             digits[c] += np.uint8(ord("0"))
             if c < len(digits) - 1:  # a zero keeps its last digit
                 digits[c] *= shown

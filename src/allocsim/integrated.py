@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .arrivals import ArrivalSequence
+from .arrivals import ArrivalSequence, _blocks
 from .dual import default_grad_bound, step_sizes
 from .errors import LengthMismatch
 from .model import SimConfig, substream
@@ -156,10 +156,8 @@ class Trace:
 
     @property
     def assignment_counts(self) -> np.ndarray:
-        """Non-null assignments per item."""
-        n = self.lam_final.size
-        sel = self.assigned[self.assigned >= 0]
-        return np.bincount(sel, minlength=n)[:n]
+        """Non-null assignments per item, counted block by block."""
+        return _item_counts(self.assigned, self.lam_final.size)
 
     @classmethod
     def concat(cls, pieces: list["Trace"]) -> "Trace":
@@ -181,6 +179,25 @@ class Trace:
             remaining_final=last.remaining_final,
             carry=last.carry,
         )
+
+
+def _item_counts(assigned: np.ndarray, n: int, where=None) -> np.ndarray:
+    """Per-item int64 counts of the non-null entries of `assigned` (only
+    those where the boolean `where` is true, when it is given), for items
+    0..n-1.
+
+    The counts are per-block `bincount`s summed over `arrivals._BLOCK`-long
+    blocks, so the masks and selections stay one block long however long
+    the trace is.
+    """
+    counts = np.zeros(n, dtype=np.int64)
+    for lo, hi in _blocks(assigned.size):
+        block = assigned[lo:hi]
+        keep = block >= 0
+        if where is not None:
+            keep &= where[lo:hi]
+        counts += np.bincount(block[keep], minlength=n)[:n]
+    return counts
 
 
 # ============================================================

@@ -8,6 +8,7 @@ field, conversion and default. README.md's "Config format" lists them.
 from __future__ import annotations
 
 import json
+import numbers
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -459,21 +460,23 @@ def substream(seed: int, *tags) -> np.random.Generator:
 # Config file I/O
 # ============================================================
 
-def _not_bool(value):
-    """`value`, refusing a JSON boolean (which Python counts as 0 or 1)."""
-    if isinstance(value, bool):
+def _number(value):
+    """`value`, refusing anything that is not a JSON number: a string such
+    as "0.5", which float() would read, and a boolean, which Python counts
+    as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
     return value
 
 
 def _real(value) -> float:
-    return float(_not_bool(value))
+    return float(_number(value))
 
 
 def _integer(value) -> int:
     """int(value), refusing a number with a fractional part (1000.0 passes)
-    and a boolean."""
-    if isinstance(_not_bool(value), float) and not value.is_integer():
+    and anything that is not a number."""
+    if isinstance(_number(value), float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -499,7 +502,7 @@ def _object(value) -> dict:
 def _finite(value) -> np.ndarray:
     out = np.asarray(value, dtype=float)
     for x in np.asarray(value, dtype=object).flat:
-        _not_bool(x)
+        _number(x)
     if not np.all(np.isfinite(out)):
         raise ValueError("expected finite numbers")
     return out

@@ -125,6 +125,18 @@ def run_arrivals(config, state, types, *, u_select=0.5, u_purchase=0.5,
                           expected_count=expected_count, phi=phi, backend=backend)
 
 
+def edge_assignments(n: int, T: int, block: int, seed: int):
+    """Random per-arrival items in [-1, n) and purchase flags for a trace of
+    T arrivals counted in `block`-long blocks: a null on each side of every
+    block edge, and a second block of nulls only."""
+    rng = np.random.default_rng(seed)
+    assigned = rng.integers(-1, n, size=T)
+    for lo in range(block, T, block):
+        assigned[lo - 1:lo + 1] = -1
+    assigned[block:2 * block] = -1
+    return assigned, rng.random(T) < 0.6
+
+
 def random_dual_spec(rng: np.random.Generator, n=None, m=None, all_finite=True):
     """Small random weighted-dual problem for oracle comparisons."""
     from allocsim import WeightedDualSpec

@@ -17,8 +17,20 @@ from allocsim import (
     sample_stationary_stream,
     type_probability_matrix,
 )
+from allocsim import arrivals
 from allocsim.errors import NegativeRate, ZeroTotalRate
 from allocsim.model import GRID_DT_DEFAULT, substream
+
+
+def searchsorted_stream(rates, count, seed):
+    """Times and types of a stationary stream drawn from one horizon-long
+    block of gaps and one of uniforms, the types by right-side searchsorted
+    on the rate CDF."""
+    rng = substream(seed, "stream")
+    gaps = rng.exponential(1.0 / rates.sum(), size=count)
+    cdf = np.cumsum(rates / rates.sum())
+    cdf[-1] = 1.0
+    return np.cumsum(gaps), np.searchsorted(cdf, rng.random(count), side="right")
 
 
 def constant_fn(c, t0=0.0, t_end=10.0):
@@ -70,12 +82,19 @@ class TestStationarySampler:
         # the cumulative sum of the same gaps
         rates = np.array(rates)
         seq = sample_stationary_stream(rates, 5000, seed=9)
-        rng = substream(9, "stream")
-        gaps = rng.exponential(1.0 / rates.sum(), size=5000)
-        cdf = np.cumsum(rates / rates.sum())
-        cdf[-1] = 1.0
-        types = np.searchsorted(cdf, rng.random(5000), side="right")
-        assert seq.times.tobytes() == np.cumsum(gaps).tobytes()
+        times, types = searchsorted_stream(rates, 5000, seed=9)
+        assert seq.times.tobytes() == times.tobytes()
+        np.testing.assert_array_equal(seq.types, types)
+
+    @pytest.mark.parametrize("block", [1, 8, 64])
+    def test_blocks_match_one_draw(self, monkeypatch, block):
+        # the uniforms are drawn and counted one block at a time; 1000 is a
+        # multiple of 8, not of 64, so the last block is full or short
+        monkeypatch.setattr(arrivals, "_BLOCK", block)
+        rates = np.array([0.5, 1.5, 3.0, 0.25])
+        seq = sample_stationary_stream(rates, 1000, seed=9)
+        times, types = searchsorted_stream(rates, 1000, seed=9)
+        assert seq.times.tobytes() == times.tobytes()
         np.testing.assert_array_equal(seq.types, types)
 
     def test_uniform_on_an_edge_takes_the_next_type(self):

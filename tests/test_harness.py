@@ -1,6 +1,7 @@
 """Baselines, metrics, report files, and the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from allocsim import (
     scenario_nonstationary,
     scenario_stationary,
 )
-from allocsim import _kernels
+from allocsim import _kernels, arrivals
 from allocsim._kernels import BACKENDS, available_backends
 from allocsim.cli import main
 from allocsim.dual import dual_objective
@@ -45,6 +46,7 @@ from allocsim.harness import (
     run_experiment,
 )
 from allocsim.model import AlgoParams, SimConfig, config_document, substream
+from conftest import edge_assignments
 
 
 def tiny_instance(rewards, budgets, p=1.0):
@@ -251,6 +253,23 @@ class TestMetrics:
         trace.purchased[:] = False
         assert compute_revenue(trace, inst.rewards) == 0.0
 
+    @pytest.mark.parametrize("block", [8, 64])
+    def test_revenue_across_block_edges(self, monkeypatch, block):
+        # revenue is the per-item purchase counts, summed over blocks, dotted
+        # with the rewards; it matches the exactly rounded sum of the
+        # purchased rewards with nulls at every block edge and a full or
+        # short last block (1000 is a multiple of 8, not of 64)
+        monkeypatch.setattr(arrivals, "_BLOCK", block)
+        T = 1000
+        config = scenario_stationary(T=T, seed=3)
+        inst = config.instance
+        stream = sample_stationary_stream(config.arrivals.rates, T, seed=3)
+        assigned, purchased = edge_assignments(inst.rewards.size, T, block, seed=block)
+        trace = greedy_baseline(inst, stream, seed=3)
+        trace.assigned, trace.purchased = assigned, purchased
+        expected = math.fsum(inst.rewards[assigned[purchased & (assigned >= 0)]])
+        assert compute_revenue(trace, inst.rewards) == pytest.approx(expected, rel=1e-12)
+
     def test_offline_revenue_bound_single_cell(self):
         inst = tiny_instance([1.0], [5.0])
         # one item, one type: the policy always offers it; revenue per
@@ -303,7 +322,10 @@ class TestRunExperiment:
     def test_greedy_cell_peak_memory(self, tmp_path):
         # the greedy cell keeps the stream, the trace and chunk-sized
         # temporaries; horizon-long temporaries on top of those would
-        # take it past 64 bytes per arrival
+        # take it past 64 bytes per arrival. It reads about 48, with or
+        # without block-counted revenue and selections: tracemalloc also
+        # counts greedy's zero-filled f_vals and segment, which the OS
+        # maps lazily and resident memory does not see
         T = 200_000
         config = scenario_stationary(T=T, seed=1)
         tracemalloc.start()
@@ -313,6 +335,24 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert peak / T <= 64.0
+
+    def test_block_counts_peak_memory(self):
+        # revenue and the selection counts go through the trace one block
+        # at a time; a horizon-long mask, selection or reward array would
+        # take either past 1 byte per arrival
+        T = 1_000_000
+        config = scenario_stationary(T=T, seed=1)
+        stream = sample_stationary_stream(config.arrivals.rates, T, seed=1)
+        trace = greedy_baseline(config.instance, stream, seed=1)
+        for count in (lambda: compute_revenue(trace, config.instance.rewards),
+                      lambda: trace.assignment_counts):
+            tracemalloc.start()
+            try:
+                count()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak / T <= 1.0
 
 
 def _percent_rows(columns) -> bytes:
@@ -444,6 +484,16 @@ class TestEmitReport:
         _write_csv(path, "r,l,u", "%d,%d,%d\n", _row_blocks(columns))
         assert path.read_bytes() == b"r,l,u\n" + _percent_rows(columns)
 
+    def test_uint32_limit(self, tmp_path):
+        # a column is divided as uint32 when its largest magnitude fits,
+        # else as uint64; each column here sits on one side of that limit
+        top = np.iinfo(np.uint32).max
+        columns = [np.array([top, 0, 7, -top]), np.array([top + 1, 0, 7, 1]),
+                   np.array([0, 5, 9, -top - 1])]
+        path = tmp_path / "t.csv"
+        _write_csv(path, "a,b,c", "%d,%d,%d\n", _row_blocks(columns))
+        assert path.read_bytes() == b"a,b,c\n" + _percent_rows(columns)
+
     def test_float_column_refused(self, tmp_path):
         with pytest.raises(TypeError, match="float64"):
             _write_csv(tmp_path / "t.csv", "a,b", "%d,%d\n",
@@ -540,6 +590,11 @@ class TestCli:
         (("params", "R_mx"), 10),
         (("instance", "preferences", "params"), [2.0, 5.0, 1.0]),
         (("arrivals",), {"stationary": {"rates": [1.0] * 10}, "nonstationary": {}}),
+        # a numeric string is not a number
+        (("instance", "mu"), "0.5"),
+        (("instance", "T"), "300"),
+        (("instance", "rewards"), ["0.1"] * 10),
+        (("params", "K"), "50"),
     ], ids=["K-null", "K-abc", "R_max-list", "T-x", "rewards-abc", "budgets-5",
             "rates-string", "seed-x", "generator-params-xy", "seed-fraction",
             "T-fraction", "K-fraction", "seed-inf", "reward-nan", "budget-nan",
@@ -549,7 +604,8 @@ class TestCli:
             "infinite-one", "unknown-root", "unknown-instance", "unknown-budget",
             "unknown-arrivals", "unknown-stationary", "unknown-nonstationary",
             "unknown-piece", "unknown-generator", "unknown-params",
-            "generator-three-params", "both-arrival-kinds"])
+            "generator-three-params", "both-arrival-kinds", "mu-string",
+            "T-string", "reward-string", "K-string"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, where, value):
         doc = config_document(scenario_stationary(T=300, seed=1))
         if where[:2] == ("arrivals", "nonstationary"):

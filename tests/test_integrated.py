@@ -34,12 +34,12 @@ from allocsim import (
     step_sizes,
     substream,
 )
-from allocsim import _kernels, integrated
+from allocsim import _kernels, arrivals, integrated
 from allocsim.dual import default_grad_bound
 from allocsim.errors import LengthMismatch
 from allocsim.harness import write_lambda_csv, write_trace_csv
 from allocsim.integrated import PHASE_NAMES, Trace
-from conftest import hand_state, loop_config, run_arrivals
+from conftest import edge_assignments, hand_state, loop_config, run_arrivals
 
 
 def oracle_step(config, lam, p_hat, weights, expected_count):
@@ -245,6 +245,26 @@ class TestRunIntegrated:
         )
         spent = config.instance.budgets - trace.remaining_final
         np.testing.assert_allclose(spent, trace.assignment_counts)
+
+    @pytest.mark.parametrize("block", [8, 64])
+    def test_assignment_counts_across_block_edges(self, monkeypatch, block):
+        # counts are summed over per-block bincounts; with small blocks,
+        # nulls on both sides of every edge, a block of nulls only and a
+        # full or short last block (1000 is a multiple of 8, not of 64) must
+        # still give one whole-array bincount
+        monkeypatch.setattr(arrivals, "_BLOCK", block)
+        T = 1000
+        config = scenario_stationary(T=T, seed=2)
+        stream = sample_stationary_stream(config.arrivals.rates, T, seed=2)
+        trace = run_integrated(
+            config, stream, config.arrivals.rates / config.arrivals.rates.sum()
+        )
+        n = config.instance.rewards.size
+        assigned, _ = edge_assignments(n, T, block, seed=block)
+        counts = replace(trace, assigned=assigned).assignment_counts
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(
+            counts, np.bincount(assigned[assigned >= 0], minlength=n))
 
     @pytest.mark.parametrize("backend", _kernels.available_backends())
     def test_budget_ledger_balances_on_a_segmented_run(self, backend,
