@@ -184,7 +184,7 @@ class Trace:
 def _item_counts(assigned: np.ndarray, n: int, where=None) -> np.ndarray:
     """Per-item int64 counts of the non-null entries of `assigned` (only
     those where the boolean `where` is true, when it is given), for items
-    0..n-1.
+    0..n-1; an item past n - 1 raises ValueError.
 
     The counts are per-block `bincount`s summed over `arrivals._BLOCK`-long
     blocks, so the masks and selections stay one block long however long
@@ -196,7 +196,7 @@ def _item_counts(assigned: np.ndarray, n: int, where=None) -> np.ndarray:
         keep = block >= 0
         if where is not None:
             keep &= where[lo:hi]
-        counts += np.bincount(block[keep], minlength=n)[:n]
+        counts += np.bincount(block[keep], minlength=n)
     return counts
 
 

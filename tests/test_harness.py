@@ -253,6 +253,15 @@ class TestMetrics:
         trace.purchased[:] = False
         assert compute_revenue(trace, inst.rewards) == 0.0
 
+    def test_item_past_the_last_is_refused(self):
+        inst = tiny_instance([0.5, 0.5], [np.inf, np.inf])
+        trace = greedy_baseline(inst, three_arrivals(), seed=0)
+        trace.assigned[1] = 2
+        with pytest.raises(ValueError):
+            compute_revenue(trace, inst.rewards)
+        with pytest.raises(ValueError):
+            trace.assignment_counts
+
     @pytest.mark.parametrize("block", [8, 64])
     def test_revenue_across_block_edges(self, monkeypatch, block):
         # revenue is the per-item purchase counts, summed over blocks, dotted
