@@ -1,7 +1,7 @@
 """Poisson arrival stream simulation and ground-truth type probabilities.
 
-The rate functions' scan grid, piece lookup and expected counts live in
-`model`."""
+The rate functions' scan grid, piece lookup (`RateStack`) and expected
+counts live in `model`."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from .model import (
     GRID_DT_DEFAULT,
     ArrivalModel,
     RateFunction,
+    RateStack,
     StationaryArrivals,
     scan_grid,
     substream,
@@ -180,7 +181,9 @@ def type_probability_matrix(model: ArrivalModel, times: np.ndarray) -> np.ndarra
     if isinstance(model, StationaryArrivals):
         row = model.rates / model.rates.sum()
         return np.tile(row, (times.size, 1))
-    lam = np.stack([fn.value(times) for fn in model.rate_fns], axis=1)
+    # rows per time, contiguous, so each total sums its types in the
+    # order a per-function stack did
+    lam = np.ascontiguousarray(RateStack(model.rate_fns).values(times).T)
     totals = lam.sum(axis=1)
     if np.any(totals <= 0.0):
         t_bad = float(times[int(np.argmin(totals))])

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import arrivals as _arrivals
 from .arrivals import ArrivalSequence, sample_stream
 from .dual import (
     OfflineSolution,
@@ -71,7 +72,6 @@ __all__ = [
 ]
 
 _CSV_BLOCK = 4096  # report rows formatted per write
-_HIST_CHUNK = 1 << 16  # arrivals counted per arrivals-histogram chunk
 
 
 # ============================================================
@@ -146,7 +146,9 @@ def greedy_baseline(
     draws do not line up. The purchase block is drawn one stock run at a
     time, which gives the same uniforms as one horizon-long block; the null
     run at the end draws none, as nothing follows it. The trace shares the
-    stream's times and types arrays.
+    stream's times and types arrays, and its phase (all greedy), f_vals and
+    segment (all zero), which no greedy output reads, are read-only
+    zero-stride views that hold no horizon-long memory.
     """
     n = instance.rewards.size
     prefs = instance.preferences
@@ -183,9 +185,9 @@ def greedy_baseline(
         types=types,
         assigned=assigned,
         purchased=bought,
-        phase=np.full(T, 2, dtype=np.uint8),
-        f_vals=np.zeros(T),
-        segment=np.zeros(T, dtype=np.int32),
+        phase=np.broadcast_to(np.uint8(2), T),
+        f_vals=np.broadcast_to(0.0, T),
+        segment=np.broadcast_to(np.int32(0), T),
         seed=seed,
         t_start_index=0,
         checkpoints=CheckpointLog.empty(n),
@@ -423,10 +425,13 @@ def _write_csv(path, header: str, row_format: str, blocks) -> None:
     """Write `header`, then one `row_format` line per row of each block.
 
     A block is a nonempty list of equal-length arrays, lists or ranges, one
-    per %-field of `row_format`; `_row_blocks` cuts whole columns into
-    blocks of _CSV_BLOCK rows, which keeps the memory for formatted text to
-    one block. A format of only `%d` fields is encoded by `_integer_rows`;
-    any other is formatted from Python scalars.
+    per %-field of `row_format`, of at least one row; `_row_blocks` cuts
+    whole columns into blocks of _CSV_BLOCK rows, which keeps the memory for
+    formatted text to one block. A format of only `%d` fields is encoded by
+    `_integer_rows`, which takes blocks of any length: the arrivals
+    histogram hands it one chunk of up to `arrivals._BLOCK` rows at a time,
+    so each range table serves a whole chunk. Any other format is formatted
+    from Python scalars.
     """
     width = row_format.count("%")
     integer = row_format == ",".join(["%d"] * width) + "\n"
@@ -454,40 +459,65 @@ def _row_blocks(columns):
 def _integer_rows(columns) -> bytes:
     """The bytes of `%d,...,%d\\n` over equal-length integer columns.
 
-    Each column becomes a (width, rows) matrix of ASCII digits, filled from
-    the last digit up by dividing the magnitudes by 10, and, when the
-    column has a negative value, a sign column goes in front. The
-    magnitudes are uint64, so int64's minimum does not overflow, and are
-    divided as uint32, which is faster, when the column's largest fits. A
-    digit left of a value's first one is a NUL byte: its quotient was
-    already 0. The matrices and the separator columns are joined row by
-    row, and dropping the NULs leaves the rows.
+    Each column becomes a (rows, width) matrix of ASCII digits from
+    `_digit_matrix`. A column whose value range is no longer than the
+    column gathers its rows from the matrix of that range, built by the
+    same routine, so each value in it is divided once, not once per row;
+    a wider column is divided row by row. The matrices and the separator
+    columns are joined row by row, and dropping the NULs leaves the rows.
     """
     parts = []
     for col in columns:
         value = np.asarray(col)
         if value.dtype.kind not in "biu":
             raise TypeError(f"%d field given a column of dtype {value.dtype}")
-        magnitude = value.astype(np.uint64)
-        negative = value < 0
-        if negative.any():
-            np.negative(magnitude, out=magnitude, where=negative)
-            parts.append((negative * np.uint8(ord("-")))[:, None])
-        top = int(magnitude.max())
-        if top <= np.iinfo(np.uint32).max:
-            magnitude = magnitude.astype(np.uint32)
-        ten = magnitude.dtype.type(10)
-        digits = np.empty((len(str(top)), value.size), np.uint8)
-        for c in range(len(digits) - 1, -1, -1):
-            shown = magnitude != 0
-            magnitude, digits[c] = np.divmod(magnitude, ten)
-            digits[c] += np.uint8(ord("0"))
-            if c < len(digits) - 1:  # a zero keeps its last digit
-                digits[c] *= shown
-        parts += [digits.T, np.full((value.size, 1), ord(","), np.uint8)]
+        wide = np.int64 if value.dtype.kind == "i" else np.uint64
+        lo, hi = int(value.min()), int(value.max())
+        if hi - lo < value.size:
+            span = np.arange(hi - lo + 1, dtype=wide)
+            span += wide(lo)
+            table = np.ascontiguousarray(_digit_matrix(span).T)
+            parts.append(table.take(np.subtract(value, lo, dtype=wide), axis=0))
+        else:
+            parts.append(_digit_matrix(value).T)
+        parts.append(np.full((value.size, 1), ord(","), np.uint8))
     parts[-1] = np.full_like(parts[-1], ord("\n"))
     block = np.concatenate(parts, axis=1)
     return block[block != 0].tobytes()
+
+
+def _digit_matrix(value: np.ndarray) -> np.ndarray:
+    """A (width, rows) uint8 matrix of each integer's `%d` text, one column
+    per value, right-aligned, with NUL bytes left of its first character.
+
+    The digits are filled from the last up by dividing the magnitudes by
+    10; a digit whose quotient was already 0 is a NUL. The magnitudes are
+    uint64, so int64's minimum does not overflow, and are divided as
+    uint32, which is faster, when the largest fits. When a value is
+    negative, row 0 holds the signs.
+    """
+    magnitude = value.astype(np.uint64)
+    negative = value < 0
+    signed = bool(negative.any())
+    if signed:
+        np.negative(magnitude, out=magnitude, where=negative)
+    top = int(magnitude.max())
+    if top <= np.iinfo(np.uint32).max:
+        magnitude = magnitude.astype(np.uint32)
+    ten = magnitude.dtype.type(10)
+    digits = np.empty((signed + len(str(top)), value.size), np.uint8)
+    if signed:
+        np.multiply(negative, np.uint8(ord("-")), out=digits[0])
+    for c in range(len(digits) - 1, signed - 1, -1):
+        shown = magnitude != 0
+        # floor division by a scalar is faster than np.divmod
+        quotient = magnitude // ten
+        digits[c] = magnitude - quotient * ten
+        magnitude = quotient
+        digits[c] += np.uint8(ord("0"))
+        if c < len(digits) - 1:  # a zero keeps its last digit
+            digits[c] *= shown
+    return digits
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -545,17 +575,19 @@ def _arrival_histogram(trace: Trace):
 
     Arrival times are non-decreasing, so the trace is counted in chunks cut
     at hour starts, and each cell falls in a single chunk. A chunk holds at
-    most _HIST_CHUNK arrivals over at most _HIST_CHUNK // m hours (m types),
-    or one whole hour that holds more arrivals, so its (hour, type) count
-    array stays near _HIST_CHUNK long however sparse the arrivals are.
+    most `arrivals._BLOCK` arrivals over at most _BLOCK // m hours (m
+    types), or one whole hour that holds more arrivals, so its (hour, type)
+    count array stays near _BLOCK long however sparse the arrivals are, and
+    its block of nonempty cells is at most max(_BLOCK, m) rows.
     """
     times, types = trace.times, trace.types
     m = int(types.max()) + 1
-    hours = max(_HIST_CHUNK // m, 1)
+    chunk = _arrivals._BLOCK
+    hours = max(chunk // m, 1)
     lo = 0
     while lo < times.size:
         h0 = np.floor(times[lo])
-        hi = min(lo + _HIST_CHUNK, int(np.searchsorted(times, h0 + hours)))
+        hi = min(lo + chunk, int(np.searchsorted(times, h0 + hours)))
         if hi < times.size:
             hi = int(np.searchsorted(times, np.floor(times[hi])))
             if hi <= lo:  # the hour of arrival lo holds the rest of the chunk
@@ -565,8 +597,11 @@ def _arrival_histogram(trace: Trace):
         key *= m
         key += types[lo:hi]
         count = np.bincount(key)
-        key = np.flatnonzero(count)
-        yield from _row_blocks([key // m + int(h0), key % m, count[key]])
+        key = np.flatnonzero(count != 0)
+        hour = key // m
+        kind = key - hour * m
+        hour += int(h0)
+        yield [hour, kind, count[key]]
         lo = hi
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "RATE_KINDS",
     "RatePiece",
     "RateFunction",
+    "RateStack",
     "scan_grid",
     "StationaryArrivals",
     "NonstationaryArrivals",
@@ -98,14 +99,7 @@ class RatePiece:
 
     def value(self, t):
         """Evaluate the piece at scalar or array t (no domain check)."""
-        p = self.params
-        if self.kind == "constant":
-            return np.full_like(np.asarray(t, dtype=float), p[0]) if np.ndim(t) else p[0]
-        if self.kind == "linear":
-            return p[0] * t + p[1]
-        if self.kind == "quadratic":
-            return (p[0] * t + p[1]) * t + p[2]
-        return p[0] * np.sin(p[1] * t + p[2]) + p[3]
+        return _piece_rate(self.kind, self.params, t)
 
     def grid_max(self, grid_dt: float) -> float:
         """Maximum over the piece's own scan grid, [t_from, t_to] anchored at
@@ -175,13 +169,10 @@ class RateFunction:
         return self.pieces[-1].t_to
 
     def value(self, t):
-        """Evaluate at scalar or array t; pieces are [from, to), last closed.
-        A scalar t gives a float."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = self.pieces[0].value(ts)
-        for piece in self.pieces[1:]:
-            np.copyto(out, piece.value(ts), where=ts >= piece.t_from)
-        return float(out[0]) if np.ndim(t) == 0 else out
+        """Evaluate at scalar or array t through `RateStack`; pieces are
+        [from, to), last closed. A scalar t gives a float."""
+        out = RateStack((self,)).values(t)[0]
+        return float(out) if out.ndim == 0 else out
 
     def integral(self, a: float | None = None, b: float | None = None) -> float:
         """Closed-form integral over [a, b] (defaults to the full span)."""
@@ -203,6 +194,59 @@ class RateFunction:
         """Grid-scan every piece; raise NegativeRate on any negative value."""
         for piece in self.pieces:
             piece.grid_max(grid_dt)
+
+
+def _piece_rate(kind: str, p, t):
+    """The rate of a `kind` piece with params p at t: the one copy of the
+    four formulas. The params may be columns, one row per piece, that
+    broadcast against t."""
+    if kind == "constant":
+        return np.broadcast_to(p[0], np.broadcast_shapes(np.shape(p[0]), np.shape(t)))
+    if kind == "linear":
+        return p[0] * t + p[1]
+    if kind == "quadratic":
+        return (p[0] * t + p[1]) * t + p[2]
+    return p[0] * np.sin(p[1] * t + p[2]) + p[3]
+
+
+class RateStack:
+    """The piece lookup of several rate functions at once: `values(t)` holds
+    one row per function, its rate at each t.
+
+    A row takes its function's first piece everywhere, and each later piece
+    from its own start on, so pieces are [from, to) and the last one is
+    closed. The pieces at one position in their functions are grouped by
+    kind when the stack is built, and each group is evaluated as one block
+    of rows, so a call costs a few array operations per kind and position,
+    not a lookup per function.
+    """
+
+    def __init__(self, rate_fns):
+        self.rate_fns = tuple(rate_fns)
+        # per piece position, (kind, rows, param columns, piece starts)
+        self._levels = []
+        for r in range(max((len(fn.pieces) for fn in self.rate_fns), default=0)):
+            groups: dict[str, list] = {}
+            for j, fn in enumerate(self.rate_fns):
+                if r < len(fn.pieces):
+                    groups.setdefault(fn.pieces[r].kind, []).append((j, fn.pieces[r]))
+            self._levels.append([
+                (kind, np.array([j for j, _ in group]),
+                 np.array([piece.params for _, piece in group]).T[:, :, None],
+                 np.array([[piece.t_from] for _, piece in group]))
+                for kind, group in groups.items()
+            ])
+
+    def values(self, t) -> np.ndarray:
+        """Every function's rate at scalar or array t, shape (functions,
+        *t.shape); bit for bit each function's own pieces evaluated alone."""
+        ts = np.asarray(t, dtype=float).ravel()
+        out = np.empty((len(self.rate_fns), ts.size))
+        for r, level in enumerate(self._levels):
+            for kind, rows, params, starts in level:
+                vals = _piece_rate(kind, params, ts)
+                out[rows] = vals if r == 0 else np.where(ts >= starts, vals, out[rows])
+        return out.reshape((len(self.rate_fns),) + np.shape(t))
 
 
 def scan_grid(rate_fns, a: float, b: float, grid_dt: float) -> np.ndarray:

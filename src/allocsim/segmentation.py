@@ -12,9 +12,13 @@ re-derives both bounds from grid extrema over each finished segment.
 The window scans and the certification step build their grids with
 `model.scan_grid` (uniform grid_dt steps anchored at the segment start, plus
 piece boundaries, plus the right endpoint): both put every type's boundaries
-on one grid, so certification sees each rate on the points the search saw.
-Rates are looked up through `RateFunction.value`, and the driver takes each
-segment's expected arrival count from `NonstationaryArrivals.expected_arrivals`.
+on one grid, and a cursor's grid to the horizon's end holds the segment's
+grid as its prefix, so certification sees each rate on the points the
+search saw. At each cursor one `_Cursor` builds that grid once and keeps
+the running rate extrema that the epsilon scan and the v scan share. Rates
+are looked up for all types at once through `model.RateStack`, and the
+driver takes each segment's expected arrival count from
+`NonstationaryArrivals.expected_arrivals`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from .arrivals import sample_nonstationary_stream, type_probability_matrix
 from .errors import DegenerateSegment, NoPositiveRoot, ZeroLowerSum
 from .integrated import Trace, run_integrated
-from .model import NonstationaryArrivals, SimConfig, scan_grid, substream
+from .model import NonstationaryArrivals, RateStack, SimConfig, scan_grid, substream
 
 __all__ = [
     "Segment",
@@ -107,53 +111,100 @@ class SegmentPlan:
 # Window scan
 # ============================================================
 
-def _scan_window(
-    rate_fns,
-    t: float,
-    threshold: float,
-    grid_dt: float,
-    t_end: float,
-    delta_cap: float | None = None,
-):
-    """Largest grid point t* such that every type's rate variation over
-    [t, t*] stays within threshold (and, when delta_cap is given, the
-    implied probability band stays within it). Returns t* and the per-type
-    (min, max) extrema over [t, t*]. Advances at least one grid point.
+# grid points in a cursor's first chunk; each later chunk doubles the span.
+# A lookup of a few hundred points costs little more than one of four, and
+# the scenarios' segments span a few thousand points.
+_FIRST_CHUNK = 256
 
-    The rates are evaluated on a growing prefix of `scan_grid(t, t_end)`,
-    built as the grid to one step past it: a window of 2 grid_dt that doubles
-    until it holds a violation or reaches t_end. Running extrema over a
-    prefix equal those over the whole grid, so the result is the full scan's.
+
+class _Cursor:
+    """The window scans at one cursor t: every type's rate extrema over
+    [t, t*] for the grid points t* of `scan_grid(t, t_end)`.
+
+    The grid is built once, and its rates come from the plan's `RateStack`
+    in chunks that double in length, only as far as a scan asks; the
+    epsilon scan and the v scan share them. Each chunk end keeps the
+    running extrema so far, and each chunk's maxima and minima continue the
+    last end's. Max and min are exact, so every extremum equals that of one
+    pass over the grid from t, however the grid is chunked.
     """
-    width = 2.0 * grid_dt
-    while True:
-        pts = scan_grid(rate_fns, t, min(t + width + grid_dt, t_end), grid_dt)
-        if pts.size < 2:
+
+    def __init__(self, rates: RateStack, t: float, t_end: float, grid_dt: float):
+        self.rates = rates
+        self.pts = scan_grid(rates.rate_fns, t, t_end, grid_dt)
+        if self.pts.size < 2:
             raise DegenerateSegment(
                 f"no grid point inside ({t}, {t_end}]; grid_dt={grid_dt} too coarse"
             )
-        # the window holds the last grid point only when it reaches t_end
-        stop = max(int(np.searchsorted(pts, t + width, side="right")), 2)
-        window = pts[:stop]
-        vals = np.stack([fn.value(window) for fn in rate_fns])
-        cmax = np.maximum.accumulate(vals, axis=1)
-        cmin = np.minimum.accumulate(vals, axis=1)
-        ok = np.all(cmax - cmin <= threshold + 1e-12, axis=0)
-        if delta_cap is not None:
-            y = cmin.sum(axis=0)
-            big = cmax.sum(axis=0)
-            safe_y = np.where(y > 0.0, y, 1.0)
-            dvec = cmax / safe_y - cmin / big
-            ok &= (y > 0.0) & np.all(dvec <= delta_cap + 1e-12, axis=0)
-        ok[0] = True
+        self.vals = np.empty((len(rates.rate_fns), self.pts.size))
+        self.ends = [0]
+        # running (max, min) per type over the grid up to each chunk end
+        self.extrema: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def _chunk(self, i: int) -> tuple[int, int]:
+        """The bounds [lo, hi) of chunk i, evaluating chunks up to it."""
+        while len(self.extrema) <= i:
+            lo = self.ends[-1]
+            hi = min(max(2 * lo, _FIRST_CHUNK), self.pts.size)
+            block = self.vals[:, lo:hi]
+            block[...] = self.rates.values(self.pts[lo:hi])
+            top, bottom = block.max(axis=1), block.min(axis=1)
+            if self.extrema:
+                np.maximum(top, self.extrema[-1][0], out=top)
+                np.minimum(bottom, self.extrema[-1][1], out=bottom)
+            self.extrema.append((top, bottom))
+            self.ends.append(hi)
+        return self.ends[i], self.ends[i + 1]
+
+    def scan(self, threshold: float, delta_cap: float | None = None):
+        """Largest grid point t* such that every type's rate variation over
+        [t, t*] stays within threshold (and, when delta_cap is given, the
+        implied probability band stays within it). Returns t* and the
+        per-type (min, max) extrema over [t, t*]. Advances at least one grid
+        point.
+
+        With rates that are not negative on the grid (a config with a
+        negative one is refused), the test can only turn false as t* grows:
+        the maxima rise, the minima fall, and every rounded sum, quotient
+        and difference made of them moves the same way. So the first grid
+        point that fails lies in the first chunk whose end fails, and only
+        that chunk's running extrema are taken point by point.
+        """
+        i = 0
+        while True:
+            lo, hi = self._chunk(i)
+            top, bottom = self.extrema[i]
+            if hi == self.pts.size or not _within(
+                    top[:, None], bottom[:, None], threshold, delta_cap)[0]:
+                break
+            i += 1
+        cmax = np.maximum.accumulate(self.vals[:, lo:hi], axis=1)
+        cmin = np.minimum.accumulate(self.vals[:, lo:hi], axis=1)
+        if i:
+            np.maximum(cmax, self.extrema[i - 1][0][:, None], out=cmax)
+            np.minimum(cmin, self.extrema[i - 1][1][:, None], out=cmin)
+        ok = _within(cmax, cmin, threshold, delta_cap)
+        if lo == 0:
+            ok[0] = True
         bad = np.flatnonzero(~ok)
-        if bad.size or stop == pts.size:
-            break
-        width *= 2.0
-    k = int(bad[0]) - 1 if bad.size else stop - 1
-    k = max(k, 1)
-    extrema = [(float(cmin[j, k]), float(cmax[j, k])) for j in range(len(rate_fns))]
-    return float(pts[k]), extrema
+        k = max(int(bad[0]) - 1 if bad.size else hi - lo - 1, 1 - lo)
+        top, bottom = (cmax[:, k], cmin[:, k]) if k >= 0 else self.extrema[i - 1]
+        return float(self.pts[lo + k]), list(zip(bottom.tolist(), top.tolist()))
+
+
+def _within(cmax, cmin, threshold: float, delta_cap: float | None):
+    """Per grid point (column), whether the per-type running extrema keep
+    every variation within threshold and, when delta_cap is given, the
+    implied probability band within it."""
+    ok = np.all(cmax - cmin <= threshold + 1e-12, axis=0)
+    if delta_cap is not None:
+        # summed type after type, whatever the columns' memory layout
+        y = np.add.accumulate(cmin, axis=0)[-1]
+        big = np.add.accumulate(cmax, axis=0)[-1]
+        safe_y = np.where(y > 0.0, y, 1.0)
+        dvec = cmax / safe_y - cmin / big
+        ok &= (y > 0.0) & np.all(dvec <= delta_cap + 1e-12, axis=0)
+    return ok
 
 
 # ============================================================
@@ -232,19 +283,20 @@ def segment_time_span(
     for low, high in ((epsilon, "epsilon"), (delta, "delta"), (d, "d")):
         if not low > 0.0:
             raise ValueError(f"{high} must be positive")
+    rates = RateStack(rate_fns)
     segments: list[Segment] = []
     t = float(t0)
     while t_end - t > 1e-9:
-        t_eps, _ = _scan_window(rate_fns, t, epsilon, grid_dt, t_end)
+        cursor = _Cursor(rates, t, t_end, grid_dt)
+        t_eps, _ = cursor.scan(epsilon)
         if t_eps - t >= d - 1e-12:
             segments.append(
                 Segment(t_start=t, t_end=t_eps, label="A", epsilon_used=epsilon)
             )
             t = t_eps
             continue
-        rates_t = np.array([fn.value(t) for fn in rate_fns])
-        v = solve_v_threshold(rates_t, delta)
-        t_v, extrema = _scan_window(rate_fns, t, v, grid_dt, t_end, delta_cap=delta)
+        v = solve_v_threshold(rates.values(t), delta)
+        t_v, extrema = cursor.scan(v, delta_cap=delta)
         upper, lower, dvec = bound_type_probability(extrema)
         segments.append(
             Segment(
@@ -267,11 +319,11 @@ def certify_plan(plan: SegmentPlan, rate_fns, tol: float = 1e-9):
     per-type variations are within epsilon + tol, type B when the
     recomputed probability band is within delta + tol.
     """
+    rates = RateStack(rate_fns)
     results = np.zeros(len(plan), dtype=bool)
     for k, seg in enumerate(plan.segments):
-        grid = scan_grid(rate_fns, seg.t_start, seg.t_end, plan.grid_dt)
-        ext = [(float(v.min()), float(v.max()))
-               for v in (fn.value(grid) for fn in rate_fns)]
+        vals = rates.values(scan_grid(rate_fns, seg.t_start, seg.t_end, plan.grid_dt))
+        ext = list(zip(vals.min(axis=1).tolist(), vals.max(axis=1).tolist()))
         if seg.label == "A":
             variation = max(mx - mn for mn, mx in ext)
             results[k] = variation <= plan.epsilon + tol
@@ -289,7 +341,7 @@ def segment_weights(segment: Segment, rate_fns, rng: np.random.Generator) -> np.
     """
     if segment.label == "A":
         t_tilde = segment.t_start + rng.random() * segment.length
-        rates = np.array([fn.value(t_tilde) for fn in rate_fns])
+        rates = RateStack(rate_fns).values(t_tilde)
         w = rates / rates.sum()
         segment.t_tilde = t_tilde
         segment.weights = w

@@ -1,4 +1,5 @@
-"""Instance validation, config file round-trips, and scenario builders."""
+"""Instance validation, config file round-trips, scenario builders, and the
+rate functions' piece lookup."""
 
 import json
 
@@ -19,6 +20,7 @@ from allocsim import (
     scenario_nonstationary,
     scenario_stationary,
     substream,
+    type_probability_matrix,
 )
 from allocsim.errors import (
     InvalidInstance,
@@ -30,7 +32,7 @@ from allocsim.errors import (
 )
 from allocsim import model
 from allocsim.cli import main
-from allocsim.model import config_document
+from allocsim.model import RateStack, config_document
 
 
 def minimal_doc(**overrides):
@@ -439,6 +441,71 @@ class TestRateFunctionValue:
             for arg in (float(t), t, np.array(t)):
                 got = fn.value(arg)
                 assert type(got) is float and got == want
+
+
+def rotated(k, factor=1.0):
+    """FOUR_KINDS' intervals on [0, 6] with the kinds and params moved k
+    places along, the rates scaled by `factor`."""
+    kinds = FOUR_KINDS[k:] + FOUR_KINDS[:k]
+    return RateFunction(tuple(
+        RatePiece(p.t_from, p.t_to, q.kind, q.params).scaled(factor)
+        for p, q in zip(FOUR_KINDS, kinds)))
+
+
+class TestRateStack:
+    """The stacked lookup gives each function's row bit for bit as that
+    function's own pieces give it, and φ as a per-function stack did."""
+
+    # ten multi-piece functions of all four kinds on [0, 6], boundaries off
+    # the grid (1.3337, 2.71, 4.2001) and on it (1.0, 3.0), and one piece
+    FUNCTIONS = tuple(rotated(k % 4, 1.0 + 0.37 * k) for k in range(10)) + (
+        RateFunction((RatePiece(0.0, 1.0, "sinusoid", (0.5, 3.0, 0.2, 2.0)),
+                      RatePiece(1.0, 3.0, "constant", (1.5,)),
+                      RatePiece(3.0, 6.0, "linear", (0.25, 0.5)))),
+        RateFunction((RatePiece(0.0, 6.0, "quadratic", (-1.0, 7.3, 1.1)),)),
+    )
+
+    @classmethod
+    def _points(cls):
+        edges = np.unique(np.concatenate([fn.boundaries for fn in cls.FUNCTIONS]))
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf)])
+        rng = np.random.default_rng(8)
+        return np.concatenate([near, rng.uniform(-1.0, 7.0, 3000),
+                               np.arange(0.0, 6.0, 0.001)])
+
+    def test_rows_match_each_function(self):
+        ts = self._points()
+        got = RateStack(self.FUNCTIONS).values(ts)
+        assert got.shape == (len(self.FUNCTIONS), ts.size)
+        for row, fn in zip(got, self.FUNCTIONS):
+            assert row.tobytes() == lookup_value(fn, ts).tobytes()
+            assert row.tobytes() == fn.value(ts).tobytes()
+            # the last piece is closed: t_end takes it
+            assert row[ts == 6.0].tobytes() == np.atleast_1d(
+                fn.pieces[-1].value(np.array([6.0]))).tobytes()
+
+    def test_scalar_and_shaped_t(self):
+        stack = RateStack(self.FUNCTIONS)
+        ts = self._points()[:600]
+        rows = stack.values(ts)
+        for k in range(0, ts.size, 7):
+            for arg in (float(ts[k]), ts[k], np.array(ts[k])):
+                col = stack.values(arg)
+                assert col.shape == (len(self.FUNCTIONS),)
+                assert col.tobytes() == rows[:, k].tobytes()
+        grid = stack.values(ts.reshape(200, 3))
+        assert grid.shape == (len(self.FUNCTIONS), 200, 3)
+        assert grid.tobytes() == rows.tobytes()
+
+    def test_type_probability_matrix_matches_per_function_stack(self):
+        # twelve types: numpy sums a contiguous row of eight or more in
+        # another order than type after type, so the layout matters
+        model = NonstationaryArrivals(self.FUNCTIONS, 0.0, 6.0)
+        times = np.sort(self._points().clip(0.0, 6.0))
+        lam = np.stack([lookup_value(fn, times) for fn in self.FUNCTIONS], axis=1)
+        want = lam / lam.sum(axis=1)[:, None]
+        assert type_probability_matrix(model, times).tobytes() == want.tobytes()
 
 
 class TestExpectedArrivals:

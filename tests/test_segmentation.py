@@ -25,11 +25,12 @@ from allocsim.model import (
     AlgoParams,
     ProblemInstance,
     NonstationaryArrivals,
+    RateStack,
     SimConfig,
     scan_grid,
 )
 from allocsim import segmentation
-from allocsim.segmentation import SegmentPlan, _scan_window
+from allocsim.segmentation import SegmentPlan, _Cursor
 
 
 def constant_fn(c, t0=0.0, t_end=10.0):
@@ -40,26 +41,31 @@ def linear_fn(slope, intercept, t0=0.0, t_end=10.0):
     return RateFunction((RatePiece(t0, t_end, "linear", (slope, intercept)),))
 
 
+def scan_window(rate_fns, t, threshold, grid_dt, t_end, delta_cap=None):
+    """One scan from a fresh cursor at t."""
+    return _Cursor(RateStack(rate_fns), t, t_end, grid_dt).scan(threshold, delta_cap)
+
+
 class TestFindSegmentEnd:
     """The window scan segment_time_span runs: the largest grid point t*
     with every rate's variation over [t, t*] within the threshold."""
 
     def test_constant_rates_reach_the_end(self):
         fns = (constant_fn(2.0), constant_fn(5.0))
-        assert _scan_window(fns, 0.0, 0.5, 0.001, 10.0)[0] == 10.0
+        assert scan_window(fns, 0.0, 0.5, 0.001, 10.0)[0] == 10.0
 
     def test_linear_growth_stops_at_threshold(self):
         fns = (linear_fn(2.0, 0.0, 0.0, 1.0),)
-        t_star = _scan_window(fns, 0.0, 1.0, 0.0001, 1.0)[0]
+        t_star = scan_window(fns, 0.0, 1.0, 0.0001, 1.0)[0]
         assert t_star == pytest.approx(0.5, abs=0.0002)
 
     def test_generous_threshold_never_binds(self):
         fns = (linear_fn(2.0, 0.0, 0.0, 1.0), constant_fn(1.0, 0.0, 1.0))
-        assert _scan_window(fns, 0.0, 100.0, 0.001, 1.0)[0] == 1.0
+        assert scan_window(fns, 0.0, 100.0, 0.001, 1.0)[0] == 1.0
 
     def test_always_advances(self):
         fns = (linear_fn(50.0, 1.0, 0.0, 1.0),)
-        t_star = _scan_window(fns, 0.0, 1e-9, 0.01, 1.0)[0]
+        t_star = scan_window(fns, 0.0, 1e-9, 0.01, 1.0)[0]
         assert t_star > 0.0
 
     def test_scan_grid_matches_sorted_union(self):
@@ -78,8 +84,8 @@ class TestFindSegmentEnd:
                 assert got.tobytes() == sorted_union_grid(fns, lo, hi, 0.001).tobytes()
 
     def test_window_grid_is_a_prefix_of_the_horizon_grid(self):
-        # the scan builds each window as the grid to one step past it; its
-        # points up to the window's end are exactly the horizon grid's
+        # a cursor scans the grid to the horizon's end and certification
+        # the grid to the segment's end; up to that end the two are equal
         steep = RateFunction((RatePiece(0.0, 1.337, "linear", (5.0, 1.0)),
                               RatePiece(1.337, 4.0, "quadratic", (-0.5, 2.0, 3.0))))
         fns, dt = (steep, constant_fn(1.0, 0.0, 4.0)), 0.001
@@ -100,9 +106,9 @@ def sorted_union_grid(rate_fns, a, b, grid_dt):
 
 
 def full_horizon_scan(rate_fns, t, threshold, grid_dt, t_end, delta_cap=None):
-    """Brute-force `_scan_window`: every rate on the whole grid to t_end at
-    once, then the last point before the first violation (at least one
-    point past t)."""
+    """Brute-force window scan: every rate, looked up one function at a
+    time, on the whole grid to t_end at once, then the last point before
+    the first violation (at least one point past t)."""
     pts = scan_grid(rate_fns, t, t_end, grid_dt)
     vals = np.stack([fn.value(pts) for fn in rate_fns])
     cmax = np.maximum.accumulate(vals, axis=1)
@@ -121,15 +127,27 @@ def full_horizon_scan(rate_fns, t, threshold, grid_dt, t_end, delta_cap=None):
 
 
 class TestGrowingWindow:
-    """The doubling window scan builds the same plans as a scan of the whole
+    """The chunked cursor scan builds the same plans as a scan of the whole
     remaining horizon, bit for bit."""
 
     @staticmethod
     def _plans(monkeypatch, rate_fns, t0, t_end, *knobs):
         plan = segment_time_span(rate_fns, t0, t_end, *knobs)
+        calls = []
+
+        def brute_scan(cursor, threshold, delta_cap=None):
+            # a cursor's grid runs from its t to the horizon's end
+            calls.append(threshold)
+            t, end = float(cursor.pts[0]), float(cursor.pts[-1])
+            return full_horizon_scan(rate_fns, t, threshold, knobs[-1], end,
+                                     delta_cap)
+
         with monkeypatch.context() as patch:
-            patch.setattr(segmentation, "_scan_window", full_horizon_scan)
+            patch.setattr(segmentation._Cursor, "scan", brute_scan)
             brute = segment_time_span(rate_fns, t0, t_end, *knobs)
+        # one epsilon scan per segment, and one v scan per type-B segment
+        assert len(calls) == len(brute) + sum(
+            seg.label == "B" for seg in brute.segments)
         return plan, brute
 
     @staticmethod
@@ -163,6 +181,24 @@ class TestGrowingWindow:
         plan, brute = self._plans(monkeypatch, fns, 0.0, 4.0, 0.001, 0.3, 2.0, 0.001)
         assert sum(seg.label == "B" for seg in brute.segments) > 1
         self._assert_same(plan, brute)
+
+    @pytest.mark.parametrize("delta_cap", [None, 0.05])
+    def test_cursor_matches_full_scan_at_every_offset(self, monkeypatch, delta_cap):
+        # with chunks ending at grid points 4, 8, 16, 32 and 64, a jump j
+        # grid points past the cursor puts the first failing point on a
+        # chunk's first point, inside a chunk and on its last; both scans
+        # run on one cursor, as segment_time_span runs them
+        monkeypatch.setattr(segmentation, "_FIRST_CHUNK", 4)
+        dt = 0.001
+        flat = constant_fn(2.0, 0.0, 1.0)
+        for j in range(1, 70):
+            jump = RateFunction((RatePiece(0.0, j * dt, "constant", (1.0,)),
+                                 RatePiece(j * dt, 1.0, "linear", (5.0, 3.0))))
+            cursor = _Cursor(RateStack((jump, flat)), 0.0, 1.0, dt)
+            for threshold in (0.5, 2.5, 1e-9):
+                want = full_horizon_scan((jump, flat), 0.0, threshold, dt, 1.0,
+                                         delta_cap)
+                assert cursor.scan(threshold, delta_cap) == want
 
 
 class TestVThreshold:
