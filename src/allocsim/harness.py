@@ -12,12 +12,12 @@ expected type weights; a realized-count benchmark column is emitted
 alongside for transparency.
 
 Report files are CSV (one directory per run), and this module writes all
-of them through one block writer: a header line, then rows with `%.9g`
-floats and a blank item for a null assignment. A table whose fields are
-all integers is encoded by numpy as byte blocks, not formatted one value
-at a time, with the same bytes `%d` gives. Wall-clock time goes to
-runtime.txt, not the CSVs, so re-running a configuration byte-identically
-reproduces every CSV.
+of them through one column encoder: a header line, then rows whose
+integer fields read as `%d`, float fields as `%.9g` and labels as their
+bytes, with a blank item for a null assignment. Each block of rows is
+joined from per-column byte matrices, not formatted one row at a time.
+Wall-clock time goes to runtime.txt, not the CSVs, so re-running a
+configuration byte-identically reproduces every CSV.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ __all__ = [
     "write_plan_csv",
 ]
 
-_CSV_BLOCK = 4096  # report rows formatted per write
+_CSV_BLOCK = 4096  # report rows encoded per write
 
 
 # ============================================================
@@ -421,32 +421,19 @@ def _fill_online_metrics(
 # Files
 # ============================================================
 
-def _write_csv(path, header: str, row_format: str, blocks) -> None:
-    """Write `header`, then one `row_format` line per row of each block.
+def _write_csv(path, header: str, blocks) -> None:
+    """Write `header`, then the rows of each block, encoded by `_encode_rows`.
 
-    A block is a nonempty list of equal-length arrays, lists or ranges, one
-    per %-field of `row_format`, of at least one row; `_row_blocks` cuts
-    whole columns into blocks of _CSV_BLOCK rows, which keeps the memory for
-    formatted text to one block. A format of only `%d` fields is encoded by
-    `_integer_rows`, which takes blocks of any length: the arrivals
-    histogram hands it one chunk of up to `arrivals._BLOCK` rows at a time,
-    so each range table serves a whole chunk. Any other format is formatted
-    from Python scalars.
+    A block is a nonempty list of equal-length columns of at least one row;
+    `_row_blocks` cuts whole columns into blocks of _CSV_BLOCK rows, which
+    keeps the memory for encoded text to one block. The arrivals histogram
+    hands over one chunk of up to `arrivals._BLOCK` rows at a time, so each
+    range table serves a whole chunk.
     """
-    width = row_format.count("%")
-    integer = row_format == ",".join(["%d"] * width) + "\n"
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for block in blocks:
-            if integer:
-                fh.write(_integer_rows(block))
-                continue
-            k = len(block[0])
-            values = [None] * (k * width)
-            for i, col in enumerate(block):
-                values[i::width] = (
-                    col.tolist() if isinstance(col, np.ndarray) else col)
-            fh.write(((row_format * k) % tuple(values)).encode())
+            fh.write(_encode_rows(block))
 
 
 def _row_blocks(columns):
@@ -456,30 +443,40 @@ def _row_blocks(columns):
         yield [col[lo:lo + _CSV_BLOCK] for col in columns]
 
 
-def _integer_rows(columns) -> bytes:
-    """The bytes of `%d,...,%d\\n` over equal-length integer columns.
+def _encode_rows(columns) -> bytes:
+    """The CSV rows of equal-length columns.
 
-    Each column becomes a (rows, width) matrix of ASCII digits from
-    `_digit_matrix`. A column whose value range is no longer than the
-    column gathers its rows from the matrix of that range, built by the
-    same routine, so each value in it is divided once, not once per row;
-    a wider column is divided row by row. The matrices and the separator
-    columns are joined row by row, and dropping the NULs leaves the rows.
+    Each column becomes a NUL-padded (rows, width) byte matrix. An integer
+    or bool column holds each value's `%d` text from `_digit_matrix`; one
+    whose value range is no longer than the column gathers its rows from
+    the matrix of that range, so each value in it is divided once, not once
+    per row. A float column holds each value's `%.9g` text as Python's `%`
+    gives it, and a bytes column is its own matrix, so an empty label is a
+    blank field. Any other dtype raises TypeError. The matrices and the
+    separator columns are joined row by row, and dropping the NULs leaves
+    the rows.
     """
     parts = []
     for col in columns:
         value = np.asarray(col)
-        if value.dtype.kind not in "biu":
-            raise TypeError(f"%d field given a column of dtype {value.dtype}")
-        wide = np.int64 if value.dtype.kind == "i" else np.uint64
-        lo, hi = int(value.min()), int(value.max())
-        if hi - lo < value.size:
-            span = np.arange(hi - lo + 1, dtype=wide)
-            span += wide(lo)
-            table = np.ascontiguousarray(_digit_matrix(span).T)
-            parts.append(table.take(np.subtract(value, lo, dtype=wide), axis=0))
+        kind = value.dtype.kind
+        if kind in "biu":
+            wide = np.int64 if kind == "i" else np.uint64
+            lo, hi = int(value.min()), int(value.max())
+            if hi - lo < value.size:
+                span = np.arange(hi - lo + 1, dtype=wide)
+                span += wide(lo)
+                table = np.ascontiguousarray(_digit_matrix(span).T)
+                parts.append(table.take(np.subtract(value, lo, dtype=wide), axis=0))
+            else:
+                parts.append(_digit_matrix(value).T)
+        elif kind in "fS":
+            if kind == "f":
+                value = np.array([b"%.9g" % x for x in value.tolist()])
+            value = np.ascontiguousarray(value)
+            parts.append(value.view(np.uint8).reshape(value.size, -1))
         else:
-            parts.append(_digit_matrix(value).T)
+            raise TypeError(f"no CSV encoding for a column of dtype {value.dtype}")
         parts.append(np.full((value.size, 1), ord(","), np.uint8))
     parts[-1] = np.full_like(parts[-1], ord("\n"))
     block = np.concatenate(parts, axis=1)
@@ -522,14 +519,13 @@ def _digit_matrix(value: np.ndarray) -> np.ndarray:
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Per-arrival CSV: t,time,type,item,purchased,phase (item blank when null)."""
-    items = trace.assigned.astype(object)
-    items[trace.assigned < 0] = ""
+    items = np.array([b""] + [b"%d" % i for i in range(trace.lam_final.size)])
     first = trace.t_start_index + 1
     _write_csv(
-        path, "t,time,type,item,purchased,phase", "%d,%.9g,%d,%s,%d,%s\n",
+        path, "t,time,type,item,purchased,phase",
         _row_blocks([range(first, first + len(trace)), trace.times, trace.types,
-                     items, trace.purchased,
-                     np.array(PHASE_NAMES, dtype=object)[trace.phase]]),
+                     items[trace.assigned + 1], trace.purchased,
+                     np.array(PHASE_NAMES, dtype="S")[trace.phase]]),
     )
 
 
@@ -538,8 +534,7 @@ def write_lambda_csv(trace: Trace, path) -> None:
     ck = trace.checkpoints
     n = trace.lam_final.size
     header = ",".join(["t"] + [f"lambda_{i + 1}" for i in range(n)])
-    _write_csv(path, header, "%d" + ",%.9g" * n + "\n",
-               _row_blocks([ck.t, *ck.lam.T]))
+    _write_csv(path, header, _row_blocks([ck.t, *ck.lam.T]))
 
 
 def write_checkpoint_csv(checkpoints: np.ndarray, errors: np.ndarray, path) -> None:
@@ -548,7 +543,7 @@ def write_checkpoint_csv(checkpoints: np.ndarray, errors: np.ndarray, path) -> N
     errors = np.asarray(errors, dtype=float)
     if checkpoints.size != errors.size:
         raise DimensionMismatch("checkpoint and error series differ in length")
-    _write_csv(path, "checkpoint,frobenius_to_truth", "%d,%.9g\n",
+    _write_csv(path, "checkpoint,frobenius_to_truth",
                _row_blocks([checkpoints, errors]))
 
 
@@ -558,15 +553,17 @@ def write_plan_csv(plan: SegmentPlan, path) -> None:
     m = segs[0].weights.size if segs[0].weights is not None else 0
     header = ",".join(["t_start", "t_end", "label", "v_or_epsilon", "delta_max"]
                       + [f"w_{j + 1}" for j in range(m)])
-    rows = [
-        (seg.t_start, seg.t_end, seg.label,
-         seg.epsilon_used if seg.label == "A" else seg.v,
-         0.0 if seg.label == "A" else float(seg.delta_vec.max()),
-         *(seg.weights if m else ()))
-        for seg in segs
+    columns = [
+        np.array([seg.t_start for seg in segs], dtype=float),
+        np.array([seg.t_end for seg in segs], dtype=float),
+        np.array([seg.label for seg in segs], dtype="S"),
+        np.array([seg.epsilon_used if seg.label == "A" else seg.v for seg in segs],
+                 dtype=float),
+        np.array([0.0 if seg.label == "A" else seg.delta_vec.max() for seg in segs],
+                 dtype=float),
+        *(np.array([seg.weights for seg in segs], dtype=float).T if m else ()),
     ]
-    _write_csv(path, header, "%.9g,%.9g,%s,%.9g,%.9g" + ",%.9g" * m + "\n",
-               _row_blocks(list(zip(*rows))))
+    _write_csv(path, header, _row_blocks(columns))
 
 
 def _arrival_histogram(trace: Trace):
@@ -629,18 +626,18 @@ def emit_report(
     tr = report.trace if report.trace is not None else report.greedy_trace
     try:
         row = report.summary_row()
-        _write_csv(_path("summary.csv"), ",".join(row), "%s\n",
-                   _row_blocks([[",".join(row.values())]]))
+        _write_csv(_path("summary.csv"), ",".join(row),
+                   [[np.array([v.encode()]) for v in row.values()]])
 
         counts = tr.assignment_counts if tr is not None else []
-        _write_csv(_path("selections.csv"), "item,count", "%d,%d\n",
+        _write_csv(_path("selections.csv"), "item,count",
                    _row_blocks([range(len(counts)), counts]))
 
         ck = tr.checkpoints if tr is not None else CheckpointLog.empty(0)
         write_checkpoint_csv(ck.t, ck.pref_error, _path("pref_error.csv"))
 
         hist = _arrival_histogram(tr) if tr is not None and len(tr) else ()
-        _write_csv(_path("arrivals_hist.csv"), "hour,type,count", "%d,%d,%d\n", hist)
+        _write_csv(_path("arrivals_hist.csv"), "hour,type,count", hist)
 
         if report.plan is not None:
             write_plan_csv(report.plan, _path("plan.csv"))

@@ -217,10 +217,15 @@ def solve_v_threshold(rates_at_t: np.ndarray, delta: float) -> float:
 
     This is the largest per-type variation that keeps the probability band
     within delta when every rate may drift that far from its cursor value.
+    A rate may be zero at the cursor, as a Poisson intensity may be at an
+    instant: when y > 0 the constant term −delta·y² is negative, so the
+    quadratic has exactly one positive root. A negative rate, or a total
+    that is not positive, is refused.
     """
     rates = np.asarray(rates_at_t, dtype=float)
-    if np.any(rates <= 0.0):
-        raise ValueError("all rates at the cursor must be positive")
+    if np.any(rates < 0.0) or not rates.sum() > 0.0:
+        raise ValueError(
+            "rates at the cursor must be nonnegative with a positive total")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     m = rates.size

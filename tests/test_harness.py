@@ -33,7 +33,7 @@ from allocsim import (
 from allocsim import _kernels, arrivals
 from allocsim.arrivals import _BLOCK
 from allocsim._kernels import BACKENDS, available_backends
-from allocsim.cli import main
+from allocsim.cli import COMMANDS, main
 from allocsim.dual import dual_objective
 from allocsim.errors import DimensionMismatch
 from allocsim.harness import (
@@ -46,7 +46,14 @@ from allocsim.harness import (
     offline_revenue_bound,
     run_experiment,
 )
-from allocsim.model import AlgoParams, SimConfig, config_document, substream
+from allocsim.model import (
+    AlgoParams,
+    SimConfig,
+    config_document,
+    config_from_document,
+    substream,
+)
+from allocsim.segmentation import certify_plan, segment_time_span
 from conftest import edge_assignments
 
 
@@ -366,24 +373,27 @@ class TestRunExperiment:
 
 
 def _percent_rows(columns) -> bytes:
-    """The rows of integer `columns`, each value formatted with `%d`."""
+    """The rows of `columns`, each value formatted with `%`: `%.9g` for a
+    float column, `%s` for a bytes column and `%d` for any other."""
     rows = len(columns[0])
+    fields = {"f": b"%.9g", "S": b"%s"}
+    row_format = b",".join(fields.get(np.asarray(c).dtype.kind, b"%d")
+                           for c in columns) + b"\n"
     values = [v for row in zip(*map(list, columns)) for v in row]
-    return ((",".join(["%d"] * len(columns)) + "\n") * rows % tuple(values)).encode()
+    return row_format * rows % tuple(values)
 
 
 def _assert_percent_rows(tmp_path, columns, blocks=True):
-    """`_write_csv` of integer `columns` reads as `%d` formatting, given as
-    one block of every row and, when `blocks`, as _CSV_BLOCK-row blocks."""
+    """`_write_csv` of `columns` reads as `%` formatting, given as one block
+    of every row and, when `blocks`, as _CSV_BLOCK-row blocks."""
     header = ",".join("c" * len(columns))
-    row_format = ",".join(["%d"] * len(columns)) + "\n"
     want = header.encode() + b"\n" + _percent_rows(columns)
     path = tmp_path / "t.csv"
     cuts = [[columns] if len(columns[0]) else []]
     if blocks:
         cuts.append(_row_blocks(columns))
     for cut in cuts:
-        _write_csv(path, header, row_format, cut)
+        _write_csv(path, header, cut)
         assert path.read_bytes() == want
 
 
@@ -563,10 +573,39 @@ class TestEmitReport:
                     else np.array([0, u64.max, 1], dtype=np.uint64))
             _assert_percent_rows(tmp_path, [full, np.resize(full[:1], 3)])
 
-    def test_float_column_refused(self, tmp_path):
-        with pytest.raises(TypeError, match="float64"):
-            _write_csv(tmp_path / "t.csv", "a,b", "%d,%d\n",
-                       _row_blocks([np.arange(3), np.array([1.0, 2.5, 3.0])]))
+    @pytest.mark.parametrize("rows", [1, _CSV_BLOCK - 1, _CSV_BLOCK,
+                                      _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 3])
+    def test_float_columns_match_percent_format(self, tmp_path, rows):
+        # a float column prints each value as `%.9g` does, beside integer
+        # and strided bytes columns, with signed zeros, infinities, nan,
+        # subnormals, extreme exponents and integral values of 9 digits
+        # and more
+        rng = np.random.default_rng(rows)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300,
+                            1e300, 3.0, -7.0, 123456789.0, 1234567890.0, 2.0**60])
+        exact = np.resize(special, rows)
+        exact[::3] = rng.standard_normal(exact[::3].size) * 10.0 ** rng.integers(
+            -12, 12, exact[::3].size)
+        labels = np.array([b"", b"ucb", b"greedy", b"7"])[rng.integers(0, 4, 2 * rows)]
+        columns = [exact, rng.integers(-5, 5, rows), labels[::2],
+                   np.resize(special, rows)[::-1], rng.random(rows) < 0.5]
+        _assert_percent_rows(tmp_path, columns)
+
+    def test_empty_label_is_blank_field(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _write_csv(path, "a,b", [[np.array([b"", b"ab", b""]), np.arange(3)]])
+        assert path.read_bytes() == b"a,b\n,0\nab,1\n,2\n"
+        _write_csv(path, "a", [[np.array([b"", b""])]])
+        assert path.read_bytes() == b"a\n\n\n"
+
+    @pytest.mark.parametrize("column", [np.array(["1", 2], dtype=object),
+                                        np.array(["ucb", "ogd"]),
+                                        np.array([1j, 2.0])],
+                             ids=["object", "unicode", "complex"])
+    def test_other_dtypes_refused(self, tmp_path, column):
+        with pytest.raises(TypeError, match=str(column.dtype)):
+            _write_csv(tmp_path / "t.csv", "a,b",
+                       _row_blocks([np.arange(2), column]))
 
 
 class TestCli:
@@ -751,6 +790,30 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {named} ")
         assert not out.exists()
+
+    def test_rate_touching_zero_runs_every_mode(self, tmp_path):
+        # a rate that is 0 at an instant is a valid Poisson intensity: the
+        # load check accepts it, and so does every mode, the type-B cursor
+        # at t = 0, where the linear rate is 0, included
+        doc = config_document(scenario_nonstationary("varying_reward", 300, 2.0, seed=1))
+        doc["instance"]["m"] = 2
+        del doc["scenario"]
+        doc["arrivals"]["nonstationary"].update(t0=0.0, t_end=2.0, rate_fns=[
+            [{"from": 0.0, "to": 2.0, "kind": "constant", "params": [50.0]}],
+            [{"from": 0.0, "to": 2.0, "kind": "linear", "params": [200.0, 0.0]}]])
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        for command in COMMANDS:
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        config = config_from_document(doc)
+        model, p = config.arrivals, config.params
+        plan = segment_time_span(model.rate_fns, model.t0, model.t_end,
+                                 p.epsilon, p.delta, p.d, p.grid_dt)
+        assert plan.segments[0].label == "B"
+        assert certify_plan(plan, model.rate_fns).all()
+        rows = (tmp_path / "segment-plan" / "plan.csv").read_text().splitlines()
+        assert len(rows) == len(plan) + 1
 
     def test_nonconvergence_exits_3(self, tmp_path):
         config = scenario_stationary(T=300, seed=1)

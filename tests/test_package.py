@@ -1,8 +1,10 @@
-"""The package's export lists name only what exists."""
+"""The package's export lists name only what exists, and its code and
+tests call only numpy names that numpy 1.24, the oldest it supports, has."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,18 @@ def test_package_imports_resolve():
             missing += [f"{node.module}.{n}" for n in names if not hasattr(module, n)]
             missing += [n for n in names if not hasattr(allocsim, n)]
     assert missing == []
+
+
+# numpy names added after 1.24; the floor job installs numpy 1.24
+NEWER_NUMPY = ("trapezoid", "concat", "unstack", "matrix_transpose", "vecdot",
+               "isdtype")
+
+
+def test_no_numpy_name_past_the_floor():
+    pattern = re.compile(r"\b(?:np|numpy)\.(?:%s)\b" % "|".join(NEWER_NUMPY))
+    roots = (Path(allocsim.__file__).parent, Path(__file__).parent)
+    used = [f"{path.name}:{n}: {match.group()}"
+            for root in roots for path in sorted(root.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            for match in pattern.finditer(line)]
+    assert used == []

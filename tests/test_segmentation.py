@@ -224,9 +224,17 @@ class TestVThreshold:
                 2.0 * v, rel=1e-12
             )
 
-    def test_rejects_zero_rate(self):
-        with pytest.raises(ValueError):
-            solve_v_threshold(np.array([0.0, 1.0]), 0.5)
+    def test_zero_rate_has_one_positive_root(self):
+        # 2v^2 + (1 + 0 - 1)v - 1/2 = 0 at rates [0,1], delta 1/2 -> v = 1/2
+        assert solve_v_threshold(np.array([0.0, 1.0]), 0.5) == pytest.approx(
+            0.5, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("rates", [[-1e-12, 1.0], [0.0, 0.0], [np.nan, 1.0]],
+                             ids=["negative", "zero-total", "nan"])
+    def test_rejects_negative_rate_or_zero_total(self, rates):
+        with pytest.raises(ValueError, match="nonnegative with a positive total"):
+            solve_v_threshold(np.array(rates), 0.5)
 
 
 class TestProbabilityBand:
