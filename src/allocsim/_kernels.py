@@ -86,8 +86,8 @@ bit.
 Only this module picks the backend: `BACKEND`, read at import from
 ALLOCSIM_BACKEND ("numba" or "numpy"; default numba when importable), which
 `run_integrated(backend=)` overrides for one call. It is checked only when a
-loop runs: an unknown name raises ValueError, and numba where numba does not
-import raises BackendUnavailable, so a bad setting never breaks the import.
+loop runs: an unknown name, or numba where numba does not import, raises
+BackendUnavailable, so a bad setting never breaks the import.
 All randomness is pre-drawn by the caller (`u_select`, `u_purchase`), so a
 run is reproducible bit-for-bit per backend: the two backends make the same
 discrete choices and agree to float rounding (their summation orders
@@ -139,7 +139,7 @@ def _resolve(backend: str | None) -> str:
     name = BACKEND if backend is None else backend
     source = "ALLOCSIM_BACKEND" if backend is None else "backend"
     if name not in BACKENDS:
-        raise ValueError(f"{source}={name!r} not recognized (use numba or numpy)")
+        raise BackendUnavailable(f"{source}={name!r} not recognized (use numba or numpy)")
     if name not in available_backends():
         raise BackendUnavailable(
             f"{source}={name!r} requested but numba is not importable "

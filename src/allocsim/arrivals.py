@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroTotalRate
+from .errors import InvalidInstance
 from .model import (
     GRID_DT_DEFAULT,
     ArrivalModel,
@@ -59,9 +59,9 @@ class ArrivalSequence:
         return self.times.size
 
     def check_types(self, m: int) -> None:
-        """Raise DimensionMismatch unless every type is one of m types."""
+        """Raise InvalidInstance unless every type is one of m types."""
         if self.types.size and (self.types.min() < 0 or self.types.max() >= m):
-            raise DimensionMismatch(f"arrival types must lie in [0, {m})")
+            raise InvalidInstance(f"arrival types must lie in [0, {m})")
 
     def slice(self, lo: int, hi: int) -> "ArrivalSequence":
         """Contiguous sub-stream [lo, hi), keeping the originating seed."""
@@ -89,7 +89,7 @@ def sample_stationary_stream(rates: np.ndarray, count: int, seed: int) -> Arriva
     rates = np.asarray(rates, dtype=float)
     total = rates.sum()
     if total <= 0.0:
-        raise ZeroTotalRate("stationary rates sum to zero")
+        raise InvalidInstance("stationary rates sum to zero")
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = substream(seed, "stream")
@@ -148,7 +148,7 @@ def sample_nonstationary_stream(
     substream keyed by (seed, type index), so adding or reordering other
     types never perturbs a given type's draws. The merged stream is sorted by
     time (ties broken by type index). A rate negative on the scan grid
-    raises NegativeRate.
+    raises InvalidInstance.
     """
     all_times = []
     all_types = []
@@ -187,7 +187,7 @@ def type_probability_matrix(model: ArrivalModel, times: np.ndarray) -> np.ndarra
     totals = lam.sum(axis=1)
     if np.any(totals <= 0.0):
         t_bad = float(times[int(np.argmin(totals))])
-        raise ZeroTotalRate(f"total rate is zero at t={t_bad}")
+        raise InvalidInstance(f"total rate is zero at t={t_bad}")
     return lam / totals[:, None]
 
 

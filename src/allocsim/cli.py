@@ -5,11 +5,13 @@
 
 Modes: offline, stationary, nonstationary, greedy, segment-plan. A grid
 run rebuilds the config's scenario at each requested T and writes one
-subdirectory per value. Exit codes: 0 success, 2 configuration problem
-(including an ALLOCSIM_BACKEND that cannot run here), 3 offline solve
-failed to converge, 4 I/O failure. Only stationary and nonstationary run
-the integrated loop, so offline, greedy and segment-plan never check the
-backend.
+subdirectory per value. Exit codes: 0 success, 2 refused input or
+environment (any AllocSimError but NonConvergence: a bad config, argument
+or mode for the config, or an ALLOCSIM_BACKEND that cannot run here), 3
+offline solve failed to converge, 4 I/O failure. Any other exception is a
+fault in the program and ends in a traceback. Only stationary and
+nonstationary run the integrated loop, so offline, greedy and segment-plan
+never check the backend.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (AllocSimError, ValueError) as exc:
+    except AllocSimError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

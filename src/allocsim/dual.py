@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRow, DimensionMismatch
+from .errors import InvalidInstance
 
 __all__ = [
     "WeightedDualSpec",
@@ -92,10 +92,10 @@ class WeightedDualSpec:
         if not self.budget_scale > 0.0:
             raise ValueError("budget_scale must be positive")
         if self.weights.size != self.preferences.shape[0]:
-            raise DimensionMismatch("weights length != number of preference rows")
+            raise InvalidInstance("weights length != number of preference rows")
         self.p_bar, self.scale = _row_scale(self.preferences, self.mu)
         if np.any(self.p_bar <= 0.0):
-            raise DegenerateRow("every preference row needs a positive maximum")
+            raise InvalidInstance("every preference row needs a positive maximum")
         self.infinite = np.isinf(self.budgets)
 
     @property
@@ -152,7 +152,7 @@ def _softmax(rl: np.ndarray, P: np.ndarray, scale: np.ndarray):
 def _checked(spec: WeightedDualSpec, lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.size != spec.n:
-        raise DimensionMismatch(f"lambda length {lam.size} != n={spec.n}")
+        raise InvalidInstance(f"lambda length {lam.size} != n={spec.n}")
     return lam
 
 
@@ -185,7 +185,7 @@ def recover_primal(P: np.ndarray, r: np.ndarray, mu: float, lam: np.ndarray) -> 
     P = np.asarray(P, dtype=float)
     p_bar, scale = _row_scale(P, mu)
     if np.any(p_bar <= 0.0):
-        raise DegenerateRow("preference row with zero maximum")
+        raise InvalidInstance("preference row with zero maximum")
     _, W, Z = _softmax(np.asarray(r, dtype=float) - np.asarray(lam, dtype=float), P, scale)
     return W / Z[:, None]
 

@@ -1,22 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A class exists only where a caller tells it apart. The CLI maps
+`NonConvergence` to exit 3 and every other `AllocSimError` to exit 2, the
+code for input or an environment it refuses; any other exception is a
+fault in the program and ends in a traceback. `InvalidInstance` is the
+refusal of data that parsed but cannot be run, `ParseError` the refusal of
+a config document, naming the key path, and `BackendUnavailable` the
+refusal of a compute backend.
+"""
 
 __all__ = [
     "AllocSimError",
     "InvalidInstance",
-    "EmptyDimension",
-    "PreferenceOutOfRange",
-    "NonpositiveReward",
-    "NonpositiveMu",
     "ParseError",
-    "RateFunctionError",
-    "NegativeRate",
-    "ZeroTotalRate",
-    "DegenerateRow",
-    "DimensionMismatch",
-    "LengthMismatch",
-    "NoPositiveRoot",
-    "ZeroLowerSum",
-    "DegenerateSegment",
     "NonConvergence",
     "BackendUnavailable",
 ]
@@ -27,71 +23,17 @@ class AllocSimError(Exception):
 
 
 class InvalidInstance(AllocSimError, ValueError):
-    """Problem instance failed validation.
-
-    Carries the full list of violations; the concrete subclass raised is the
-    first violation found.
-    """
+    """Input data failed validation: an instance, a rate function, arrival
+    rates or a run's inputs. `violations` lists every violation found; the
+    message is the first."""
 
     def __init__(self, message: str, violations: list[str] | None = None):
         super().__init__(message)
         self.violations = violations if violations is not None else [message]
 
 
-class EmptyDimension(InvalidInstance):
-    pass
-
-
-class PreferenceOutOfRange(InvalidInstance):
-    pass
-
-
-class NonpositiveReward(InvalidInstance):
-    pass
-
-
-class NonpositiveMu(InvalidInstance):
-    pass
-
-
 class ParseError(AllocSimError, ValueError):
     """Config document is malformed; message names the offending key path."""
-
-
-class RateFunctionError(AllocSimError, ValueError):
-    """Piecewise rate function is ill-formed (coverage gap, bad kind/params)."""
-
-
-class NegativeRate(RateFunctionError):
-    """Grid scan found a negative rate value."""
-
-
-class ZeroTotalRate(AllocSimError, ValueError):
-    """Total arrival rate is zero where a positive rate is required."""
-
-
-class DegenerateRow(AllocSimError, ValueError):
-    """A preference row has max 0, so the softmax row is undefined."""
-
-
-class DimensionMismatch(AllocSimError, ValueError):
-    pass
-
-
-class LengthMismatch(AllocSimError, ValueError):
-    pass
-
-
-class NoPositiveRoot(AllocSimError, ArithmeticError):
-    """Threshold quadratic has no positive root (defensive; valid inputs always do)."""
-
-
-class ZeroLowerSum(AllocSimError, ArithmeticError):
-    """Sum of per-type rate minima is zero; probability band is undefined."""
-
-
-class DegenerateSegment(AllocSimError, ValueError):
-    """A segment would have zero grid length; the scan grid is too coarse."""
 
 
 class NonConvergence(AllocSimError, ArithmeticError):
@@ -99,4 +41,5 @@ class NonConvergence(AllocSimError, ArithmeticError):
 
 
 class BackendUnavailable(AllocSimError, RuntimeError):
-    """A known compute backend was requested but cannot run here (numba absent)."""
+    """A compute backend was requested that is unknown, or that cannot run
+    here (numba absent)."""

@@ -36,7 +36,7 @@ from .dual import (
     recover_primal,
     solve_offline,
 )
-from .errors import DimensionMismatch, LengthMismatch, NonConvergence
+from .errors import InvalidInstance, NonConvergence
 from .integrated import (
     PHASE_NAMES,
     CheckpointLog,
@@ -301,7 +301,7 @@ def segment_regret(
         star_sum += cnt * sol.value
         n_arrivals += cnt
     if n_arrivals == 0:
-        raise LengthMismatch("trace has no arrivals tagged to plan segments")
+        raise InvalidInstance("trace has no arrivals tagged to plan segments")
     return total, total / n_arrivals, star_sum / n_arrivals
 
 
@@ -542,7 +542,7 @@ def write_checkpoint_csv(checkpoints: np.ndarray, errors: np.ndarray, path) -> N
     checkpoints = np.asarray(checkpoints)
     errors = np.asarray(errors, dtype=float)
     if checkpoints.size != errors.size:
-        raise DimensionMismatch("checkpoint and error series differ in length")
+        raise InvalidInstance("checkpoint and error series differ in length")
     _write_csv(path, "checkpoint,frobenius_to_truth",
                _row_blocks([checkpoints, errors]))
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import _kernels
 from .arrivals import ArrivalSequence, _blocks
 from .dual import default_grad_bound, step_sizes
-from .errors import LengthMismatch
+from .errors import InvalidInstance
 from .model import SimConfig, substream
 
 __all__ = [
@@ -240,11 +240,11 @@ def run_integrated(
     m = inst.preferences.shape[0]
     T = len(arrivals)
     if T == 0:
-        raise ValueError("arrivals must be nonempty")
+        raise InvalidInstance("arrivals must be nonempty")
 
     weights = np.asarray(weights, dtype=float)
     if weights.size != m:
-        raise LengthMismatch("weights length != number of types")
+        raise InvalidInstance("weights length != number of types")
     # written so that NaN (which compares False) and inf both fail
     if not (np.all(weights >= 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-8):
         raise ValueError("weights must be nonnegative and sum to 1")
@@ -275,7 +275,7 @@ def run_integrated(
     else:
         phi = np.ascontiguousarray(phi, dtype=float)
         if phi.shape != (T, m):
-            raise LengthMismatch("phi must be (arrivals, types)")
+            raise InvalidInstance("phi must be (arrivals, types)")
         if not np.all(np.isfinite(phi) & (phi >= 0.0)):
             raise ValueError("phi must be finite and nonnegative")
 

@@ -15,16 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyDimension,
-    InvalidInstance,
-    NegativeRate,
-    NonpositiveMu,
-    NonpositiveReward,
-    ParseError,
-    PreferenceOutOfRange,
-    RateFunctionError,
-)
+from .errors import InvalidInstance, ParseError
 
 __all__ = [
     "RATE_KINDS",
@@ -81,19 +72,19 @@ class RatePiece:
 
     def __post_init__(self):
         if self.kind not in RATE_KINDS:
-            raise RateFunctionError(f"unknown piece kind {self.kind!r}")
+            raise InvalidInstance(f"unknown piece kind {self.kind!r}")
         if len(self.params) != RATE_KINDS[self.kind]:
-            raise RateFunctionError(
+            raise InvalidInstance(
                 f"{self.kind} piece expects {RATE_KINDS[self.kind]} params, "
                 f"got {len(self.params)}"
             )
         if not np.all(np.isfinite((self.t_from, self.t_to, *self.params))):
-            raise RateFunctionError(
+            raise InvalidInstance(
                 f"piece bounds and params must be finite, got "
                 f"[{self.t_from}, {self.t_to}) {self.params}"
             )
         if not self.t_from < self.t_to:
-            raise RateFunctionError(
+            raise InvalidInstance(
                 f"piece interval [{self.t_from}, {self.t_to}) is empty"
             )
 
@@ -103,12 +94,12 @@ class RatePiece:
 
     def grid_max(self, grid_dt: float) -> float:
         """Maximum over the piece's own scan grid, [t_from, t_to] anchored at
-        t_from; raises NegativeRate if any grid value is negative."""
+        t_from; raises InvalidInstance if any grid value is negative."""
         ts = scan_grid((), self.t_from, self.t_to, grid_dt)
         vals = self.value(ts)
         k = int(np.argmin(vals))
         if vals[k] < 0.0:
-            raise NegativeRate(f"rate is negative at t={ts[k]:.6g} ({vals[k]:.6g})")
+            raise InvalidInstance(f"rate is negative at t={ts[k]:.6g} ({vals[k]:.6g})")
         return float(vals.max())
 
     def integral(self, a: float, b: float) -> float:
@@ -149,11 +140,11 @@ class RateFunction:
 
     def __post_init__(self):
         if not self.pieces:
-            raise RateFunctionError("rate function needs at least one piece")
+            raise InvalidInstance("rate function needs at least one piece")
         prev = None
         for piece in self.pieces:
             if prev is not None and abs(piece.t_from - prev.t_to) > 1e-12:
-                raise RateFunctionError(
+                raise InvalidInstance(
                     f"coverage gap between pieces at t={prev.t_to} and t={piece.t_from}"
                 )
             prev = piece
@@ -191,7 +182,7 @@ class RateFunction:
         return RateFunction(tuple(p.scaled(factor) for p in self.pieces))
 
     def check_nonnegative(self, grid_dt: float) -> None:
-        """Grid-scan every piece; raise NegativeRate on any negative value."""
+        """Grid-scan every piece; raise InvalidInstance on any negative value."""
         for piece in self.pieces:
             piece.grid_max(grid_dt)
 
@@ -298,7 +289,7 @@ class NonstationaryArrivals:
             raise InvalidInstance("horizon must have positive length")
         for k, fn in enumerate(self.rate_fns):
             if abs(fn.t0 - self.t0) > 1e-9 or abs(fn.t_end - self.t_end) > 1e-9:
-                raise RateFunctionError(
+                raise InvalidInstance(
                     f"rate function {k} covers [{fn.t0}, {fn.t_end}], "
                     f"expected [{self.t0}, {self.t_end}]"
                 )
@@ -334,8 +325,8 @@ class ProblemInstance:
         r_star: the largest reward (derived).
         infinite_items: boolean mask of uncapped items (derived).
 
-    An inconsistent instance raises the subclass of InvalidInstance matching
-    the first violation; the exception carries the full violation list.
+    An inconsistent instance raises InvalidInstance with the first
+    violation's message; the exception carries the full violation list.
     """
 
     rewards: np.ndarray
@@ -349,39 +340,28 @@ class ProblemInstance:
     def __post_init__(self):
         for name in ("rewards", "budgets", "preferences"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        violations: list[tuple[type, str]] = []
+        violations: list[str] = []
         if self.n == 0 or self.m == 0:
-            violations.append((EmptyDimension, f"empty dimension n={self.n}, m={self.m}"))
+            violations.append(f"empty dimension n={self.n}, m={self.m}")
         if self.preferences.ndim != 2 or (
             self.m and self.preferences.shape != (self.m, self.n)
         ):
-            violations.append(
-                (EmptyDimension, f"preferences shape {self.preferences.shape} != (m, n)")
-            )
+            violations.append(f"preferences shape {self.preferences.shape} != (m, n)")
         elif not np.all((self.preferences >= 0.0) & (self.preferences <= 1.0)):
-            violations.append(
-                (PreferenceOutOfRange, "preference entries must lie in [0, 1]")
-            )
+            violations.append("preference entries must lie in [0, 1]")
         if not np.all(np.isfinite(self.rewards) & (self.rewards > 0.0)):
-            violations.append(
-                (NonpositiveReward, "rewards must be finite and strictly positive")
-            )
+            violations.append("rewards must be finite and strictly positive")
         if self.budgets.size != self.rewards.size:
-            violations.append(
-                (EmptyDimension, f"budgets length {self.budgets.size} != n={self.n}")
-            )
+            violations.append(f"budgets length {self.budgets.size} != n={self.n}")
         elif not np.all(self.budgets >= 0.0):
-            violations.append((InvalidInstance, "budgets must be nonnegative"))
+            violations.append("budgets must be nonnegative")
         if not 0.0 < self.mu < np.inf:
-            violations.append(
-                (NonpositiveMu, f"mu must be positive and finite, got {self.mu}")
-            )
+            violations.append(f"mu must be positive and finite, got {self.mu}")
         if self.horizon < 1:
-            violations.append((InvalidInstance, f"horizon must be >= 1, got {self.horizon}"))
+            violations.append(f"horizon must be >= 1, got {self.horizon}")
 
         if violations:
-            cls, first = violations[0]
-            raise cls(first, violations=[msg for _, msg in violations])
+            raise InvalidInstance(violations[0], violations=violations)
         object.__setattr__(self, "r_star", float(self.rewards.max()))
         object.__setattr__(self, "infinite_items", np.isinf(self.budgets))
 
@@ -750,6 +730,11 @@ def config_from_document(doc: dict) -> SimConfig:
         for j, fn in enumerate(arrivals.rate_fns):
             _convert(fn.check_nonnegative, params.grid_dt,
                      f"arrivals.nonstationary.rate_fns[{j}]")
+        total = float(arrivals.expected_arrivals(arrivals.t0, arrivals.t_end)[0].sum())
+        if not total > 0.0:
+            raise ParseError(
+                "arrivals.nonstationary: expected arrival total over "
+                f"[{arrivals.t0:g}, {arrivals.t_end:g}] is {total:g}, not positive")
     return config
 
 

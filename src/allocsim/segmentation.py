@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrivals import sample_nonstationary_stream, type_probability_matrix
-from .errors import DegenerateSegment, NoPositiveRoot, ZeroLowerSum
+from .errors import InvalidInstance
 from .integrated import Trace, run_integrated
 from .model import NonstationaryArrivals, RateStack, SimConfig, scan_grid, substream
 
@@ -133,7 +133,7 @@ class _Cursor:
         self.rates = rates
         self.pts = scan_grid(rates.rate_fns, t, t_end, grid_dt)
         if self.pts.size < 2:
-            raise DegenerateSegment(
+            raise InvalidInstance(
                 f"no grid point inside ({t}, {t_end}]; grid_dt={grid_dt} too coarse"
             )
         self.vals = np.empty((len(rates.rate_fns), self.pts.size))
@@ -224,7 +224,7 @@ def solve_v_threshold(rates_at_t: np.ndarray, delta: float) -> float:
     """
     rates = np.asarray(rates_at_t, dtype=float)
     if np.any(rates < 0.0) or not rates.sum() > 0.0:
-        raise ValueError(
+        raise InvalidInstance(
             "rates at the cursor must be nonnegative with a positive total")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -236,11 +236,11 @@ def solve_v_threshold(rates_at_t: np.ndarray, delta: float) -> float:
     c = -delta * y * y
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
-        raise NoPositiveRoot("discriminant negative")
+        raise InvalidInstance("discriminant negative")
     sq = float(np.sqrt(disc))
     v = -2.0 * c / (b + sq) if b >= 0.0 else (-b + sq) / (2.0 * a)
     if not v > 0.0:
-        raise NoPositiveRoot(f"no positive root (v={v})")
+        raise InvalidInstance(f"no positive root (v={v})")
     return v
 
 
@@ -254,7 +254,7 @@ def bound_type_probability(extrema_per_type):
     maxs = np.array([e[1] for e in extrema_per_type], dtype=float)
     y = float(mins.sum())
     if y <= 0.0:
-        raise ZeroLowerSum("sum of rate minima is zero")
+        raise InvalidInstance("sum of rate minima is zero")
     big = float(maxs.sum())
     upper = maxs / y
     lower = mins / big
@@ -280,7 +280,10 @@ def segment_time_span(
     type A. Otherwise solve the variation threshold v from delta at the
     cursor rates and emit the type-B window, additionally cut where the
     running probability band would exceed delta so that certification is
-    true by construction.
+    true by construction, but for one case: a cursor always advances one
+    grid point, even when that step alone breaks the bound. A type-B
+    cursor whose rates admit no band (a total rate of 0, say) raises
+    InvalidInstance naming its time.
     """
     rate_fns = list(rate_fns)
     if not rate_fns:
@@ -300,9 +303,12 @@ def segment_time_span(
             )
             t = t_eps
             continue
-        v = solve_v_threshold(rates.values(t), delta)
-        t_v, extrema = cursor.scan(v, delta_cap=delta)
-        upper, lower, dvec = bound_type_probability(extrema)
+        try:
+            v = solve_v_threshold(rates.values(t), delta)
+            t_v, extrema = cursor.scan(v, delta_cap=delta)
+            upper, lower, dvec = bound_type_probability(extrema)
+        except InvalidInstance as exc:
+            raise InvalidInstance(f"type-B cursor at t={t:.6g}: {exc}") from exc
         segments.append(
             Segment(
                 t_start=t, t_end=t_v, label="B", v=v,
@@ -347,7 +353,12 @@ def segment_weights(segment: Segment, rate_fns, rng: np.random.Generator) -> np.
     if segment.label == "A":
         t_tilde = segment.t_start + rng.random() * segment.length
         rates = RateStack(rate_fns).values(t_tilde)
-        w = rates / rates.sum()
+        total = rates.sum()
+        if not total > 0.0:
+            raise InvalidInstance(
+                f"type-A segment [{segment.t_start:.6g}, {segment.t_end:.6g}]: "
+                f"total rate is 0 at its sampled point t_tilde={t_tilde:.6g}")
+        w = rates / total
         segment.t_tilde = t_tilde
         segment.weights = w
         return w
@@ -379,7 +390,7 @@ def run_nonstationary(config: SimConfig) -> tuple[Trace, SegmentPlan]:
     """
     model = config.arrivals
     if not isinstance(model, NonstationaryArrivals):
-        raise ValueError("run_nonstationary needs non-stationary arrivals")
+        raise InvalidInstance("nonstationary needs a non-stationary config")
     params = config.params
     plan = segment_time_span(
         model.rate_fns, model.t0, model.t_end,
@@ -417,6 +428,6 @@ def run_nonstationary(config: SimConfig) -> tuple[Trace, SegmentPlan]:
         state = piece.carry
         pieces.append(piece)
     if not pieces:
-        raise ValueError("stream contained no arrivals")
+        raise InvalidInstance("stream contained no arrivals")
     return Trace.concat(pieces), plan
 

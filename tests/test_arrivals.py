@@ -18,7 +18,7 @@ from allocsim import (
     type_probability_matrix,
 )
 from allocsim import arrivals
-from allocsim.errors import NegativeRate, ZeroTotalRate
+from allocsim.errors import InvalidInstance
 from allocsim.model import GRID_DT_DEFAULT, substream
 
 
@@ -61,7 +61,7 @@ class TestStationarySampler:
         assert not np.array_equal(a.times, c.times)
 
     def test_zero_total_rate_rejected(self):
-        with pytest.raises(ZeroTotalRate):
+        with pytest.raises(InvalidInstance, match="stationary rates sum to zero"):
             sample_stationary_stream(np.array([0.0, 0.0]), 10, seed=0)
 
     def test_mean_gap_matches_total_rate(self):
@@ -157,7 +157,7 @@ class TestNonstationarySampler:
         # the majorant scan of the second piece sees -0.5 at its right end
         fn = RateFunction((RatePiece(0.0, 1.0, "constant", (1.0,)),
                            RatePiece(1.0, 2.0, "linear", (-1.0, 1.5))))
-        with pytest.raises(NegativeRate, match=r"t=2 \(-0\.5\)"):
+        with pytest.raises(InvalidInstance, match=r"rate is negative at t=2 \(-0\.5\)"):
             sample_nonstationary_stream((constant_fn(1.0, 0.0, 2.0), fn), 0.0, 2.0, seed=0)
 
     def test_matches_one_draw_pair_per_proposal(self):

@@ -20,7 +20,7 @@ from allocsim import (
     solve_offline,
     step_sizes,
 )
-from allocsim.errors import DegenerateRow, DimensionMismatch
+from allocsim.errors import InvalidInstance
 from conftest import hand_state, loop_config, random_dual_spec, run_arrivals
 
 
@@ -67,7 +67,7 @@ class TestObjective:
         assert value == pytest.approx(np.log(2.0 * np.e), abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInstance, match="lambda length 3 != n="):
             dual_objective(one_cell_spec(), np.zeros(3))
 
     def test_infinite_budget_item_excluded_from_price_term(self):
@@ -180,9 +180,9 @@ class TestRecoverPrimal:
 
     def test_zero_row_is_degenerate(self):
         P = np.array([[0.5, 0.2], [0.0, 0.0]])
-        with pytest.raises(DegenerateRow):
+        with pytest.raises(InvalidInstance, match="preference row with zero maximum"):
             recover_primal(P, np.ones(2), 0.5, np.zeros(2))
-        with pytest.raises(DegenerateRow):
+        with pytest.raises(InvalidInstance, match="needs a positive maximum"):
             WeightedDualSpec(weights=np.array([0.5, 0.5]), budget_scale=1.0,
                              preferences=P, rewards=np.ones(2),
                              budgets=np.ones(2), mu=0.5)

@@ -35,7 +35,7 @@ from allocsim.arrivals import _BLOCK
 from allocsim._kernels import BACKENDS, available_backends
 from allocsim.cli import COMMANDS, main
 from allocsim.dual import dual_objective
-from allocsim.errors import DimensionMismatch
+from allocsim.errors import InvalidInstance
 from allocsim.harness import (
     _CSV_BLOCK,
     MetricsReport,
@@ -216,7 +216,7 @@ def test_arrival_type_outside_instance_rejected(policy, bad_type):
     # type 9; both are refused before the loop state moves
     config = scenario_stationary(T=100, seed=1)
     stream = ArrivalSequence(times=np.array([0.5]), types=np.array([bad_type]), seed=1)
-    with pytest.raises(DimensionMismatch, match=r"\[0, 10\)"):
+    with pytest.raises(InvalidInstance, match=r"arrival types must lie in \[0, 10\)"):
         if policy == "greedy":
             greedy_baseline(config.instance, stream, seed=1)
         else:

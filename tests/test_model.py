@@ -22,14 +22,7 @@ from allocsim import (
     substream,
     type_probability_matrix,
 )
-from allocsim.errors import (
-    InvalidInstance,
-    NonpositiveMu,
-    NonpositiveReward,
-    ParseError,
-    PreferenceOutOfRange,
-    RateFunctionError,
-)
+from allocsim.errors import InvalidInstance, ParseError
 from allocsim import model
 from allocsim.cli import main
 from allocsim.model import RateStack, config_document
@@ -100,7 +93,7 @@ class TestValidateInstance:
         assert inst.infinite_items.tolist() == [False]
 
     def test_rejects_preference_above_one(self):
-        with pytest.raises(PreferenceOutOfRange):
+        with pytest.raises(InvalidInstance, match=r"preference entries must lie in \[0, 1\]"):
             ProblemInstance(
                 rewards=np.array([1.0]),
                 budgets=np.array([1.0]),
@@ -110,7 +103,7 @@ class TestValidateInstance:
             )
 
     def test_rejects_zero_mu(self):
-        with pytest.raises(NonpositiveMu):
+        with pytest.raises(InvalidInstance, match="mu must be positive and finite, got 0.0"):
             ProblemInstance(
                 rewards=np.array([1.0]),
                 budgets=np.array([1.0]),
@@ -119,25 +112,25 @@ class TestValidateInstance:
                 horizon=10,
             )
 
-    @pytest.mark.parametrize("field, value, error", [
-        ("rewards", [np.nan], NonpositiveReward),
-        ("rewards", [np.inf], NonpositiveReward),
-        ("budgets", [np.nan], InvalidInstance),
-        ("budgets", [-np.inf], InvalidInstance),
-        ("preferences", [[np.nan]], PreferenceOutOfRange),
-        ("mu", np.inf, NonpositiveMu),
+    @pytest.mark.parametrize("field, value, message", [
+        ("rewards", [np.nan], "rewards must be finite"),
+        ("rewards", [np.inf], "rewards must be finite"),
+        ("budgets", [np.nan], "budgets must be nonnegative"),
+        ("budgets", [-np.inf], "budgets must be nonnegative"),
+        ("preferences", [[np.nan]], "preference entries"),
+        ("mu", np.inf, "mu must be positive and finite"),
     ], ids=["reward-nan", "reward-inf", "budget-nan", "budget-minus-inf",
             "preference-nan", "mu-inf"])
-    def test_rejects_non_finite(self, field, value, error):
+    def test_rejects_non_finite(self, field, value, message):
         fields = dict(rewards=[1.0], budgets=[1.0], mu=1.0,
                       preferences=[[0.5]], horizon=10)
         fields[field] = value
-        with pytest.raises(error):
+        with pytest.raises(InvalidInstance, match=message):
             ProblemInstance(**fields)
 
     def test_violations_list_every_failure(self):
-        # the first violation picks the class; the list holds all of them
-        with pytest.raises(PreferenceOutOfRange) as caught:
+        # the first violation is the message; the list holds all of them
+        with pytest.raises(InvalidInstance, match=r"^preference entries") as caught:
             ProblemInstance(rewards=[0.0, 1.0], budgets=[-1.0, 1.0], mu=0.0,
                             preferences=[[1.5, 0.5]], horizon=0)
         assert caught.value.violations == [
@@ -350,7 +343,7 @@ class TestRatePieces:
             assert piece.integral(0.25, 2.75) == pytest.approx(numeric, abs=1e-6)
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(RateFunctionError):
+        with pytest.raises(InvalidInstance, match="unknown piece kind 'cubic'"):
             RatePiece(0.0, 1.0, "cubic", (1.0,))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -358,12 +351,12 @@ class TestRatePieces:
     def test_non_finite_piece_rejected(self, slot, bad):
         fields = dict(t_from=0.0, t_to=1.0, kind="linear", params=(1.0, 2.0))
         fields[slot] = (1.0, bad) if slot == "params" else bad
-        with pytest.raises(RateFunctionError, match="finite"):
+        with pytest.raises(InvalidInstance, match="finite"):
             RatePiece(**fields)
 
     def test_negative_rate_caught_by_scan(self):
         fn = RateFunction((RatePiece(0.0, 2.0, "linear", (-1.0, 1.0)),))
-        with pytest.raises(RateFunctionError):
+        with pytest.raises(InvalidInstance, match="rate is negative at t="):
             fn.check_nonnegative(0.001)
 
 

@@ -18,7 +18,7 @@ from allocsim import (
     substream,
 )
 from allocsim.arrivals import rate_extrema
-from allocsim.errors import ZeroLowerSum
+from allocsim.errors import InvalidInstance
 from allocsim.harness import write_plan_csv
 from allocsim.integrated import run_integrated
 from allocsim.model import (
@@ -260,7 +260,7 @@ class TestProbabilityBand:
             assert np.all(l <= u + 1e-15)
 
     def test_zero_minimum_sum_rejected(self):
-        with pytest.raises(ZeroLowerSum):
+        with pytest.raises(InvalidInstance, match="sum of rate minima is zero"):
             bound_type_probability([(0.0, 1.0), (0.0, 2.0)])
 
     def test_matches_v_threshold_on_its_own_band(self):
@@ -343,6 +343,15 @@ class TestWeights:
                             substream(0, "w"))
         np.testing.assert_allclose(w, [0.25, 0.75])
         assert 0.0 <= seg.t_tilde <= 2.0
+
+    def test_type_a_zero_total_rate_refused(self):
+        # a zero type mix has no weights: 0/0 would write NaN into plan.csv
+        seg = Segment(0.0, 2.0, "A", epsilon_used=0.5)
+        with pytest.raises(InvalidInstance, match=r"total rate is 0 at its "
+                           r"sampled point t_tilde=\d"):
+            segment_weights(seg, (constant_fn(0.0), constant_fn(0.0)),
+                            substream(0, "w"))
+        assert seg.weights is None
 
     def test_type_b_degenerate_band(self):
         seg = Segment(
