@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arrivals as _arrivals
-from .arrivals import ArrivalSequence, sample_stream
+from .arrivals import ArrivalSequence, _blocks, _index_dtype, sample_stream
 from .dual import (
     OfflineSolution,
     WeightedDualSpec,
@@ -144,11 +144,13 @@ def greedy_baseline(
     run the two policies face identical purchase randomness per arrival.
     Against a non-stationary run, which draws per segment, the purchase
     draws do not line up. The purchase block is drawn one stock run at a
-    time, which gives the same uniforms as one horizon-long block; the null
-    run at the end draws none, as nothing follows it. The trace shares the
-    stream's times and types arrays, and its phase (all greedy), f_vals and
-    segment (all zero), which no greedy output reads, are read-only
-    zero-stride views that hold no horizon-long memory.
+    time, and each run in `arrivals._BLOCK`-long pieces, which gives the
+    same uniforms as one horizon-long block; the null run at the end draws
+    none, as nothing follows it. `assigned` is in `_index_dtype(n)` for n
+    items (int8 up to 127). The trace shares the stream's times and types
+    arrays, and its phase (all greedy), f_vals and segment (all zero),
+    which no greedy output reads, are read-only zero-stride views that hold
+    no horizon-long memory.
     """
     n = instance.rewards.size
     prefs = instance.preferences
@@ -160,7 +162,7 @@ def greedy_baseline(
     # rank of the first uncapped item, n when there is none
     k = int(np.argmax(infinite[order])) if infinite.any() else n
     capped = order[:k]
-    items = np.append(capped, order[k] if k < n else -1)
+    items = np.append(capped, order[k] if k < n else -1).astype(_index_dtype(n))
     stock_ends = np.minimum(np.cumsum(np.floor(instance.budgets[capped])), T)
     lengths = np.diff(np.concatenate(([0], stock_ends, [T]))).astype(np.int64)
     assigned = np.repeat(items, lengths)
@@ -169,12 +171,14 @@ def greedy_baseline(
     # skip the selection block: keeps purchase draws aligned with run_integrated
     rng.bit_generator.advance(T)
     bought = np.zeros(T, dtype=bool)
-    lo = 0
-    for item, hi in zip(items.tolist(), np.cumsum(lengths).tolist()):
+    start = 0
+    for item, stop in zip(items.tolist(), np.cumsum(lengths).tolist()):
         if item >= 0:
-            np.less(rng.random(hi - lo), prefs[:, item].take(types[lo:hi]),
-                    out=bought[lo:hi])
-        lo = hi
+            pref = prefs[:, item]
+            for lo, hi in _blocks(stop, start):
+                np.less(rng.random(hi - lo), pref.take(types[lo:hi]),
+                        out=bought[lo:hi])
+        start = stop
 
     remaining = instance.budgets.copy()
     remaining[capped] -= lengths[:k]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .arrivals import ArrivalSequence, _blocks
+from .arrivals import ArrivalSequence, _blocks, _index_dtype
 from .dual import default_grad_bound, step_sizes
 from .errors import InvalidInstance
 from .model import SimConfig, substream
@@ -130,7 +130,9 @@ class CheckpointLog:
 class Trace:
     """Per-arrival log of one run (or one concatenated multi-batch run).
 
-    `assigned` is -1 for a null assignment; `phase` indexes PHASE_NAMES;
+    `types` and `assigned` hold indices in `arrivals._index_dtype` of the
+    type and item counts (int8 up to 127); `assigned` is -1 for a null
+    assignment; `phase` indexes PHASE_NAMES;
     `f_vals` holds the recorded dual value after each arrival's step;
     `segment` tags each arrival with the plan segment it fell in (all zero
     for stationary runs). `carry` is the final LoopState, reusable to
@@ -182,9 +184,10 @@ class Trace:
 
 
 def _item_counts(assigned: np.ndarray, n: int, where=None) -> np.ndarray:
-    """Per-item int64 counts of the non-null entries of `assigned` (only
-    those where the boolean `where` is true, when it is given), for items
-    0..n-1; an item past n - 1 raises ValueError.
+    """Per-item int64 counts of the non-null entries of `assigned`, an
+    array of item indices in any signed integer dtype with -1 for the null
+    (only those where the boolean `where` is true, when it is given), for
+    items 0..n-1; an item past n - 1 raises ValueError.
 
     The counts are per-block `bincount`s summed over `arrivals._BLOCK`-long
     blocks, so the masks and selections stay one block long however long
@@ -279,10 +282,10 @@ def run_integrated(
         if not np.all(np.isfinite(phi) & (phi >= 0.0)):
             raise ValueError("phi must be finite and nonnegative")
 
-    types = arrivals.types.astype(np.int64)
+    types = arrivals.types
     k_interval, r_max = int(params.k_interval), int(params.r_max)
     t_offset = st.t_global
-    assigned = np.empty(T, dtype=np.int64)
+    assigned = np.empty(T, dtype=_index_dtype(n))
     bought = np.empty(T, dtype=np.uint8)
     phase = np.empty(T, dtype=np.uint8)
     f_vals = np.empty(T)
@@ -305,8 +308,9 @@ def run_integrated(
             stop = min(stop, r_max)
         hi = min(T, lo + stop - g + 1, lo + _CALL_MAX)
         piece = slice(lo, hi)
+        # the kernels take int64 type indices: only each call's slice widens
         assigned[piece], bought[piece], f_vals[piece] = _kernels.integrated_loop(
-            types[piece], weights, phi[piece], s_budget,
+            types[piece].astype(np.int64), weights, phi[piece], s_budget,
             inst.preferences, inst.rewards, inst.budgets, inst.infinite_items,
             inst.mu, st.lam, st.remaining, st.counts, st.purchases, st.p_hat,
             st.type_rounds, learning, float(lam_max), etas[piece],
@@ -327,7 +331,7 @@ def run_integrated(
 
     return Trace(
         times=arrivals.times.copy(),
-        types=types,
+        types=types.copy(),
         assigned=assigned,
         purchased=bought.astype(bool),
         phase=phase,

@@ -31,7 +31,7 @@ from allocsim import (
     scenario_stationary,
 )
 from allocsim import _kernels, arrivals
-from allocsim.arrivals import _BLOCK
+from allocsim.arrivals import _BLOCK, _index_dtype
 from allocsim._kernels import BACKENDS, available_backends
 from allocsim.cli import COMMANDS, main
 from allocsim.dual import dual_objective
@@ -45,16 +45,21 @@ from allocsim.harness import (
     expected_type_weights,
     offline_revenue_bound,
     run_experiment,
+    write_trace_csv,
 )
+from allocsim.integrated import _item_counts
 from allocsim.model import (
+    GRID_DT_DEFAULT,
     AlgoParams,
+    RateFunction,
+    RatePiece,
     SimConfig,
     config_document,
     config_from_document,
     substream,
 )
 from allocsim.segmentation import certify_plan, segment_time_span
-from conftest import edge_assignments
+from conftest import edge_assignments, loop_config
 
 
 def tiny_instance(rewards, budgets, p=1.0):
@@ -200,6 +205,20 @@ class TestGreedyBaseline:
         assert (-1 in assigned) != uncapped
         assert purchased.any() and not purchased[assigned >= 0].all()
 
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_purchase_blocks_match_one_draw(self, monkeypatch, block):
+        # each stock run draws its uniforms in arrivals._BLOCK pieces; runs
+        # of 5 and 8 arrivals and an uncapped tail of 27 cut at a block edge
+        # or short of one, and consecutive draws equal one horizon-long draw
+        monkeypatch.setattr(arrivals, "_BLOCK", block)
+        inst = tiny_instance([1.0, 0.8, 0.5], [5.0, 8.0, np.inf], p=0.5)
+        stream = sample_stationary_stream(np.array([1.0]), 40, seed=3)
+        trace = greedy_baseline(inst, stream, seed=3)
+        assigned, purchased, _ = greedy_reference(inst, stream, seed=3)
+        np.testing.assert_array_equal(trace.assigned, assigned)
+        np.testing.assert_array_equal(trace.purchased, purchased)
+        assert purchased.any() and not purchased.all()
+
     def test_items_behind_an_uncapped_item_never_offered(self):
         # reward order is item 1, item 2 (uncapped), item 0: item 0 keeps
         # its stock however long the stream runs
@@ -227,6 +246,109 @@ def test_arrival_type_outside_instance_rejected(policy, bad_type):
         assert state.t_global == 0
         assert not state.counts.any() and not state.type_rounds.any()
         np.testing.assert_array_equal(state.remaining, config.instance.budgets)
+
+
+# m and n on both sides of int8's edge: 127 items and their null fit int8,
+# and so does the largest item index plus one; 128 needs int16
+WIDTH_COUNTS = [1, 127, 128, 129, 300]
+
+
+class TestIndexWidth:
+    """Type and item indices in `_index_dtype` of m and n, checked against
+    an int64 reference computation with m = n = count. The trace CSV's
+    `assigned + 1` and the pinned run's `t * n + sel` must not wrap."""
+
+    @pytest.mark.parametrize("count", WIDTH_COUNTS)
+    def test_dtype_is_narrowest_holding_null_and_count(self, count):
+        dtype = _index_dtype(count)
+        assert dtype == (np.int8 if count <= 127 else np.int16)
+        ends = np.array([-1, count], dtype=np.int64)
+        np.testing.assert_array_equal(ends.astype(dtype), ends)
+
+    @pytest.mark.parametrize("count", WIDTH_COUNTS)
+    def test_sampled_types(self, count):
+        rates = np.arange(1.0, count + 1)
+        seq = sample_stationary_stream(rates, 5000, seed=4)
+        rng = substream(4, "stream")
+        rng.exponential(size=5000)
+        cdf = np.cumsum(rates / rates.sum())
+        cdf[-1] = 1.0
+        want = np.searchsorted(cdf, rng.random(5000), side="right")
+        assert seq.types.dtype == _index_dtype(count)
+        np.testing.assert_array_equal(seq.types, want)
+        assert want.max() == count - 1
+
+        fn = RateFunction((RatePiece(0.0, 10.0, "constant", (3.0,)),))
+        seq = arrivals.sample_nonstationary_stream((fn,) * count, 0.0, 10.0, seed=4)
+        times = [arrivals._thin_one_type(fn, substream(4, "stream", j), GRID_DT_DEFAULT)
+                 for j in range(count)]
+        types = np.repeat(np.arange(count), [t.size for t in times])
+        order = np.lexsort((types, np.concatenate(times)))
+        assert seq.types.dtype == _index_dtype(count)
+        np.testing.assert_array_equal(seq.types, types[order])
+        assert types.max() == count - 1
+
+    @staticmethod
+    def _greedy(count):
+        # item count - 1 pays most, every item holds one unit and the last
+        # 20 arrivals get the null; arrival t has type t mod count
+        rng = np.random.default_rng(count)
+        inst = ProblemInstance(
+            rewards=np.linspace(0.1, 1.0, count), budgets=np.ones(count), mu=0.1,
+            preferences=rng.uniform(0.05, 1.0, (count, count)), horizon=count)
+        T = count + 20
+        stream = ArrivalSequence(np.linspace(0.0, 5.0, T),
+                                 (np.arange(T) % count).astype(_index_dtype(count)), 7)
+        return inst, stream, greedy_baseline(inst, stream, seed=7)
+
+    @pytest.mark.parametrize("count", WIDTH_COUNTS)
+    def test_greedy_assigned_and_counts(self, count):
+        inst, stream, trace = self._greedy(count)
+        assigned, purchased, _ = greedy_reference(inst, stream, seed=7)
+        assert trace.assigned.dtype == _index_dtype(count)
+        np.testing.assert_array_equal(trace.assigned, assigned)
+        assert assigned.max() == count - 1 and assigned.min() == -1
+        offered = assigned >= 0
+        np.testing.assert_array_equal(
+            _item_counts(trace.assigned, count),
+            np.bincount(assigned[offered], minlength=count))
+        np.testing.assert_array_equal(
+            _item_counts(trace.assigned, count, trace.purchased),
+            np.bincount(assigned[offered & purchased], minlength=count))
+
+    @pytest.mark.parametrize("count", WIDTH_COUNTS)
+    def test_trace_csv_and_histogram(self, tmp_path, count):
+        _, stream, trace = self._greedy(count)
+        assigned = trace.assigned.astype(np.int64)
+        types = stream.types.astype(np.int64)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        rows = [line.split(",") for line in
+                (tmp_path / "trace.csv").read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == [str(j) for j in types]
+        assert [r[3] for r in rows] == ["" if i < 0 else str(i) for i in assigned]
+
+        cells = Counter(zip(np.floor(stream.times).astype(np.int64).tolist(),
+                            types.tolist()))
+        got = [tuple(row) for block in harness._arrival_histogram(trace)
+               for row in zip(*(col.tolist() for col in block))]
+        assert got == [(h, j, c) for (h, j), c in sorted(cells.items())]
+
+    @pytest.mark.parametrize("count", WIDTH_COUNTS)
+    def test_loop_matches_int64_types(self, count):
+        # uncapped items keep lambda pinned, so arrivals go by pinned runs
+        rng = np.random.default_rng(count)
+        config = loop_config(n=count, m=count, p=rng.uniform(0.05, 1.0, (count, count)),
+                             r_max=0)
+        rates = np.arange(1.0, count + 1)
+        stream = sample_stationary_stream(rates, 1000, seed=3)
+        wide = ArrivalSequence(stream.times, stream.types.astype(np.int64), 3)
+        weights = rates / rates.sum()
+        narrow, plain = (run_integrated(config, s, weights) for s in (stream, wide))
+        assert narrow.types.dtype == narrow.assigned.dtype == _index_dtype(count)
+        np.testing.assert_array_equal(narrow.assigned, plain.assigned)
+        np.testing.assert_array_equal(narrow.purchased, plain.purchased)
+        assert narrow.f_vals.tobytes() == plain.f_vals.tobytes()
+        assert wide.types.max() == count - 1
 
 
 class TestMetrics:
@@ -337,9 +459,10 @@ class TestRunExperiment:
         assert np.isnan(report.realized_revenue)
 
     def test_greedy_cell_peak_memory(self, tmp_path):
-        # the greedy cell keeps the stream's times and types, greedy's
-        # assigned and purchased (25 bytes per arrival) and block-sized
-        # temporaries; it reads about 37.2 bytes per arrival. The bound
+        # the greedy cell keeps the stream's times (8 bytes per arrival),
+        # its types and greedy's assigned and purchased (1 byte each: int8
+        # indices for 10 types and 10 items, and bools), and block-sized
+        # temporaries; it reads about 23.2 bytes per arrival. The bound
         # leaves 2.8 bytes (0.56 MB here) for block temporaries that differ
         # between numpy versions, so a horizon-long temporary of 4 bytes
         # per arrival or more takes it past
@@ -351,7 +474,7 @@ class TestRunExperiment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / T <= 40.0
+        assert peak / T <= 26.0
 
     def test_block_counts_peak_memory(self):
         # revenue and the selection counts go through the trace one block
