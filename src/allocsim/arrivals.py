@@ -64,7 +64,6 @@ class ArrivalSequence:
 
     times: np.ndarray
     types: np.ndarray
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -86,10 +85,8 @@ class ArrivalSequence:
             raise InvalidInstance(f"arrival types must lie in [0, {m})")
 
     def slice(self, lo: int, hi: int) -> "ArrivalSequence":
-        """Contiguous sub-stream [lo, hi), keeping the originating seed."""
-        return ArrivalSequence(
-            times=self.times[lo:hi], types=self.types[lo:hi], seed=self.seed
-        )
+        """Contiguous sub-stream [lo, hi)."""
+        return ArrivalSequence(times=self.times[lo:hi], types=self.types[lo:hi])
 
 
 def sample_stationary_stream(rates: np.ndarray, count: int, seed: int) -> ArrivalSequence:
@@ -108,7 +105,8 @@ def sample_stationary_stream(rates: np.ndarray, count: int, seed: int) -> Arriva
     uniforms are drawn and counted one _BLOCK-long block at a time, so no
     horizon-long temporary is made; consecutive `random(k)` calls give the
     same values as one `random(count)`, so the stream does not depend on
-    the block.
+    the block. A `count` past what one float64 array can hold raises
+    InvalidInstance before anything is drawn.
     """
     rates = np.asarray(rates, dtype=float)
     total = rates.sum()
@@ -116,6 +114,9 @@ def sample_stationary_stream(rates: np.ndarray, count: int, seed: int) -> Arriva
         raise InvalidInstance("stationary rates sum to zero")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise InvalidInstance(
+            f"stationary horizon T={count} is more arrivals than one array can hold")
     rng = substream(seed, "stream")
     times = rng.exponential(1.0 / total, size=count)
     np.cumsum(times, out=times)
@@ -128,7 +129,7 @@ def sample_stationary_stream(rates: np.ndarray, count: int, seed: int) -> Arriva
         block = types[lo:hi]
         for edge in cdf[:-1]:
             block += u >= edge
-    return ArrivalSequence(times=times, types=types, seed=int(seed))
+    return ArrivalSequence(times=times, types=types)
 
 
 def _thin_one_type(fn: RateFunction, rng: np.random.Generator, grid_dt: float) -> np.ndarray:
@@ -187,7 +188,7 @@ def sample_nonstationary_stream(
     times = np.concatenate(all_times) if all_times else np.empty(0)
     types = np.concatenate(all_types) if all_types else np.empty(0, dtype=index)
     order = np.lexsort((types, times))
-    return ArrivalSequence(times=times[order], types=types[order], seed=int(seed))
+    return ArrivalSequence(times=times[order], types=types[order])
 
 
 def sample_stream(model: ArrivalModel, count: int, seed: int,

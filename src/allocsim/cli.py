@@ -104,46 +104,41 @@ def _emit_plan_only(config: SimConfig, out_dir: Path) -> None:
     write_plan_csv(plan, out_dir / "plan.csv")
 
 
-def _run_one(config: SimConfig, command: str, out_dir: Path,
-             trace_flag: bool) -> None:
-    if command == "segment-plan":
-        _emit_plan_only(config, out_dir)
-        return
-    run_experiment(config, command, out_dir=out_dir, trace_flag=trace_flag)
+def _load_config(path: str, seed: int | None) -> SimConfig:
+    """The config at `path`, its seed replaced when `seed` is given. A
+    missing file, invalid JSON (nested too deep included) or a root that is
+    not an object raises ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise ParseError(f"{path} not found") from None
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # not UTF-8, or nested deeper than the parser recurses
+        raise ParseError(f"invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ParseError("config root must be a JSON object")
+    if seed is not None:
+        doc["seed"] = seed
+    return config_from_document(doc)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ParseError("config root must be a JSON object")
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        config = config_from_document(doc)
-    except FileNotFoundError:
-        print(f"config error: {args.config} not found", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # not UTF-8, or nested deeper than the parser recurses
-        print(f"config error: invalid JSON ({exc})", file=sys.stderr)
-        return 2
-    except AllocSimError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
-
     out_root = Path(args.out)
     try:
+        config = _load_config(args.config, args.seed)
         if args.grid:
-            for horizon in _parse_grid(args.grid):
-                cfg = _rebuild_scenario(config, horizon)
-                _run_one(cfg, args.command, out_root / f"T_{horizon}", args.trace)
+            # the grid is parsed up front, each horizon's scenario built in turn
+            runs = ((_rebuild_scenario(config, h), out_root / f"T_{h}")
+                    for h in _parse_grid(args.grid))
         else:
-            _run_one(config, args.command, out_root, args.trace)
+            runs = [(config, out_root)]
+        for cfg, out_dir in runs:
+            if args.command == "segment-plan":
+                _emit_plan_only(cfg, out_dir)
+            else:
+                run_experiment(cfg, args.command, out_dir=out_dir, trace_flag=args.trace)
     except NonConvergence as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

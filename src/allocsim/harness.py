@@ -5,8 +5,8 @@ run it is compared against. On a stationary run it also consumes the same
 per-arrival purchase uniforms, so that revenue gap reflects policy, not
 luck. A non-stationary run is not paired that way: its online loop draws
 selection and purchase uniforms segment by segment from one stream, while
-the greedy baseline draws one horizon-long selection block and then one
-purchase block, so the two face different purchase draws. Regret always
+the greedy baseline skips one horizon-long selection block and then draws
+one purchase block, so the two face different purchase draws. Regret always
 benchmarks against the offline solve on ground-truth preferences with
 expected type weights; a realized-count benchmark column is emitted
 alongside for transparency.
@@ -43,15 +43,10 @@ from .integrated import (
     LoopState,
     Trace,
     _item_counts,
+    _loop_rng,
     run_integrated,
 )
-from .model import (
-    ProblemInstance,
-    SimConfig,
-    StationaryArrivals,
-    config_hash,
-    substream,
-)
+from .model import ProblemInstance, SimConfig, StationaryArrivals, config_hash
 from .segmentation import SegmentPlan, run_nonstationary
 
 __all__ = [
@@ -61,7 +56,6 @@ __all__ = [
     "compute_revenue",
     "offline_revenue_bound",
     "expected_type_weights",
-    "benchmark_spec",
     "segment_regret",
     "run_experiment",
     "emit_report",
@@ -138,19 +132,18 @@ def greedy_baseline(
     arrival after that, and items ranked below it are never offered. With
     no uncapped item, arrivals past the total stock get the null (-1).
 
-    Draws its purchase uniforms as a single stationary `run_integrated`
-    call on the same seed does (it skips the selection block of
-    len(arrivals) draws, then takes the purchase block), so against that
-    run the two policies face identical purchase randomness per arrival.
-    Against a non-stationary run, which draws per segment, the purchase
-    draws do not line up. The purchase block is drawn one stock run at a
-    time, and each run in `arrivals._BLOCK`-long pieces, which gives the
-    same uniforms as one horizon-long block; the null run at the end draws
-    none, as nothing follows it. `assigned` is in `_index_dtype(n)` for n
-    items (int8 up to 127). The trace shares the stream's times and types
-    arrays, and its phase (all greedy), f_vals and segment (all zero),
-    which no greedy output reads, are read-only zero-stride views that hold
-    no horizon-long memory.
+    Takes the purchase uniforms that a single stationary `run_integrated`
+    call on the same seed takes, so against that run the two policies face
+    identical purchase randomness per arrival. Against a non-stationary
+    run, which draws per segment, the purchase draws do not line up. The
+    purchase block is drawn one stock run at a time, and each run in
+    `arrivals._BLOCK`-long pieces, which gives the same uniforms as one
+    horizon-long block; the null run at the end draws none, as nothing
+    follows it. `assigned` is in `_index_dtype(n)` for n items (int8 up to
+    127). The trace shares the stream's times and types arrays, and its
+    phase (all greedy), f_vals and segment (all zero), which no greedy
+    output reads, are read-only zero-stride views that hold no
+    horizon-long memory.
     """
     n = instance.rewards.size
     prefs = instance.preferences
@@ -167,9 +160,7 @@ def greedy_baseline(
     lengths = np.diff(np.concatenate(([0], stock_ends, [T]))).astype(np.int64)
     assigned = np.repeat(items, lengths)
 
-    rng = substream(seed, "loop")
-    # skip the selection block: keeps purchase draws aligned with run_integrated
-    rng.bit_generator.advance(T)
+    rng = _loop_rng(seed, skip_selection=T)
     bought = np.zeros(T, dtype=bool)
     start = 0
     for item, stop in zip(items.tolist(), np.cumsum(lengths).tolist()):
@@ -192,7 +183,6 @@ def greedy_baseline(
         phase=np.broadcast_to(np.uint8(2), T),
         f_vals=np.broadcast_to(0.0, T),
         segment=np.broadcast_to(np.int32(0), T),
-        seed=seed,
         t_start_index=0,
         checkpoints=CheckpointLog.empty(n),
         lam_final=np.zeros(n),
@@ -246,26 +236,19 @@ def expected_type_weights(config: SimConfig) -> np.ndarray:
     return totals / totals.sum()
 
 
-def benchmark_spec(
-    config: SimConfig,
-    weights: np.ndarray,
-    expected_count: int,
-) -> WeightedDualSpec:
-    """Offline benchmark dual: ground-truth preferences, given type mix,
-    budget scale 1/T."""
-    inst = config.instance
-    return WeightedDualSpec(
+def _benchmark(config: SimConfig, weights: np.ndarray, count: int) -> OfflineSolution:
+    """The offline benchmark, solved: the dual on ground-truth preferences
+    with type mix `weights` and budget scale 1/count. A solve that stalls
+    raises NonConvergence."""
+    inst, params = config.instance, config.params
+    spec = WeightedDualSpec(
         weights=np.asarray(weights, dtype=float),
-        budget_scale=1.0 / max(int(expected_count), 1),
+        budget_scale=1.0 / max(int(count), 1),
         preferences=inst.preferences,
         rewards=inst.rewards,
         budgets=inst.budgets,
         mu=inst.mu,
     )
-
-
-def _solve_benchmark(config: SimConfig, spec: WeightedDualSpec) -> OfflineSolution:
-    params = config.params
     sol = solve_offline(
         spec, tol=params.offline_tol, max_iter=params.offline_max_iter,
         box_upper=config.lambda_max(),
@@ -299,8 +282,7 @@ def segment_regret(
         if cnt == 0:
             continue
         per_type, expected = model.expected_arrivals(seg.t_start, seg.t_end)
-        spec = benchmark_spec(config, per_type / per_type.sum(), expected)
-        sol = _solve_benchmark(config, spec)
+        sol = _benchmark(config, per_type / per_type.sum(), expected)
         total += float(trace.f_vals[mask].sum()) - cnt * sol.value
         star_sum += cnt * sol.value
         n_arrivals += cnt
@@ -336,39 +318,32 @@ def run_experiment(
         mode=mode, seed=config.seed, config_hash=config_hash(config)
     )
 
+    model = config.arrivals
+    weights = expected_type_weights(config)
     if mode == "offline":
-        weights = expected_type_weights(config)
-        model = config.arrivals
         expected = (inst.horizon if isinstance(model, StationaryArrivals)
                     else model.expected_arrivals(model.t0, model.t_end)[1])
-        spec = benchmark_spec(config, weights, expected)
-        sol = _solve_benchmark(config, spec)
+        sol = _benchmark(config, weights, expected)
         report.f_star = sol.value
         report.lam_star = sol.lam
         report.offline_revenue_bound = offline_revenue_bound(
             inst, sol.lam, weights * expected
         )
-    elif mode == "greedy":
-        stream = _sample_for(config)
-        gtrace = greedy_baseline(inst, stream, config.seed)
-        report.arrivals = len(stream)
-        report.greedy_trace = gtrace
-        report.greedy_revenue = compute_revenue(gtrace, inst.rewards)
-    elif mode == "stationary":
-        stream = _sample_for(config)
-        weights = expected_type_weights(config)
-        trace = run_integrated(config, stream, weights)
-        gtrace = greedy_baseline(inst, stream, config.seed)
-        _fill_online_metrics(report, config, trace, gtrace, weights, len(stream))
     else:
-        trace, plan = run_nonstationary(config)
-        stream = ArrivalSequence(trace.times, trace.types, config.seed)
-        gtrace = greedy_baseline(inst, stream, config.seed)
-        report.plan = plan
-        _fill_online_metrics(
-            report, config, trace, gtrace, expected_type_weights(config),
-            len(stream), plan=plan,
-        )
+        trace = None
+        if mode == "nonstationary":
+            trace, report.plan = run_nonstationary(config)
+            stream = ArrivalSequence(trace.times, trace.types)
+        else:
+            count = inst.horizon if isinstance(model, StationaryArrivals) else 0
+            stream = sample_stream(model, count, config.seed, config.params.grid_dt)
+            if mode == "stationary":
+                trace = run_integrated(config, stream, weights)
+        report.arrivals = len(stream)
+        report.greedy_trace = greedy_baseline(inst, stream, config.seed)
+        report.greedy_revenue = compute_revenue(report.greedy_trace, inst.rewards)
+        if trace is not None:
+            _fill_online_metrics(report, config, trace, weights)
 
     report.runtime_seconds = time.perf_counter() - started
     if out_dir is not None:
@@ -376,44 +351,30 @@ def run_experiment(
     return report
 
 
-def _sample_for(config: SimConfig) -> ArrivalSequence:
-    model = config.arrivals
-    count = config.instance.horizon if isinstance(model, StationaryArrivals) else 0
-    return sample_stream(model, count, config.seed, config.params.grid_dt)
-
-
 def _fill_online_metrics(
     report: MetricsReport,
     config: SimConfig,
     trace: Trace,
-    gtrace: Trace,
     weights: np.ndarray,
-    n_arrivals: int,
-    plan: SegmentPlan | None = None,
 ) -> None:
+    """The online run's figures; regret is per segment when there is a plan."""
     inst = config.instance
-    report.arrivals = n_arrivals
     report.trace = trace
-    report.greedy_trace = gtrace
     report.online_dual_total = float(trace.f_vals.sum())
     report.realized_revenue = compute_revenue(trace, inst.rewards)
-    report.greedy_revenue = compute_revenue(gtrace, inst.rewards)
 
     counts_realized = np.bincount(trace.types, minlength=weights.size).astype(float)
-    spec_real = benchmark_spec(
-        config, counts_realized / counts_realized.sum(), n_arrivals
-    )
-    sol_real = _solve_benchmark(config, spec_real)
+    sol_real = _benchmark(
+        config, counts_realized / counts_realized.sum(), report.arrivals)
     report.f_star_realized = sol_real.value
-    if plan is None:
-        spec = benchmark_spec(config, weights, n_arrivals)
-        sol = _solve_benchmark(config, spec)
+    if report.plan is None:
+        sol = _benchmark(config, weights, report.arrivals)
         report.f_star = sol.value
         report.lam_star = sol.lam
         report.total_regret, report.average_regret = compute_regret(trace, sol.value)
     else:
         report.total_regret, report.average_regret, report.f_star = segment_regret(
-            trace, plan, config)
+            trace, report.plan, config)
         # a segmented run has no single expected-mix price; use the realized one
         report.lam_star = sol_real.lam
     report.offline_revenue_bound = offline_revenue_bound(
@@ -561,7 +522,7 @@ def write_plan_csv(plan: SegmentPlan, path) -> None:
         np.array([seg.t_start for seg in segs], dtype=float),
         np.array([seg.t_end for seg in segs], dtype=float),
         np.array([seg.label for seg in segs], dtype="S"),
-        np.array([seg.epsilon_used if seg.label == "A" else seg.v for seg in segs],
+        np.array([plan.epsilon if seg.label == "A" else seg.v for seg in segs],
                  dtype=float),
         np.array([0.0 if seg.label == "A" else seg.delta_vec.max() for seg in segs],
                  dtype=float),

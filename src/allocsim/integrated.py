@@ -146,7 +146,6 @@ class Trace:
     phase: np.ndarray
     f_vals: np.ndarray
     segment: np.ndarray
-    seed: int
     t_start_index: int
     checkpoints: CheckpointLog
     lam_final: np.ndarray
@@ -174,7 +173,6 @@ class Trace:
             phase=np.concatenate([p.phase for p in pieces]),
             f_vals=np.concatenate([p.f_vals for p in pieces]),
             segment=np.concatenate([p.segment for p in pieces]),
-            seed=pieces[0].seed,
             t_start_index=pieces[0].t_start_index,
             checkpoints=CheckpointLog.concat([p.checkpoints for p in pieces]),
             lam_final=last.lam_final,
@@ -201,6 +199,16 @@ def _item_counts(assigned: np.ndarray, n: int, where=None) -> np.ndarray:
             keep &= where[lo:hi]
         counts += np.bincount(block[keep], minlength=n)
     return counts
+
+
+def _loop_rng(seed: int, skip_selection: int = 0) -> np.random.Generator:
+    """The generator of the loop's uniforms for `seed`: each `run_integrated`
+    call over T arrivals draws T selection uniforms, then T purchase
+    uniforms. `skip_selection` = T starts it at the purchase block of one
+    such call."""
+    rng = substream(seed, "loop")
+    rng.bit_generator.advance(skip_selection)
+    return rng
 
 
 # ============================================================
@@ -269,7 +277,7 @@ def run_integrated(
         raise ValueError("lambda must start inside [0, lambda_max]")
 
     if rng is None:
-        rng = substream(config.seed, "loop")
+        rng = _loop_rng(config.seed)
     u_select = rng.random(T)
     u_purchase = rng.random(T)
 
@@ -337,7 +345,6 @@ def run_integrated(
         phase=phase,
         f_vals=f_vals,
         segment=np.zeros(T, dtype=np.int32),
-        seed=config.seed,
         t_start_index=t_offset,
         checkpoints=checkpoints,
         lam_final=st.lam.copy(),

@@ -29,7 +29,7 @@ import numpy as np
 
 from .arrivals import sample_nonstationary_stream, type_probability_matrix
 from .errors import InvalidInstance
-from .integrated import Trace, run_integrated
+from .integrated import Trace, _loop_rng, run_integrated
 from .model import NonstationaryArrivals, RateStack, SimConfig, scan_grid, substream
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
 class Segment:
     """One planned interval, in the rate functions' time unit (hours).
 
-    Type A: rates vary by at most the configured epsilon inside; `t_tilde`
+    Type A: rates vary by at most the plan's epsilon inside; `t_tilde`
     is the sampled evaluation point once weights are assigned. Type B:
     `v` is the solved variation threshold, `upper`/`lower`/`delta_vec` the
     certified per-type probability band, and `raw_draws` the pre-
@@ -62,7 +62,6 @@ class Segment:
     t_start: float
     t_end: float
     label: str
-    epsilon_used: float | None = None
     v: float | None = None
     upper: np.ndarray | None = None
     lower: np.ndarray | None = None
@@ -298,9 +297,7 @@ def segment_time_span(
         cursor = _Cursor(rates, t, t_end, grid_dt)
         t_eps, _ = cursor.scan(epsilon)
         if t_eps - t >= d - 1e-12:
-            segments.append(
-                Segment(t_start=t, t_end=t_eps, label="A", epsilon_used=epsilon)
-            )
+            segments.append(Segment(t_start=t, t_end=t_eps, label="A"))
             t = t_eps
             continue
         try:
@@ -403,7 +400,7 @@ def run_nonstationary(config: SimConfig) -> tuple[Trace, SegmentPlan]:
     stream = sample_nonstationary_stream(
         model.rate_fns, model.t0, model.t_end, config.seed, params.grid_dt
     )
-    loop_rng = substream(config.seed, "loop")
+    loop_rng = _loop_rng(config.seed)
 
     edges = np.array([seg.t_end for seg in plan.segments])
     cut = np.searchsorted(stream.times, edges[:-1], side="left")

@@ -114,8 +114,7 @@ def run_arrivals(config, state, types, *, u_select=0.5, u_purchase=0.5,
     types = np.asarray(types, dtype=np.int64)
     T = types.size
     m = config.instance.preferences.shape[0]
-    stream = ArrivalSequence(times=np.arange(1.0, T + 1.0), types=types,
-                             seed=config.seed)
+    stream = ArrivalSequence(times=np.arange(1.0, T + 1.0), types=types)
     draws = FixedDraws(
         np.broadcast_to(np.asarray(u_select, dtype=float), (T,)).copy(),
         np.broadcast_to(np.asarray(u_purchase, dtype=float), (T,)).copy(),

@@ -139,7 +139,7 @@ class TestUpdate:
         n = 10_000
         config = loop_config(n=1, p=0.3, seed=77)
         stream = ArrivalSequence(times=np.arange(1.0, n + 1.0),
-                                 types=np.zeros(n, dtype=np.int64), seed=77)
+                                 types=np.zeros(n, dtype=np.int64))
         trace = run_integrated(config, stream, np.array([1.0]))
         est = trace.carry
         assert est.purchases[0, 0] == trace.purchased.sum()
@@ -154,7 +154,7 @@ class TestUpdate:
         config = loop_config(n=4, m=3, p=rng.uniform(0.05, 1.0, size=(3, 4)),
                              r_max=1000, seed=8)
         types = rng.integers(2, size=T)
-        stream = ArrivalSequence(times=np.arange(1.0, T + 1.0), types=types, seed=8)
+        stream = ArrivalSequence(times=np.arange(1.0, T + 1.0), types=types)
         trace = run_integrated(config, stream, np.full(3, 1.0 / 3.0))
         est = trace.carry
         assert set(trace.phase.tolist()) == {0, 1}
@@ -181,7 +181,7 @@ class TestUpdate:
             truth = np.random.default_rng(seed).beta(2.0, 5.0, size=(1, n))
             config = loop_config(n=n, p=truth, mu=100.0, r_max=0, seed=seed)
             stream = ArrivalSequence(times=np.arange(1.0, T + 1.0),
-                                     types=np.zeros(T, dtype=np.int64), seed=seed)
+                                     types=np.zeros(T, dtype=np.int64))
             est = run_integrated(config, stream, np.array([1.0])).carry
             assert est.counts.min() > 0.9 * T / n
             assert float(np.abs(est.p_hat[0] - truth[0]).max()) <= 0.05

@@ -34,14 +34,12 @@ from allocsim import _kernels, arrivals
 from allocsim.arrivals import _BLOCK, _index_dtype
 from allocsim._kernels import BACKENDS, available_backends
 from allocsim.cli import COMMANDS, main
-from allocsim.dual import dual_objective
 from allocsim.errors import InvalidInstance
 from allocsim.harness import (
     _CSV_BLOCK,
     MetricsReport,
     _row_blocks,
     _write_csv,
-    benchmark_spec,
     expected_type_weights,
     offline_revenue_bound,
     run_experiment,
@@ -96,7 +94,7 @@ def greedy_reference(instance, arrivals, seed):
 
 def three_arrivals():
     return ArrivalSequence(
-        times=np.array([0.1, 0.2, 0.3]), types=np.zeros(3, dtype=np.int64), seed=0
+        times=np.array([0.1, 0.2, 0.3]), types=np.zeros(3, dtype=np.int64)
     )
 
 
@@ -137,7 +135,7 @@ class TestGreedyBaseline:
         # arrivals, so 0.4 units never serve one, and the rest get the null
         inst = tiny_instance([1.0, 0.8, 0.5], [2.7, 0.4, 1.0])
         stream = ArrivalSequence(times=np.arange(1.0, 6.0) / 10,
-                                 types=np.zeros(5, dtype=np.int64), seed=0)
+                                 types=np.zeros(5, dtype=np.int64))
         trace = greedy_baseline(inst, stream, seed=0)
         np.testing.assert_array_equal(trace.assigned, [0, 0, 2, -1, -1])
         np.testing.assert_array_equal(trace.purchased, [True] * 3 + [False] * 2)
@@ -196,7 +194,7 @@ class TestGreedyBaseline:
             rewards=rewards, budgets=budgets, mu=0.1,
             preferences=rng.uniform(0.05, 1.0, (m, n)), horizon=T)
         stream = ArrivalSequence(np.sort(rng.uniform(0.0, 10.0, T)),
-                                 rng.integers(0, m, T), seed)
+                                 rng.integers(0, m, T))
         trace = greedy_baseline(inst, stream, seed)
         assigned, purchased, remaining = greedy_reference(inst, stream, seed)
         np.testing.assert_array_equal(trace.assigned, assigned)
@@ -234,7 +232,7 @@ def test_arrival_type_outside_instance_rejected(policy, bad_type):
     # m = 10: type 10 used to hit a bare IndexError, and type -1 to run as
     # type 9; both are refused before the loop state moves
     config = scenario_stationary(T=100, seed=1)
-    stream = ArrivalSequence(times=np.array([0.5]), types=np.array([bad_type]), seed=1)
+    stream = ArrivalSequence(times=np.array([0.5]), types=np.array([bad_type]))
     with pytest.raises(InvalidInstance, match=r"arrival types must lie in \[0, 10\)"):
         if policy == "greedy":
             greedy_baseline(config.instance, stream, seed=1)
@@ -298,7 +296,7 @@ class TestIndexWidth:
             preferences=rng.uniform(0.05, 1.0, (count, count)), horizon=count)
         T = count + 20
         stream = ArrivalSequence(np.linspace(0.0, 5.0, T),
-                                 (np.arange(T) % count).astype(_index_dtype(count)), 7)
+                                 (np.arange(T) % count).astype(_index_dtype(count)))
         return inst, stream, greedy_baseline(inst, stream, seed=7)
 
     @pytest.mark.parametrize("count", WIDTH_COUNTS)
@@ -341,7 +339,7 @@ class TestIndexWidth:
                              r_max=0)
         rates = np.arange(1.0, count + 1)
         stream = sample_stationary_stream(rates, 1000, seed=3)
-        wide = ArrivalSequence(stream.times, stream.types.astype(np.int64), 3)
+        wide = ArrivalSequence(stream.times, stream.types.astype(np.int64))
         weights = rates / rates.sum()
         narrow, plain = (run_integrated(config, s, weights) for s in (stream, wide))
         assert narrow.types.dtype == narrow.assigned.dtype == _index_dtype(count)
@@ -353,23 +351,20 @@ class TestIndexWidth:
 
 class TestMetrics:
     def _benchmarked(self, T=400, seed=13):
-        config = scenario_stationary(T=T, seed=seed)
-        report = run_experiment(config, "stationary")
-        weights = expected_type_weights(config)
-        spec = benchmark_spec(config, weights, T)
-        return report, spec
+        # f_star is the solver's dual objective at lam_star
+        return run_experiment(scenario_stationary(T=T, seed=seed), "stationary")
 
     def test_regret_zero_at_benchmark(self):
-        report, spec = self._benchmarked()
-        f_star = dual_objective(spec, report.lam_star)
+        report = self._benchmarked()
+        f_star = report.f_star
         report.trace.f_vals = np.full(len(report.trace), f_star)
         total, avg = compute_regret(report.trace, f_star)
         assert total == pytest.approx(0.0, abs=1e-9)
         assert avg == pytest.approx(0.0, abs=1e-12)
 
     def test_regret_is_linear_in_excess(self):
-        report, spec = self._benchmarked()
-        f_star = dual_objective(spec, report.lam_star)
+        report = self._benchmarked()
+        f_star = report.f_star
         report.trace.f_vals = np.full(len(report.trace), f_star)
         report.trace.f_vals[7] += 0.2
         total, avg = compute_regret(report.trace, f_star)
@@ -600,7 +595,7 @@ class TestEmitReport:
             times = np.sort(rng.uniform(-1e12, 1e12, 50))
         if mode in ("negative-hours", "chunk-edges", "sparse-hours"):
             m = 2 if mode == "chunk-edges" else 10
-            stream = ArrivalSequence(times, rng.integers(0, m, times.size), 3)
+            stream = ArrivalSequence(times, rng.integers(0, m, times.size))
             report = MetricsReport(
                 mode="greedy", seed=3, config_hash="x",
                 greedy_trace=greedy_baseline(config.instance, stream, 3))
@@ -759,9 +754,32 @@ class TestCli:
         main(["greedy", "--config", cfg, "--out", str(out_b), "--seed", "9"])
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
-    def test_missing_config_exits_2(self, tmp_path):
-        assert main(["offline", "--config", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path)]) == 2
+    @staticmethod
+    def _refused(capsys, argv, code, prefix):
+        """main(argv) exits `code` with one stderr line that starts with
+        `prefix`; returns that line."""
+        assert main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix), err
+        return err[0]
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        line = self._refused(capsys, ["offline", "--config", missing,
+                                      "--out", str(tmp_path)], 2, "config error: ")
+        assert line == f"config error: {missing} not found"
+
+    def test_non_object_root_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        self._refused(capsys, ["offline", "--config", str(path), "--out",
+                               str(tmp_path / "out")], 2, "config error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_directory_exits_4(self, tmp_path, capsys):
+        self._refused(capsys, ["offline", "--config", str(tmp_path), "--out",
+                               str(tmp_path / "out")], 4, "i/o error: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe{}", b"[" * 200000],
                              ids=["not-json", "not-utf8", "too-deep"])
@@ -938,20 +956,21 @@ class TestCli:
         rows = (tmp_path / "segment-plan" / "plan.csv").read_text().splitlines()
         assert len(rows) == len(plan) + 1
 
-    def test_nonconvergence_exits_3(self, tmp_path):
+    def test_nonconvergence_exits_3(self, tmp_path, capsys):
         config = scenario_stationary(T=300, seed=1)
         doc = config_document(config)
         doc["params"]["offline_max_iter"] = 1
         path = tmp_path / "stall.json"
         path.write_text(json.dumps(doc))
-        assert main(["offline", "--config", str(path), "--out", str(tmp_path)]) == 3
+        self._refused(capsys, ["offline", "--config", str(path), "--out",
+                               str(tmp_path)], 3, "numerical error: ")
 
-    def test_unwritable_out_exits_4(self, tmp_path):
+    def test_unwritable_out_exits_4(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, scenario_stationary(T=300, seed=1))
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
-        code = main(["offline", "--config", cfg, "--out", str(blocker / "sub")])
-        assert code == 4
+        self._refused(capsys, ["offline", "--config", cfg, "--out",
+                               str(blocker / "sub")], 4, "i/o error: ")
 
     def test_segment_plan_command(self, tmp_path):
         config = scenario_nonstationary("varying_reward", 2000, 24.0, seed=2)
@@ -999,6 +1018,26 @@ class TestCli:
         else:
             assert code == 0
             assert [p.name for p in out.iterdir()] == [made]
+
+    @pytest.mark.parametrize("where", ["grid", "config"])
+    @pytest.mark.parametrize("horizon", [1e30, 2**60], ids=["1e30", "2**60"])
+    def test_horizon_no_array_holds_exits_2(self, tmp_path, capsys, where, horizon):
+        """A stationary horizon past what one float64 array can hold is a
+        config error, raised before the sampler sizes an array. Neither
+        value is one numpy would try to allocate."""
+        doc = config_document(scenario_stationary(T=300, seed=1))
+        extra = []
+        if where == "grid":
+            extra = ["--grid", f"T={horizon!r}"]
+        else:
+            doc["instance"]["T"] = horizon
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        line = self._refused(capsys, ["greedy", "--config", str(path), "--out",
+                                      str(out), *extra], 2, "config error: ")
+        assert "more arrivals than one array can hold" in line
+        assert not out.exists()
 
     def test_each_backend_matches_default(self, tmp_path, capsys, monkeypatch):
         """With `_kernels.BACKEND` set to each name, every backend that can

@@ -132,7 +132,7 @@ class TestOgdStep:
         weights = np.array([0.3, 0.7])
         state = hand_state(config, p_hat=np.ones((2, 3)))
         stream = ArrivalSequence(times=np.arange(1.0, T + 1.0),
-                                 types=np.arange(T) % 2, seed=0)
+                                 types=np.arange(T) % 2)
         trace = run_integrated(config, stream, weights, loop_state=state)
         assert np.all(np.diff(trace.f_vals) <= 1e-12)
         inst = config.instance
@@ -170,7 +170,7 @@ class TestSelectByDual:
         one = np.ones((1, 2), dtype=np.int64)
         state = hand_state(config, counts=one, purchases=one, p_hat=np.ones((1, 2)))
         stream = ArrivalSequence(times=np.arange(1.0, n_draws + 1.0),
-                                 types=np.zeros(n_draws, dtype=np.int64), seed=1)
+                                 types=np.zeros(n_draws, dtype=np.int64))
         trace = run_integrated(config, stream, np.array([1.0]), loop_state=state)
         hits = np.bincount(trace.assigned, minlength=2)
         sigma = np.sqrt(0.25 * n_draws)
@@ -1158,7 +1158,7 @@ class TestTraceExport:
             times=times, types=rng.integers(0, 4, T), assigned=assigned,
             purchased=(assigned >= 0) & (rng.random(T) < 0.5),
             phase=rng.integers(0, 3, T).astype(np.uint8), f_vals=np.zeros(T),
-            segment=np.zeros(T, dtype=np.int32), seed=0, t_start_index=7,
+            segment=np.zeros(T, dtype=np.int32), t_start_index=7,
             checkpoints=CheckpointLog.empty(3), lam_final=np.zeros(3),
             remaining_final=np.zeros(3), carry=LoopState.fresh(3, 4, np.ones(3)),
         )

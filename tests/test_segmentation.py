@@ -338,7 +338,7 @@ class TestPlans:
 
 class TestWeights:
     def test_type_a_constant_rates(self):
-        seg = Segment(0.0, 2.0, "A", epsilon_used=0.5)
+        seg = Segment(0.0, 2.0, "A")
         w = segment_weights(seg, (constant_fn(1.0), constant_fn(3.0)),
                             substream(0, "w"))
         np.testing.assert_allclose(w, [0.25, 0.75])
@@ -346,7 +346,7 @@ class TestWeights:
 
     def test_type_a_zero_total_rate_refused(self):
         # a zero type mix has no weights: 0/0 would write NaN into plan.csv
-        seg = Segment(0.0, 2.0, "A", epsilon_used=0.5)
+        seg = Segment(0.0, 2.0, "A")
         with pytest.raises(InvalidInstance, match=r"total rate is 0 at its "
                            r"sampled point t_tilde=\d"):
             segment_weights(seg, (constant_fn(0.0), constant_fn(0.0)),
@@ -467,7 +467,7 @@ class TestDriver:
                           + [f"w_{j + 1}" for j in range(m)])
         rows = "".join(
             f"{seg.t_start:.9g},{seg.t_end:.9g},{seg.label},"
-            f"{seg.epsilon_used if seg.label == 'A' else seg.v:.9g},"
+            f"{plan.epsilon if seg.label == 'A' else seg.v:.9g},"
             f"{0.0 if seg.label == 'A' else float(seg.delta_vec.max()):.9g}"
             + "".join(f",{w:.9g}" for w in (seg.weights if weighted else ()))
             + "\n"
