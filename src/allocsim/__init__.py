@@ -10,6 +10,7 @@ time-varying rates, a greedy baseline, and a CSV experiment harness.
 from ._kernels import BACKEND, HAS_NUMBA, available_backends
 from .arrivals import (
     ArrivalSequence,
+    HourlyArrivals,
     rate_extrema,
     sample_nonstationary_stream,
     sample_stationary_stream,

@@ -23,6 +23,7 @@ from .model import (
 
 __all__ = [
     "ArrivalSequence",
+    "HourlyArrivals",
     "sample_stationary_stream",
     "sample_nonstationary_stream",
     "sample_stream",
@@ -52,8 +53,22 @@ def _index_dtype(count: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+class _Stream:
+    """What every arrival stream has: per-arrival `types` and its length."""
+
+    types: np.ndarray
+
+    def __len__(self) -> int:
+        return self.types.size
+
+    def check_types(self, m: int) -> None:
+        """Raise InvalidInstance unless every type is one of m types."""
+        if self.types.size and (self.types.min() < 0 or self.types.max() >= m):
+            raise InvalidInstance(f"arrival types must lie in [0, {m})")
+
+
 @dataclass(frozen=True, eq=False)
-class ArrivalSequence:
+class ArrivalSequence(_Stream):
     """Realized arrival stream: times in hours, 0-based type indices.
 
     The samplers give the types in `_index_dtype(m)` for m types (int8 up
@@ -76,25 +91,72 @@ class ArrivalSequence:
         if self.times.size > 1 and np.any(self.times[1:] < self.times[:-1]):
             raise ValueError("arrival times must be non-decreasing")
 
-    def __len__(self) -> int:
-        return self.times.size
-
-    def check_types(self, m: int) -> None:
-        """Raise InvalidInstance unless every type is one of m types."""
-        if self.types.size and (self.types.min() < 0 or self.types.max() >= m):
-            raise InvalidInstance(f"arrival types must lie in [0, {m})")
-
     def slice(self, lo: int, hi: int) -> "ArrivalSequence":
         """Contiguous sub-stream [lo, hi)."""
         return ArrivalSequence(times=self.times[lo:hi], types=self.types[lo:hi])
 
+    def hour_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The int64 hour floor(t) and arrival count of each nonempty hour,
+        in order, read from the times one _BLOCK at a time."""
+        times = self.times
+        return _hour_runs(times[lo:hi] for lo, hi in _blocks(times.size))
 
-def sample_stationary_stream(rates: np.ndarray, count: int, seed: int) -> ArrivalSequence:
+
+@dataclass(frozen=True, eq=False)
+class HourlyArrivals(_Stream):
+    """Realized arrival stream without times: each nonempty hour floor(t)
+    (int64, increasing) with its arrival count (int64, at least 1), and
+    the per-arrival types in arrival order, as `ArrivalSequence` keeps
+    them. It holds 16 bytes per nonempty hour where the times take 8 per
+    arrival, and it is all the arrivals histogram reads.
+    """
+
+    hours: np.ndarray
+    counts: np.ndarray
+    types: np.ndarray
+
+    def __post_init__(self):
+        if int(self.counts.sum()) != self.types.size:
+            raise ValueError("hour counts must sum to the number of types")
+
+    def hour_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stream's (hours, counts)."""
+        return self.hours, self.counts
+
+
+def _hour_runs(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 hour floor(t) and arrival count of each nonempty hour of
+    `blocks`, consecutive arrays of non-decreasing times, in order; an hour
+    that spans a block edge is one run. The runs are appended to one
+    growing buffer per column, which the returned arrays view, so no
+    column is copied whole at the end."""
+    hours, counts = array("q"), array("q")
+    for block in blocks:
+        floor = np.floor(block)
+        starts = np.append(0, np.flatnonzero(floor[1:] != floor[:-1]) + 1)
+        run_hours = floor[starts].astype(np.int64)
+        run_counts = np.diff(np.append(starts, floor.size)).astype(np.int64)
+        if hours and hours[-1] == run_hours[0]:
+            counts[-1] += int(run_counts[0])
+            run_hours, run_counts = run_hours[1:], run_counts[1:]
+        hours.frombytes(run_hours.tobytes())
+        counts.frombytes(run_counts.tobytes())
+    return np.frombuffer(hours, np.int64), np.frombuffer(counts, np.int64)
+
+
+def sample_stationary_stream(rates: np.ndarray, count: int, seed: int, *,
+                             times: bool = True) -> ArrivalSequence | HourlyArrivals:
     """Draw exactly `count` arrivals from superposed stationary Poisson processes.
 
     Inter-arrival gaps are Exp(Σλ); each arrival's type is categorical with
-    probability λ_j / Σλ, independent of the gaps. The gaps are summed into
-    times in place. A type is drawn by inverse CDF from one uniform u per
+    probability λ_j / Σλ, independent of the gaps. The gaps are drawn and
+    summed into times one _BLOCK-long block at a time (`_stationary_times`),
+    which gives the same times as summing one horizon-long draw and leaves
+    the generator where that draw would. With `times` false the stream
+    keeps no times: each block is reduced to its hour runs, and an
+    `HourlyArrivals` is returned.
+
+    A type is drawn by inverse CDF from one uniform u per
     arrival, as the number of CDF edges at or below u: with the CDF
     non-decreasing and u < 1.0 = cdf[-1], that is `searchsorted(cdf, u,
     side="right")`, counted one edge at a time into `types`, whose dtype is
@@ -117,19 +179,42 @@ def sample_stationary_stream(rates: np.ndarray, count: int, seed: int) -> Arriva
     if count > np.iinfo(np.intp).max // np.dtype(float).itemsize:
         raise InvalidInstance(
             f"stationary horizon T={count} is more arrivals than one array can hold")
+    # the horizon-long arrays come first, so a horizon the host cannot hold
+    # fails before any block is drawn
+    types = np.zeros(count, dtype=_index_dtype(rates.size))
+    arrival_times = np.empty(count) if times else None
     rng = substream(seed, "stream")
-    times = rng.exponential(1.0 / total, size=count)
-    np.cumsum(times, out=times)
+    blocks = _stationary_times(rng, 1.0 / total, count)
+    if times:
+        for (lo, hi), block in zip(_blocks(count), blocks):
+            arrival_times[lo:hi] = block
+    else:
+        hours, counts = _hour_runs(blocks)
     # inverse-CDF type draw keeps the stream reproducible across numpy versions
     cdf = np.cumsum(rates / total)
     cdf[-1] = 1.0
-    types = np.zeros(count, dtype=_index_dtype(rates.size))
     for lo, hi in _blocks(count):
         u = rng.random(hi - lo)
         block = types[lo:hi]
         for edge in cdf[:-1]:
             block += u >= edge
-    return ArrivalSequence(times=times, types=types)
+    if times:
+        return ArrivalSequence(times=arrival_times, types=types)
+    return HourlyArrivals(hours=hours, counts=counts, types=types)
+
+
+def _stationary_times(rng: np.random.Generator, scale: float, count: int):
+    """Yield the times of `count` arrivals with Exp(1/scale) gaps, one
+    _BLOCK-long block at a time: each block's gaps are drawn in one call,
+    the last time before it is added to its first gap, and the block is
+    summed in place, in the order a running sum over all the gaps takes."""
+    last = 0.0
+    for lo, hi in _blocks(count):
+        block = rng.exponential(scale, size=hi - lo)
+        block[0] += last
+        np.cumsum(block, out=block)
+        last = block[-1]
+        yield block
 
 
 def _thin_one_type(fn: RateFunction, rng: np.random.Generator, grid_dt: float) -> np.ndarray:
@@ -192,13 +277,22 @@ def sample_nonstationary_stream(
 
 
 def sample_stream(model: ArrivalModel, count: int, seed: int,
-                  grid_dt: float = GRID_DT_DEFAULT) -> ArrivalSequence:
-    """Sample from either arrival model; `count` only applies to stationary."""
+                  grid_dt: float = GRID_DT_DEFAULT, *,
+                  times: bool = True) -> ArrivalSequence | HourlyArrivals:
+    """Sample from either arrival model; `count` only applies to stationary.
+
+    With `times` false the stream is an `HourlyArrivals`: the stationary
+    sampler keeps no times at all, and a thinned stream is reduced to its
+    hour runs.
+    """
     if isinstance(model, StationaryArrivals):
-        return sample_stationary_stream(model.rates, count, seed)
-    return sample_nonstationary_stream(
+        return sample_stationary_stream(model.rates, count, seed, times=times)
+    stream = sample_nonstationary_stream(
         model.rate_fns, model.t0, model.t_end, seed, grid_dt
     )
+    if times:
+        return stream
+    return HourlyArrivals(*stream.hour_runs(), types=stream.types)
 
 
 def type_probability_matrix(model: ArrivalModel, times: np.ndarray) -> np.ndarray:

@@ -11,6 +11,12 @@ benchmarks against the offline solve on ground-truth preferences with
 expected type weights; a realized-count benchmark column is emitted
 alongside for transparency.
 
+The greedy baseline keeps nothing per arrival: it returns per-item
+assignment and purchase counts, which are all its outputs read. A greedy
+run samples its stream without times (`sample_stream(times=False)`): the
+arrivals histogram needs only each nonempty hour's arrival count and the
+per-arrival types, and it is counted from those hour runs in every mode.
+
 Report files are CSV (one directory per run), and this module writes all
 of them through one column encoder: a header line, then rows whose
 integer fields read as `%d`, float fields as `%.9g` and labels as their
@@ -29,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arrivals as _arrivals
-from .arrivals import ArrivalSequence, _blocks, _index_dtype, sample_stream
+from .arrivals import ArrivalSequence, HourlyArrivals, _blocks, sample_stream
 from .dual import (
     OfflineSolution,
     WeightedDualSpec,
@@ -39,8 +45,6 @@ from .dual import (
 from .errors import InvalidInstance, NonConvergence
 from .integrated import (
     PHASE_NAMES,
-    CheckpointLog,
-    LoopState,
     Trace,
     _item_counts,
     _loop_rng,
@@ -74,7 +78,9 @@ _CSV_BLOCK = 4096  # report rows encoded per write
 
 @dataclass
 class MetricsReport:
-    """Everything an experiment run produces, file-ready."""
+    """Everything an experiment run produces, file-ready: the online
+    `trace` of a loop mode, and in every mode but offline the arrival
+    `stream` and the `greedy` baseline's counts on it."""
 
     mode: str
     seed: int
@@ -91,7 +97,8 @@ class MetricsReport:
     runtime_seconds: float = np.nan
     lam_star: np.ndarray | None = None
     trace: Trace | None = None
-    greedy_trace: Trace | None = None
+    stream: ArrivalSequence | HourlyArrivals | None = None
+    greedy: GreedyCounts | None = None
     plan: SegmentPlan | None = None
 
     SUMMARY_COLUMNS = (
@@ -118,11 +125,21 @@ class MetricsReport:
 # Baseline
 # ============================================================
 
+@dataclass(frozen=True)
+class GreedyCounts:
+    """The greedy baseline's outcome: per-item assignments and purchases
+    (int64), and the stock left per item."""
+
+    assigned: np.ndarray
+    purchased: np.ndarray
+    remaining: np.ndarray
+
+
 def greedy_baseline(
     instance: ProblemInstance,
-    arrivals: ArrivalSequence,
+    arrivals: ArrivalSequence | HourlyArrivals,
     seed: int,
-) -> Trace:
+) -> GreedyCounts:
     """Assign every arrival the highest-reward item still in stock (ties to
     the lowest index); purchases simulated from ground truth.
 
@@ -130,20 +147,19 @@ def greedy_baseline(
     the assignment has a closed form: in reward order, each capped item
     takes the next floor(b_i) arrivals, the first uncapped item takes every
     arrival after that, and items ranked below it are never offered. With
-    no uncapped item, arrivals past the total stock get the null (-1).
+    no uncapped item, arrivals past the total stock get the null (-1). An
+    item's assignment count is the length of its run, and its purchase
+    count is the number of purchases in that run, so nothing per arrival
+    is kept: only the arrivals' types are read.
 
     Takes the purchase uniforms that a single stationary `run_integrated`
     call on the same seed takes, so against that run the two policies face
     identical purchase randomness per arrival. Against a non-stationary
     run, which draws per segment, the purchase draws do not line up. The
     purchase block is drawn one stock run at a time, and each run in
-    `arrivals._BLOCK`-long pieces, which gives the same uniforms as one
-    horizon-long block; the null run at the end draws none, as nothing
-    follows it. `assigned` is in `_index_dtype(n)` for n items (int8 up to
-    127). The trace shares the stream's times and types arrays, and its
-    phase (all greedy), f_vals and segment (all zero), which no greedy
-    output reads, are read-only zero-stride views that hold no
-    horizon-long memory.
+    pieces of `arrivals._BLOCK` // 8 arrivals, which gives the same
+    uniforms as one horizon-long block; the null run at the end draws
+    none, as nothing follows it.
     """
     n = instance.rewards.size
     prefs = instance.preferences
@@ -154,41 +170,39 @@ def greedy_baseline(
     order = np.lexsort((np.arange(n), -instance.rewards))
     # rank of the first uncapped item, n when there is none
     k = int(np.argmax(infinite[order])) if infinite.any() else n
-    capped = order[:k]
-    items = np.append(capped, order[k] if k < n else -1).astype(_index_dtype(n))
-    stock_ends = np.minimum(np.cumsum(np.floor(instance.budgets[capped])), T)
+    # with no uncapped item this is one shorter than `lengths`, whose last
+    # run, the nulls, then draws no uniforms
+    items = order[:k + 1]
+    stock_ends = np.minimum(np.cumsum(np.floor(instance.budgets[order[:k]])), T)
     lengths = np.diff(np.concatenate(([0], stock_ends, [T]))).astype(np.int64)
-    assigned = np.repeat(items, lengths)
 
     rng = _loop_rng(seed, skip_selection=T)
-    bought = np.zeros(T, dtype=bool)
+    assigned = np.zeros(n, dtype=np.int64)
+    purchased = np.zeros(n, dtype=np.int64)
+    # The draws go through one set of piece buffers, the types widened into
+    # `index` so that `take` copies no indices: the loop allocates nothing,
+    # where a fresh allocation per piece costs page faults in a fresh
+    # process. A piece is _BLOCK // 8 arrivals, so the set (1.5 MB at
+    # _BLOCK) fits in memory the run has freed; at _BLOCK it raised a
+    # 60,000-arrival non-stationary cell's peak RSS by 0.5 MB.
+    piece = max(min(_arrivals._BLOCK // 8, T), 1)
+    index, u, p = np.empty(piece, dtype=np.intp), np.empty(piece), np.empty(piece)
+    bought = np.empty(piece, dtype=bool)
     start = 0
     for item, stop in zip(items.tolist(), np.cumsum(lengths).tolist()):
-        if item >= 0:
-            pref = prefs[:, item]
-            for lo, hi in _blocks(stop, start):
-                np.less(rng.random(hi - lo), pref.take(types[lo:hi]),
-                        out=bought[lo:hi])
+        pref = prefs[:, item]
+        for lo in range(start, stop, piece):
+            w = min(piece, stop - lo)
+            index[:w] = types[lo:lo + w]
+            pref.take(index[:w], out=p[:w])
+            np.less(rng.random(out=u[:w]), p[:w], out=bought[:w])
+            purchased[item] += np.count_nonzero(bought[:w])
+        assigned[item] = stop - start
         start = stop
 
     remaining = instance.budgets.copy()
-    remaining[capped] -= lengths[:k]
-    st = LoopState.fresh(n, prefs.shape[0], instance.budgets)
-    st.remaining = remaining
-    return Trace(
-        times=arrivals.times,
-        types=types,
-        assigned=assigned,
-        purchased=bought,
-        phase=np.broadcast_to(np.uint8(2), T),
-        f_vals=np.broadcast_to(0.0, T),
-        segment=np.broadcast_to(np.int32(0), T),
-        t_start_index=0,
-        checkpoints=CheckpointLog.empty(n),
-        lam_final=np.zeros(n),
-        remaining_final=remaining.copy(),
-        carry=st,
-    )
+    remaining[order[:k]] -= lengths[:k]
+    return GreedyCounts(assigned, purchased, remaining)
 
 
 # ============================================================
@@ -336,12 +350,15 @@ def run_experiment(
             stream = ArrivalSequence(trace.times, trace.types)
         else:
             count = inst.horizon if isinstance(model, StationaryArrivals) else 0
-            stream = sample_stream(model, count, config.seed, config.params.grid_dt)
+            # greedy alone needs no arrival times, only the hour runs
+            stream = sample_stream(model, count, config.seed, config.params.grid_dt,
+                                   times=mode == "stationary")
             if mode == "stationary":
                 trace = run_integrated(config, stream, weights)
         report.arrivals = len(stream)
-        report.greedy_trace = greedy_baseline(inst, stream, config.seed)
-        report.greedy_revenue = compute_revenue(report.greedy_trace, inst.rewards)
+        report.stream = stream
+        report.greedy = greedy_baseline(inst, stream, config.seed)
+        report.greedy_revenue = float(report.greedy.purchased @ inst.rewards)
         if trace is not None:
             _fill_online_metrics(report, config, trace, weights)
 
@@ -531,40 +548,49 @@ def write_plan_csv(plan: SegmentPlan, path) -> None:
     _write_csv(path, header, _row_blocks(columns))
 
 
-def _arrival_histogram(trace: Trace):
-    """Yield hour, type, count column blocks over the trace's nonempty
+def _arrival_histogram(stream: ArrivalSequence | HourlyArrivals):
+    """Yield hour, type, count column blocks over the stream's nonempty
     (floor(time), type) cells, in sorted order.
 
-    Arrival times are non-decreasing, so the trace is counted in chunks cut
-    at hour starts, and each cell falls in a single chunk. A chunk holds at
-    most `arrivals._BLOCK` arrivals over at most _BLOCK // m hours (m
-    types), or one whole hour that holds more arrivals, so its (hour, type)
-    count array stays near _BLOCK long however sparse the arrivals are, and
-    its block of nonempty cells is at most max(_BLOCK, m) rows.
+    The cells are counted from the stream's hour runs in chunks of whole
+    hours, so each cell falls in a single chunk. A chunk holds at most
+    `arrivals._BLOCK` arrivals over at most _BLOCK // m hours (m types), or
+    one hour that holds more arrivals, whose types are then counted block
+    by block; so its count array stays near _BLOCK long however sparse the
+    hours are, and its block of nonempty cells is at most max(_BLOCK, m)
+    rows.
     """
-    times, types = trace.times, trace.types
+    hours, counts = stream.hour_runs()
+    types = stream.types
     m = int(types.max()) + 1
     chunk = _arrivals._BLOCK
-    hours = max(chunk // m, 1)
-    lo = 0
-    while lo < times.size:
-        h0 = np.floor(times[lo])
-        hi = min(lo + chunk, int(np.searchsorted(times, h0 + hours)))
-        if hi < times.size:
-            hi = int(np.searchsorted(times, np.floor(times[hi])))
-            if hi <= lo:  # the hour of arrival lo holds the rest of the chunk
-                hi = int(np.searchsorted(times, h0 + 1.0))
-        key = np.floor(times[lo:hi]).astype(np.int64)
-        key -= int(h0)
-        key *= m
-        key += types[lo:hi]
-        count = np.bincount(key)
+    span = max(chunk // m, 1)
+    r = lo = 0
+    while r < hours.size:
+        h0 = int(hours[r])
+        # hours are distinct, so every run of the chunk is within `span`
+        window = slice(r, r + span)
+        stop = r + max(1, min(
+            int(np.searchsorted(hours[window], h0 + span)),
+            int(np.searchsorted(np.cumsum(counts[window]), chunk, side="right"))))
+        hi = lo + int(counts[r:stop].sum())
+        if stop == r + 1:  # one hour, perhaps of more than `chunk` arrivals
+            count = np.zeros(m, dtype=np.int64)
+            for a, b in _blocks(hi, lo):
+                count += np.bincount(types[a:b], minlength=m)
+        else:
+            key = np.repeat(hours[r:stop] - h0, counts[r:stop])
+            key *= m
+            key += types[lo:hi]
+            count = np.bincount(key)
+        # only the nonempty cells are kept while the chunk is encoded
         key = np.flatnonzero(count != 0)
+        count = count[key]
         hour = key // m
-        kind = key - hour * m
-        hour += int(h0)
-        yield [hour, kind, count[key]]
-        lo = hi
+        key -= hour * m
+        hour += h0
+        yield [hour, key, count]
+        r, lo = stop, hi
 
 
 def emit_report(
@@ -575,8 +601,9 @@ def emit_report(
 ) -> list[Path]:
     """Write the report's CSV files plus runtime.txt into out_dir.
 
-    Selections, the learning curve and the arrivals histogram come from the
-    online trace, else the greedy one; with neither they are headers only.
+    Selections come from the online trace, else the greedy counts, the
+    learning curve from the online trace, and the arrivals histogram from
+    the stream; without them each is a header only.
     On any failure every file this call created is removed before the
     error propagates.
     """
@@ -588,20 +615,24 @@ def emit_report(
         written.append(out / name)
         return written[-1]
 
-    tr = report.trace if report.trace is not None else report.greedy_trace
+    tr = report.trace
     try:
         row = report.summary_row()
         _write_csv(_path("summary.csv"), ",".join(row),
                    [[np.array([v.encode()]) for v in row.values()]])
 
-        counts = tr.assignment_counts if tr is not None else []
+        if tr is not None:
+            counts = tr.assignment_counts
+        else:
+            counts = report.greedy.assigned if report.greedy is not None else []
         _write_csv(_path("selections.csv"), "item,count",
                    _row_blocks([range(len(counts)), counts]))
 
-        ck = tr.checkpoints if tr is not None else CheckpointLog.empty(0)
-        write_checkpoint_csv(ck.t, ck.pref_error, _path("pref_error.csv"))
+        ck = (tr.checkpoints.t, tr.checkpoints.pref_error) if tr is not None else ((), ())
+        write_checkpoint_csv(*ck, _path("pref_error.csv"))
 
-        hist = _arrival_histogram(tr) if tr is not None and len(tr) else ()
+        stream = report.stream
+        hist = _arrival_histogram(stream) if stream is not None and len(stream) else ()
         _write_csv(_path("arrivals_hist.csv"), "hour,type,count", hist)
 
         if report.plan is not None:

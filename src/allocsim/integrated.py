@@ -106,16 +106,6 @@ class CheckpointLog:
     remaining: np.ndarray
 
     @classmethod
-    def empty(cls, n_items: int) -> "CheckpointLog":
-        return cls(
-            t=np.empty(0, dtype=np.int64),
-            pref_error=np.empty(0),
-            change=np.empty(0),
-            lam=np.empty((0, n_items)),
-            remaining=np.empty((0, n_items)),
-        )
-
-    @classmethod
     def concat(cls, logs: list["CheckpointLog"]) -> "CheckpointLog":
         return cls(
             t=np.concatenate([g.t for g in logs]),

@@ -88,14 +88,44 @@ class TestStationarySampler:
 
     @pytest.mark.parametrize("block", [1, 8, 64])
     def test_blocks_match_one_draw(self, monkeypatch, block):
-        # the uniforms are drawn and counted one block at a time; 1000 is a
-        # multiple of 8, not of 64, so the last block is full or short
+        # the gaps are drawn and summed, and the uniforms drawn and counted,
+        # one block at a time; 1000 is a multiple of 8, not of 64, so the
+        # last block is full or short
         monkeypatch.setattr(arrivals, "_BLOCK", block)
         rates = np.array([0.5, 1.5, 3.0, 0.25])
         seq = sample_stationary_stream(rates, 1000, seed=9)
         times, types = searchsorted_stream(rates, 1000, seed=9)
         assert seq.times.tobytes() == times.tobytes()
         np.testing.assert_array_equal(seq.types, types)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("rates", [[0.5, 1.5, 3.0, 0.25], [1e-4, 2e-4]],
+                             ids=["dense", "sparse"])
+    def test_hour_runs_match_floored_times(self, monkeypatch, block, rates):
+        # the times-free stream keeps each block's hour runs, an hour that
+        # spans a block edge merged into one; its runs and types must be
+        # those of floor(times) of one horizon-long draw, as must the runs
+        # a stream with times derives. 1000 is a multiple of neither 3 nor
+        # 64; sparse rates put about one arrival in each nonempty hour
+        monkeypatch.setattr(arrivals, "_BLOCK", block)
+        rates = np.array(rates)
+        times, types = searchsorted_stream(rates, 1000, seed=9)
+        hours = np.floor(times).astype(np.int64)
+        starts = np.flatnonzero(np.diff(hours, prepend=hours[0] - 1))
+        want = [hours[starts].tobytes(),
+                np.diff(np.append(starts, hours.size)).astype(np.int64).tobytes()]
+        hourly = sample_stationary_stream(rates, 1000, seed=9, times=False)
+        assert isinstance(hourly, arrivals.HourlyArrivals)
+        with_times = sample_stationary_stream(rates, 1000, seed=9)
+        for stream in (hourly, with_times):
+            assert [a.tobytes() for a in stream.hour_runs()] == want
+            assert stream.types.dtype == arrivals._index_dtype(rates.size)
+            np.testing.assert_array_equal(stream.types, types)
+        assert len(hourly) == 1000
+        assert hourly.hours.size <= len(hourly)
+        if rates.sum() > 1.0:
+            assert hourly.hours.size < len(hourly)
+            assert any(hours[lo - 1] == hours[lo] for lo in range(block, 1000, block))
 
     def test_uniform_on_an_edge_takes_the_next_type(self):
         # rates (u, 1 - u) for one of the stream's own uniforms u >= 0.5 put

@@ -3,7 +3,8 @@
 Each config runs through `cli.main` in every mode, twice. Whatever the
 config holds, a run exits 0, 2, 3 or 4 with at most one line on stderr
 and no exception escapes; a rerun writes the same bytes; every written
-plan certifies, but for segments one grid step long (ROADMAP item 18); a
+plan certifies, but for segments one grid step long (ROADMAP item 18);
+`nonstationary` and `segment-plan` write the same plan.csv bytes; a
 config refused when it loads is refused the same way in every mode; and a
 stationary config asked for a segmentation is refused with a message that
 names the mode mismatch. The draws come from a plain
@@ -20,7 +21,14 @@ import pytest
 
 from allocsim.cli import COMMANDS, main
 from allocsim.errors import AllocSimError
-from allocsim.model import RateFunction, RatePiece, config_from_document, scan_grid
+from allocsim.model import (
+    RateFunction,
+    RatePiece,
+    config_document,
+    config_from_document,
+    scan_grid,
+    scenario_nonstationary,
+)
 from allocsim.segmentation import certify_plan, segment_time_span
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -164,7 +172,8 @@ def _outputs(out):
 
 def run_every_mode(tmp_path, capsys, doc) -> dict:
     """Run `doc` in every mode twice, check the contract, and return each
-    mode's (exit code, stderr)."""
+    mode's (exit code, stderr) and the plan.csv bytes of each mode that
+    wrote one."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     try:
@@ -172,7 +181,7 @@ def run_every_mode(tmp_path, capsys, doc) -> dict:
         refused = None
     except AllocSimError as exc:
         config, refused = None, f"config error: {exc}"
-    results = {}
+    results, plans = {}, {}
     for mode in COMMANDS:
         runs = []
         for rerun in (0, 1):
@@ -205,13 +214,25 @@ def run_every_mode(tmp_path, capsys, doc) -> dict:
             assert np.all(certify_plan(plan, model.rate_fns) | one_step)
             rows = files["plan.csv"].decode().splitlines()[1:]
             assert [row.split(",")[2] for row in rows] == [s.label for s in plan.segments]
+            plans[mode] = files["plan.csv"]
         results[mode] = (code, err)
-    return results
+    # the CLI plans segment-plan's file apart from the nonstationary run
+    if len(plans) == len(PLAN_MODES):
+        assert plans["nonstationary"] == plans["segment-plan"]
+    return results, plans
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_config_keeps_the_contract(tmp_path, capsys, seed):
     run_every_mode(tmp_path, capsys, draw_config(seed))
+
+
+def test_plan_modes_write_one_plan(tmp_path, capsys):
+    # the extreme_budget scenario plans 15 segments at seed 1
+    config = scenario_nonstationary("extreme_budget", 2000, 24.0, seed=1)
+    _, plans = run_every_mode(tmp_path, capsys, config_document(config))
+    assert set(plans) == set(PLAN_MODES)
+    assert plans["segment-plan"].count(b"\n") == 16  # a header, 15 rows
 
 
 @pytest.mark.parametrize("pieces, planned, unplanned", [
@@ -228,7 +249,7 @@ def test_random_config_keeps_the_contract(tmp_path, capsys, seed):
     ([("constant", [50.0]), ("linear", [200.0, 0.0])], (0, ""), (0, "")),
 ], ids=["all-zero", "zero-total-at-cursor", "zero-rate-at-cursor"])
 def test_rates_at_zero(tmp_path, capsys, pieces, planned, unplanned):
-    results = run_every_mode(tmp_path, capsys, two_type_doc(pieces))
+    results, _ = run_every_mode(tmp_path, capsys, two_type_doc(pieces))
     for mode, (code, err) in results.items():
         want_code, want_text = planned if mode in PLAN_MODES else unplanned
         assert code == want_code and want_text in err, (mode, err)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,11 @@ import allocsim
 import allocsim.harness as harness
 from allocsim import (
     ArrivalSequence,
+    HourlyArrivals,
     LoopState,
     ProblemInstance,
     StationaryArrivals,
+    Trace,
     compute_regret,
     compute_revenue,
     emit_report,
@@ -92,6 +95,33 @@ def greedy_reference(instance, arrivals, seed):
     return np.array(assigned), np.array(purchased), remaining
 
 
+def greedy_matches_reference(instance, arrivals, seed):
+    """Run greedy_baseline and assert its per-item assignment and purchase
+    counts and its remaining stock equal those of greedy_reference on the
+    same stream; return its result and the reference's per-arrival items
+    and purchases."""
+    got = greedy_baseline(instance, arrivals, seed)
+    assigned, purchased, remaining = greedy_reference(instance, arrivals, seed)
+    n = instance.rewards.size
+    offered = assigned >= 0
+    assert got.assigned.dtype == got.purchased.dtype == np.int64
+    np.testing.assert_array_equal(
+        got.assigned, np.bincount(assigned[offered], minlength=n))
+    np.testing.assert_array_equal(
+        got.purchased, np.bincount(assigned[offered & purchased], minlength=n))
+    assert got.remaining.tobytes() == remaining.tobytes()
+    return got, assigned, purchased
+
+
+def flat_loop_trace():
+    """Three arrivals through the loop on two uncapped items of reward 0.5
+    that every customer buys: each arrival is offered an item and buys it."""
+    config = loop_config(n=2, rewards=[0.5, 0.5])
+    trace = run_integrated(config, three_arrivals(), np.ones(1))
+    assert np.all(trace.assigned >= 0) and np.all(trace.purchased)
+    return config.instance, trace
+
+
 def three_arrivals():
     return ArrivalSequence(
         times=np.array([0.1, 0.2, 0.3]), types=np.zeros(3, dtype=np.int64)
@@ -103,32 +133,37 @@ class TestGreedyBaseline:
         # item 0 pays 1 but stocks a single unit; everything after spills
         # onto the infinite item at 0.5
         inst = tiny_instance([1.0, 0.5], [1.0, np.inf])
-        trace = greedy_baseline(inst, three_arrivals(), seed=0)
-        np.testing.assert_array_equal(trace.assigned, [0, 1, 1])
-        assert np.all(trace.purchased)
-        assert compute_revenue(trace, inst.rewards) == pytest.approx(2.0)
+        got, assigned, purchased = greedy_matches_reference(inst, three_arrivals(), 0)
+        np.testing.assert_array_equal(assigned, [0, 1, 1])
+        assert np.all(purchased)
+        np.testing.assert_array_equal(got.assigned, [1, 2])
+        np.testing.assert_array_equal(got.purchased, [1, 2])
+        assert got.purchased @ inst.rewards == pytest.approx(2.0)
 
     def test_infinite_budgets_never_spill(self):
         inst = tiny_instance([0.3, 0.9, 0.6], [np.inf, np.inf, np.inf])
         stream = sample_stationary_stream(np.array([1.0]), 50, seed=1)
-        trace = greedy_baseline(inst, stream, seed=1)
-        assert np.all(trace.assigned == 1)
+        got, assigned, _ = greedy_matches_reference(inst, stream, 1)
+        assert np.all(assigned == 1)
+        np.testing.assert_array_equal(got.assigned, [0, 50, 0])
 
     def test_never_buying_still_consumes_offers(self):
         inst = tiny_instance([1.0, 0.5], [1.0, 2.0], p=0.0)
         # a zero preference row is invalid, so dodge validation on purpose
         inst.preferences[:] = 0.0
-        trace = greedy_baseline(inst, three_arrivals(), seed=0)
-        assert compute_revenue(trace, inst.rewards) == 0.0
+        got, assigned, _ = greedy_matches_reference(inst, three_arrivals(), 0)
+        assert got.purchased @ inst.rewards == 0.0
         # stock moves per offer, not per sale: one unit of item 0, then two
         # of item 1, regardless of whether anyone buys
-        np.testing.assert_array_equal(trace.assigned, [0, 1, 1])
-        np.testing.assert_array_equal(trace.remaining_final, [0.0, 0.0])
+        np.testing.assert_array_equal(assigned, [0, 1, 1])
+        np.testing.assert_array_equal(got.assigned, [1, 2])
+        np.testing.assert_array_equal(got.remaining, [0.0, 0.0])
 
     def test_reward_ties_break_low(self):
         inst = tiny_instance([0.8, 0.8], [np.inf, np.inf])
-        trace = greedy_baseline(inst, three_arrivals(), seed=0)
-        assert np.all(trace.assigned == 0)
+        got, assigned, _ = greedy_matches_reference(inst, three_arrivals(), 0)
+        assert np.all(assigned == 0)
+        np.testing.assert_array_equal(got.assigned, [3, 0])
 
     def test_fractional_budgets_then_nulls(self):
         # no uncapped item: in reward order each item serves floor(b_i)
@@ -136,10 +171,12 @@ class TestGreedyBaseline:
         inst = tiny_instance([1.0, 0.8, 0.5], [2.7, 0.4, 1.0])
         stream = ArrivalSequence(times=np.arange(1.0, 6.0) / 10,
                                  types=np.zeros(5, dtype=np.int64))
-        trace = greedy_baseline(inst, stream, seed=0)
-        np.testing.assert_array_equal(trace.assigned, [0, 0, 2, -1, -1])
-        np.testing.assert_array_equal(trace.purchased, [True] * 3 + [False] * 2)
-        np.testing.assert_allclose(trace.remaining_final, [0.7, 0.4, 0.0],
+        got, assigned, purchased = greedy_matches_reference(inst, stream, 0)
+        np.testing.assert_array_equal(assigned, [0, 0, 2, -1, -1])
+        np.testing.assert_array_equal(purchased, [True] * 3 + [False] * 2)
+        np.testing.assert_array_equal(got.assigned, [2, 0, 1])
+        np.testing.assert_array_equal(got.purchased, [2, 0, 1])
+        np.testing.assert_allclose(got.remaining, [0.7, 0.4, 0.0],
                                    rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["stationary", "extreme_budget"])
@@ -150,14 +187,14 @@ class TestGreedyBaseline:
                   else scenario_nonstationary(kind, 6000, 24.0, seed=1))
         stream = sample_stream(config.arrivals, config.instance.horizon,
                                config.seed)
-        trace = greedy_baseline(config.instance, stream, config.seed)
+        got, assigned, purchased = greedy_matches_reference(
+            config.instance, stream, config.seed)
         capped = np.flatnonzero(~config.instance.infinite_items)
-        offered = trace.assigned[trace.assigned >= 0]
-        counts = np.bincount(offered, minlength=trace.remaining_final.size)
-        spent = config.instance.budgets[capped] - trace.remaining_final[capped]
-        np.testing.assert_allclose(spent, counts[capped], rtol=0.0, atol=1e-9)
-        assert counts[capped].sum() > 0
-        unbought = np.isin(trace.assigned, capped) & ~trace.purchased
+        spent = config.instance.budgets[capped] - got.remaining[capped]
+        np.testing.assert_allclose(spent, got.assigned[capped], rtol=0.0, atol=1e-9)
+        assert got.assigned[capped].sum() > 0
+        assert (got.purchased[capped] < got.assigned[capped]).any()
+        unbought = np.isin(assigned, capped) & ~purchased
         assert unbought.any()
 
     def test_purchase_draws_paired_with_stationary_run(self):
@@ -168,12 +205,12 @@ class TestGreedyBaseline:
         stream = sample_stream(config.arrivals, config.instance.horizon,
                                config.seed)
         online = run_integrated(config, stream, expected_type_weights(config))
-        greedy = greedy_baseline(config.instance, stream, config.seed)
-        same = (online.assigned == greedy.assigned) & (greedy.assigned >= 0)
+        _, assigned, purchased = greedy_matches_reference(
+            config.instance, stream, config.seed)
+        same = (online.assigned == assigned) & (assigned >= 0)
         assert same.sum() > 1000
-        assert not greedy.purchased[same].all()
-        np.testing.assert_array_equal(online.purchased[same],
-                                      greedy.purchased[same])
+        assert not purchased[same].all()
+        np.testing.assert_array_equal(online.purchased[same], purchased[same])
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("uncapped", [True, False])
@@ -195,35 +232,30 @@ class TestGreedyBaseline:
             preferences=rng.uniform(0.05, 1.0, (m, n)), horizon=T)
         stream = ArrivalSequence(np.sort(rng.uniform(0.0, 10.0, T)),
                                  rng.integers(0, m, T))
-        trace = greedy_baseline(inst, stream, seed)
-        assigned, purchased, remaining = greedy_reference(inst, stream, seed)
-        np.testing.assert_array_equal(trace.assigned, assigned)
-        np.testing.assert_array_equal(trace.purchased, purchased)
-        assert trace.remaining_final.tobytes() == remaining.tobytes()
+        _, assigned, purchased = greedy_matches_reference(inst, stream, seed)
         assert (-1 in assigned) != uncapped
         assert purchased.any() and not purchased[assigned >= 0].all()
 
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_purchase_blocks_match_one_draw(self, monkeypatch, block):
-        # each stock run draws its uniforms in arrivals._BLOCK pieces; runs
-        # of 5 and 8 arrivals and an uncapped tail of 27 cut at a block edge
-        # or short of one, and consecutive draws equal one horizon-long draw
+        # each stock run draws its uniforms in pieces of arrivals._BLOCK // 8
+        # (at least 1: 1, 1 and 8 here); runs of 5 and 8 arrivals and an
+        # uncapped tail of 27 cut at a piece edge or short of one, and
+        # consecutive draws equal one horizon-long draw
         monkeypatch.setattr(arrivals, "_BLOCK", block)
         inst = tiny_instance([1.0, 0.8, 0.5], [5.0, 8.0, np.inf], p=0.5)
         stream = sample_stationary_stream(np.array([1.0]), 40, seed=3)
-        trace = greedy_baseline(inst, stream, seed=3)
-        assigned, purchased, _ = greedy_reference(inst, stream, seed=3)
-        np.testing.assert_array_equal(trace.assigned, assigned)
-        np.testing.assert_array_equal(trace.purchased, purchased)
+        _, _, purchased = greedy_matches_reference(inst, stream, 3)
         assert purchased.any() and not purchased.all()
 
     def test_items_behind_an_uncapped_item_never_offered(self):
         # reward order is item 1, item 2 (uncapped), item 0: item 0 keeps
         # its stock however long the stream runs
         inst = tiny_instance([0.5, 1.0, 0.9], [5.0, 1.0, np.inf])
-        trace = greedy_baseline(inst, three_arrivals(), seed=0)
-        np.testing.assert_array_equal(trace.assigned, [1, 2, 2])
-        np.testing.assert_array_equal(trace.remaining_final, [5.0, 0.0, np.inf])
+        got, assigned, _ = greedy_matches_reference(inst, three_arrivals(), 0)
+        np.testing.assert_array_equal(assigned, [1, 2, 2])
+        np.testing.assert_array_equal(got.assigned, [0, 1, 2])
+        np.testing.assert_array_equal(got.remaining, [5.0, 0.0, np.inf])
 
 
 @pytest.mark.parametrize("bad_type", [10, -1])
@@ -289,7 +321,8 @@ class TestIndexWidth:
     @staticmethod
     def _greedy(count):
         # item count - 1 pays most, every item holds one unit and the last
-        # 20 arrivals get the null; arrival t has type t mod count
+        # 20 arrivals get the null; arrival t has type t mod count; returns
+        # greedy's per-arrival items and purchases, from the reference
         rng = np.random.default_rng(count)
         inst = ProblemInstance(
             rewards=np.linspace(0.1, 1.0, count), budgets=np.ones(count), mu=0.1,
@@ -297,27 +330,32 @@ class TestIndexWidth:
         T = count + 20
         stream = ArrivalSequence(np.linspace(0.0, 5.0, T),
                                  (np.arange(T) % count).astype(_index_dtype(count)))
-        return inst, stream, greedy_baseline(inst, stream, seed=7)
+        _, assigned, purchased = greedy_matches_reference(inst, stream, 7)
+        return stream, assigned, purchased
 
     @pytest.mark.parametrize("count", WIDTH_COUNTS)
     def test_greedy_assigned_and_counts(self, count):
-        inst, stream, trace = self._greedy(count)
-        assigned, purchased, _ = greedy_reference(inst, stream, seed=7)
-        assert trace.assigned.dtype == _index_dtype(count)
-        np.testing.assert_array_equal(trace.assigned, assigned)
+        _, assigned, purchased = self._greedy(count)
+        narrow = assigned.astype(_index_dtype(count))
+        np.testing.assert_array_equal(narrow, assigned)
         assert assigned.max() == count - 1 and assigned.min() == -1
         offered = assigned >= 0
         np.testing.assert_array_equal(
-            _item_counts(trace.assigned, count),
+            _item_counts(narrow, count),
             np.bincount(assigned[offered], minlength=count))
         np.testing.assert_array_equal(
-            _item_counts(trace.assigned, count, trace.purchased),
+            _item_counts(narrow, count, purchased),
             np.bincount(assigned[offered & purchased], minlength=count))
 
     @pytest.mark.parametrize("count", WIDTH_COUNTS)
     def test_trace_csv_and_histogram(self, tmp_path, count):
-        _, stream, trace = self._greedy(count)
-        assigned = trace.assigned.astype(np.int64)
+        # a loop trace over the stream, with greedy's items in their place
+        stream, assigned, purchased = self._greedy(count)
+        narrow = assigned.astype(_index_dtype(count))
+        run = run_integrated(loop_config(n=count, m=count), stream,
+                             np.full(count, 1.0 / count))
+        trace = replace(run, assigned=narrow, purchased=purchased)
+        assert trace.types.dtype == trace.assigned.dtype == _index_dtype(count)
         types = stream.types.astype(np.int64)
         write_trace_csv(trace, tmp_path / "trace.csv")
         rows = [line.split(",") for line in
@@ -327,9 +365,12 @@ class TestIndexWidth:
 
         cells = Counter(zip(np.floor(stream.times).astype(np.int64).tolist(),
                             types.tolist()))
-        got = [tuple(row) for block in harness._arrival_histogram(trace)
-               for row in zip(*(col.tolist() for col in block))]
-        assert got == [(h, j, c) for (h, j), c in sorted(cells.items())]
+        want = [(h, j, c) for (h, j), c in sorted(cells.items())]
+        hourly = HourlyArrivals(*stream.hour_runs(), types=stream.types)
+        for runs in (stream, hourly):
+            got = [tuple(row) for block in harness._arrival_histogram(runs)
+                   for row in zip(*(col.tolist() for col in block))]
+            assert got == want
 
     @pytest.mark.parametrize("count", WIDTH_COUNTS)
     def test_loop_matches_int64_types(self, count):
@@ -372,15 +413,19 @@ class TestMetrics:
         assert avg == pytest.approx(0.2 / len(report.trace), abs=1e-12)
 
     def test_revenue_of_empty_and_flat_traces(self):
-        inst = tiny_instance([0.5, 0.5], [np.inf, np.inf])
-        trace = greedy_baseline(inst, three_arrivals(), seed=0)
+        inst, trace = flat_loop_trace()
         assert compute_revenue(trace, inst.rewards) == pytest.approx(1.5)
         trace.purchased[:] = False
         assert compute_revenue(trace, inst.rewards) == 0.0
+        # greedy's revenue is its purchase counts dotted with the rewards
+        got, _, _ = greedy_matches_reference(inst, three_arrivals(), 0)
+        assert got.purchased @ inst.rewards == pytest.approx(1.5)
+        inst.preferences[:] = 0.0
+        got, _, _ = greedy_matches_reference(inst, three_arrivals(), 0)
+        assert got.purchased @ inst.rewards == 0.0
 
     def test_item_past_the_last_is_refused(self):
-        inst = tiny_instance([0.5, 0.5], [np.inf, np.inf])
-        trace = greedy_baseline(inst, three_arrivals(), seed=0)
+        inst, trace = flat_loop_trace()
         trace.assigned[1] = 2
         with pytest.raises(ValueError):
             compute_revenue(trace, inst.rewards)
@@ -399,8 +444,8 @@ class TestMetrics:
         inst = config.instance
         stream = sample_stationary_stream(config.arrivals.rates, T, seed=3)
         assigned, purchased = edge_assignments(inst.rewards.size, T, block, seed=block)
-        trace = greedy_baseline(inst, stream, seed=3)
-        trace.assigned, trace.purchased = assigned, purchased
+        trace = replace(run_integrated(config, stream, expected_type_weights(config)),
+                        assigned=assigned, purchased=purchased)
         expected = math.fsum(inst.rewards[assigned[purchased & (assigned >= 0)]])
         assert compute_revenue(trace, inst.rewards) == pytest.approx(expected, rel=1e-12)
 
@@ -453,14 +498,46 @@ class TestRunExperiment:
         assert report.greedy_revenue > 0.0
         assert np.isnan(report.realized_revenue)
 
+    @pytest.mark.parametrize("kind", ["stationary", "extreme_budget"])
+    def test_greedy_mode_calls_the_traced_names(self, monkeypatch, kind):
+        # the benchmark's tracer rebinds harness.sample_stream and
+        # harness.greedy_baseline; a greedy run that went round either
+        # would fail only in the benchmark
+        calls = []
+
+        def spy(name):
+            original = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                out = original(*args, **kwargs)
+                calls.append((name, args, out))
+                return out
+
+            return wrapper
+
+        for name in ("sample_stream", "greedy_baseline"):
+            monkeypatch.setattr(harness, name, spy(name))
+        config = (scenario_stationary(T=500, seed=2) if kind == "stationary"
+                  else scenario_nonstationary(kind, 2000, 24.0, seed=1))
+        report = run_experiment(config, "greedy")
+        assert [name for name, _, _ in calls] == ["sample_stream", "greedy_baseline"]
+        (_, _, stream), (_, (_, arrivals, _), greedy) = calls
+        assert isinstance(stream, HourlyArrivals) and arrivals is stream
+        assert len(arrivals) == report.arrivals > 0
+        if kind == "stationary":
+            assert len(arrivals) == config.instance.horizon
+        assert greedy is report.greedy
+
     def test_greedy_cell_peak_memory(self, tmp_path):
-        # the greedy cell keeps the stream's times (8 bytes per arrival),
-        # its types and greedy's assigned and purchased (1 byte each: int8
-        # indices for 10 types and 10 items, and bools), and block-sized
-        # temporaries; it reads about 23.2 bytes per arrival. The bound
-        # leaves 2.8 bytes (0.56 MB here) for block temporaries that differ
-        # between numpy versions, so a horizon-long temporary of 4 bytes
-        # per arrival or more takes it past
+        # the greedy cell keeps the stream's types (1 byte per arrival, int8
+        # for 10 types) and its hour runs (an int64 hour and count per
+        # nonempty hour: 16 bytes per 5.5 arrivals here, 2.9 per arrival);
+        # greedy keeps per-item counts only. The sampler's block and the
+        # histogram's and encoder's chunk temporaries weigh more than both
+        # at this T: it reads about 12.7 bytes per arrival. The bound leaves
+        # 2.8 bytes (0.56 MB here) for block temporaries that differ between
+        # numpy versions, so a horizon-long temporary of 4 bytes per arrival
+        # or more takes it past
         T = 200_000
         config = scenario_stationary(T=T, seed=1)
         tracemalloc.start()
@@ -469,16 +546,19 @@ class TestRunExperiment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / T <= 26.0
+        assert peak / T <= 15.5
 
     def test_block_counts_peak_memory(self):
-        # revenue and the selection counts go through the trace one block
+        # revenue and the selection counts go through a loop trace one block
         # at a time; a horizon-long mask, selection or reward array would
-        # take either past 1 byte per arrival
+        # take either past 1 byte per arrival. The trace is a 1000-arrival
+        # loop run repeated to T arrivals
         T = 1_000_000
-        config = scenario_stationary(T=T, seed=1)
-        stream = sample_stationary_stream(config.arrivals.rates, T, seed=1)
-        trace = greedy_baseline(config.instance, stream, seed=1)
+        config = scenario_stationary(T=1000, seed=1)
+        stream = sample_stationary_stream(config.arrivals.rates, 1000, seed=1)
+        run = run_integrated(config, stream, expected_type_weights(config))
+        trace = Trace.concat([run] * (T // len(run)))
+        assert len(trace) == T and trace.purchased.any()
         for count in (lambda: compute_revenue(trace, config.instance.rewards),
                       lambda: trace.assignment_counts):
             tracemalloc.start()
@@ -596,21 +676,25 @@ class TestEmitReport:
         if mode in ("negative-hours", "chunk-edges", "sparse-hours"):
             m = 2 if mode == "chunk-edges" else 10
             stream = ArrivalSequence(times, rng.integers(0, m, times.size))
-            report = MetricsReport(
-                mode="greedy", seed=3, config_hash="x",
-                greedy_trace=greedy_baseline(config.instance, stream, 3))
+            report = MetricsReport(mode="greedy", seed=3, config_hash="x",
+                                   stream=stream)
             emit_report(report, tmp_path)
         else:
             report = run_experiment(config, mode, out_dir=tmp_path)
-        trace = report.trace if report.trace is not None else report.greedy_trace
-        cells = Counter(zip(np.floor(trace.times).astype(int).tolist(),
-                            trace.types.tolist()))
+            # greedy mode keeps no times: its cells are read off the same
+            # stream sampled with them
+            stream = (ArrivalSequence(report.trace.times, report.trace.types)
+                      if report.trace is not None else
+                      sample_stationary_stream(config.arrivals.rates, 900, seed=3))
+        assert isinstance(report.stream, HourlyArrivals) == (mode == "greedy")
+        cells = Counter(zip(np.floor(stream.times).astype(int).tolist(),
+                            stream.types.tolist()))
         rows = (tmp_path / "arrivals_hist.csv").read_text().splitlines()
         assert rows[0] == "hour,type,count"
         assert rows[1:] == [f"{h},{j},{c}" for (h, j), c in sorted(cells.items())]
         # a block has at most _BLOCK rows, or m for an hour past a chunk
-        blocks = [len(b[0]) for b in harness._arrival_histogram(trace)]
-        assert len(blocks) > 1 and max(blocks) <= max(8, trace.types.max() + 1)
+        blocks = [len(b[0]) for b in harness._arrival_histogram(report.stream)]
+        assert len(blocks) > 1 and max(blocks) <= max(8, stream.types.max() + 1)
         if mode == "nonstationary":
             hours = {h for h, _ in cells}
             assert len(cells) < len(hours) * config.instance.preferences.shape[0]

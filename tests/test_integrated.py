@@ -1159,7 +1159,10 @@ class TestTraceExport:
             purchased=(assigned >= 0) & (rng.random(T) < 0.5),
             phase=rng.integers(0, 3, T).astype(np.uint8), f_vals=np.zeros(T),
             segment=np.zeros(T, dtype=np.int32), t_start_index=7,
-            checkpoints=CheckpointLog.empty(3), lam_final=np.zeros(3),
+            checkpoints=CheckpointLog(
+                t=np.empty(0, dtype=np.int64), pref_error=np.empty(0),
+                change=np.empty(0), lam=np.empty((0, 3)), remaining=np.empty((0, 3))),
+            lam_final=np.zeros(3),
             remaining_final=np.zeros(3), carry=LoopState.fresh(3, 4, np.ones(3)),
         )
         path = tmp_path / "trace.csv"
